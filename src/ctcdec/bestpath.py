@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ctc import collapse, path_log_score
+from .ctc import collapse, group_word_spans, path_log_score
 from .matrix import ConfidenceMatrix
 from .types import Hypothesis
 
@@ -19,41 +19,23 @@ def decode_best_path(matrix: ConfidenceMatrix) -> Hypothesis:
     labels = np.argmax(matrix.probs, axis=1)
     text = collapse(labels, matrix.alphabet)
     score = path_log_score(matrix, labels)
-    confs = _word_confidences(matrix, labels)
+    confs = _word_confidences(matrix, labels, text)
     return Hypothesis(text=text, score=score, word_confidences=confs)
 
 
-def _word_confidences(matrix: ConfidenceMatrix, labels: np.ndarray) -> tuple[float, ...]:
+def _word_confidences(
+    matrix: ConfidenceMatrix, labels: np.ndarray, text: str
+) -> tuple[float, ...]:
     """Per-word minimum of the per-frame maximum confidence, over the frames
-    the argmax path spends on the word (including NaC gaps inside it)."""
-    alphabet = matrix.alphabet
-    nac = alphabet.nac_index
+    the argmax path ``labels`` (collapsing to ``text``) spends on the word,
+    including NaC gaps inside it."""
     frame_max = matrix.probs[np.arange(matrix.num_frames), labels]
-
     # Maximal runs of identical labels; non-NaC runs emit one character each.
-    chars: list[tuple[str, int, int]] = []
-    t = 0
-    n = len(labels)
-    while t < n:
-        u = t
-        while u < n and labels[u] == labels[t]:
-            u += 1
-        if labels[t] != nac:
-            chars.append((alphabet.symbols[labels[t]], t, u))
-        t = u
-
-    sep = alphabet.separator
-    confs: list[float] = []
-    start = end = None
-    for ch, s, e in chars + ([(sep, -1, -1)] if sep is not None else []):
-        if sep is not None and ch == sep:
-            if start is not None:
-                confs.append(float(frame_max[start:end].min()))
-                start = None
-        else:
-            if start is None:
-                start = s
-            end = e
-    if sep is None and chars:
-        confs.append(float(frame_max[chars[0][1] : chars[-1][2]].min()))
-    return tuple(confs)
+    starts = np.flatnonzero(np.diff(labels, prepend=-1))
+    ends = np.append(starts[1:], len(labels))
+    emits = labels[starts] != matrix.alphabet.nac_index
+    char_spans = list(zip(starts[emits], ends[emits]))
+    return tuple(
+        float(frame_max[start:end].min())
+        for _, start, end in group_word_spans(text, char_spans, matrix.alphabet.separator)
+    )

@@ -136,14 +136,6 @@ def _cmd_decode(args: argparse.Namespace) -> int:
             print(f"{args.scheme} requires --lexicon", file=sys.stderr)
             return 2
         lexicon = load_lexicon(args.lexicon)
-    params = DecodeParams(
-        lm_weight=args.alpha,
-        word_bonus=args.beta,
-        beam_width=args.beam,
-        oov_policy=args.oov,
-        min_symbol_prob=args.min_symbol_prob,
-    )
-    committee = None
     experts = None
     if args.scheme == "dec-e":
         experts = args.experts or manifest.expert_count
@@ -154,9 +146,22 @@ def _cmd_decode(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-        committee = CommitteeConfig(
-            n=experts, vote_lambda=args.vote_lambda, null_confidence=args.null_conf
+    try:
+        params = DecodeParams(
+            lm_weight=args.alpha,
+            word_bonus=args.beta,
+            beam_width=args.beam,
+            oov_policy=args.oov,
+            min_symbol_prob=args.min_symbol_prob,
         )
+        committee = None
+        if experts is not None:
+            committee = CommitteeConfig(
+                n=experts, vote_lambda=args.vote_lambda, null_confidence=args.null_conf
+            )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     decoder = SchemeDecoder(
         args.scheme,
         rule_config=rule_config,

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 
 from .dictionary import DecodeParams, decode_dictionary
 from .errors import CtcDecError, LengthMismatch, NoAcceptedString
+from .evaluate import edit_alignment
 from .expressions import ExpressionModel
 from .lexicon import Lexicon
 from .matrix import ConfidenceMatrix
@@ -124,40 +125,9 @@ def word_alignment(
     insertion. Returns the total cost and ops ``(kind, ref_index,
     word_index)`` with kind one of ``match``/``sub``/``del``/``ins``.
     """
-    n, m = len(reference), len(words)
-    dist = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        dist[i][0] = dist[i - 1][0] + (0 if reference[i - 1] is NULL_WORD else 1)
-    for j in range(1, m + 1):
-        dist[0][j] = j
-    for i in range(1, n + 1):
-        del_cost = 0 if reference[i - 1] is NULL_WORD else 1
-        for j in range(1, m + 1):
-            sub_cost = 0 if reference[i - 1] == words[j - 1] else 1
-            dist[i][j] = min(
-                dist[i - 1][j - 1] + sub_cost,
-                dist[i - 1][j] + del_cost,
-                dist[i][j - 1] + 1,
-            )
-
-    ops: list[tuple[str, int, int]] = []
-    i, j = n, m
-    while i > 0 or j > 0:
-        here = dist[i][j]
-        if i > 0 and j > 0 and reference[i - 1] == words[j - 1] and here == dist[i - 1][j - 1]:
-            ops.append(("match", i - 1, j - 1))
-            i, j = i - 1, j - 1
-        elif i > 0 and j > 0 and here == dist[i - 1][j - 1] + 1:
-            ops.append(("sub", i - 1, j - 1))
-            i, j = i - 1, j - 1
-        elif i > 0 and here == dist[i - 1][j] + (0 if reference[i - 1] is NULL_WORD else 1):
-            ops.append(("del", i - 1, j))
-            i -= 1
-        else:
-            ops.append(("ins", i, j - 1))
-            j -= 1
-    ops.reverse()
-    return dist[n][m], ops
+    return edit_alignment(
+        reference, words, [0 if ref is NULL_WORD else 1 for ref in reference]
+    )
 
 
 def align_into_wtn(wtn: WordTransitionNetwork, hyp: Hypothesis) -> WordTransitionNetwork:

@@ -70,12 +70,43 @@ def _text_to_indices(text: str, alphabet: Alphabet) -> list[int]:
     return indices
 
 
-def _interleaved(text_indices: list[int], nac: int) -> np.ndarray:
-    """State labels [NaC, c1, NaC, c2, ..., cN, NaC]."""
-    ext = np.empty(2 * len(text_indices) + 1, dtype=np.intp)
-    ext[0::2] = nac
-    ext[1::2] = text_indices
-    return ext
+class _Lattice:
+    """The text interleaved with optional NaCs, ``[NaC, c1, NaC, ..., cN,
+    NaC]``, over the frames of ``log_probs`` (a T x S log-probability array).
+
+    ``emit[t, s]`` is the log probability of state ``s``'s label at frame
+    ``t``; ``init`` holds the frame-0 scores (a path starts on the leading
+    NaC or on the first character).
+    """
+
+    def __init__(self, log_probs: np.ndarray, text: str, alphabet: Alphabet):
+        nac = alphabet.nac_index
+        labels = np.empty(2 * len(text) + 1, dtype=np.intp)
+        labels[0::2] = nac
+        labels[1::2] = _text_to_indices(text, alphabet)
+        self.emit = log_probs[:, labels]
+        self.init = np.full(labels.shape[0], NEG_INF)
+        self.init[:2] = self.emit[0, :2]
+        # A jump from state s-2 is allowed into non-NaC states whose symbol
+        # differs from the one two states back (repeats must pass through NaC).
+        self._jump_mask = np.full(labels.shape[0], NEG_INF)
+        self._jump_mask[2:][(labels[2:] != nac) & (labels[2:] != labels[:-2])] = 0.0
+
+    def moves(self, prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Scores entering each state from ``prev`` by a stay, a step from
+        the state before, and a jump over a NaC, in that order."""
+        padded = np.concatenate(([NEG_INF, NEG_INF], prev))
+        return prev, padded[1:-1], padded[:-2] + self._jump_mask
+
+
+def _forward(lattice: _Lattice) -> float:
+    alpha = lattice.init
+    for emit in lattice.emit[1:]:
+        stay, step, jump = lattice.moves(alpha)
+        alpha = np.logaddexp(np.logaddexp(stay, step), jump) + emit
+    if alpha.shape[0] == 1:
+        return float(alpha[0])
+    return float(np.logaddexp(alpha[-1], alpha[-2]))
 
 
 def string_log_score(matrix: ConfidenceMatrix, text: str) -> float:
@@ -84,34 +115,7 @@ def string_log_score(matrix: ConfidenceMatrix, text: str) -> float:
     text interleaved with optional NaCs. Returns -inf when no path exists
     (text too long for T, or repeated characters needing more frames).
     """
-    indices = _text_to_indices(text, matrix.alphabet)
-    nac = matrix.alphabet.nac_index
-    ext = _interleaved(indices, nac)
-    n_states = ext.shape[0]
-    with np.errstate(divide="ignore"):
-        logp = np.log(matrix.probs)
-
-    # A jump from state s-2 is allowed into non-NaC states whose symbol
-    # differs from the one two states back (repeats must pass through NaC).
-    jump_ok = np.zeros(n_states, dtype=bool)
-    if n_states >= 3:
-        jump_ok[2:] = (ext[2:] != nac) & (ext[2:] != ext[:-2])
-
-    alpha = np.full(n_states, NEG_INF)
-    alpha[0] = logp[0, nac]
-    if n_states > 1:
-        alpha[1] = logp[0, ext[1]]
-
-    for t in range(1, matrix.num_frames):
-        stay = alpha
-        step = np.concatenate(([NEG_INF], alpha[:-1]))
-        jump = np.concatenate(([NEG_INF, NEG_INF], alpha[:-2]))
-        jump = np.where(jump_ok, jump, NEG_INF)
-        alpha = np.logaddexp(np.logaddexp(stay, step), jump) + logp[t, ext]
-
-    if n_states == 1:
-        return float(alpha[0])
-    return float(np.logaddexp(alpha[-1], alpha[-2]))
+    return _forward(_Lattice(matrix.log_probs, text, matrix.alphabet))
 
 
 def force_align(matrix: ConfidenceMatrix, text: str) -> list[tuple[int, int]]:
@@ -121,60 +125,52 @@ def force_align(matrix: ConfidenceMatrix, text: str) -> list[tuple[int, int]]:
     (the frames whose best path emits that character). Raises
     :class:`LengthMismatch` when no valid alignment exists.
     """
-    indices = _text_to_indices(text, matrix.alphabet)
-    nac = matrix.alphabet.nac_index
-    ext = _interleaved(indices, nac)
-    n_states = ext.shape[0]
+    lattice = _Lattice(matrix.log_probs, text, matrix.alphabet)
     n_frames = matrix.num_frames
-    with np.errstate(divide="ignore"):
-        logp = np.log(matrix.probs)
-
-    jump_ok = np.zeros(n_states, dtype=bool)
-    if n_states >= 3:
-        jump_ok[2:] = (ext[2:] != nac) & (ext[2:] != ext[:-2])
-
-    score = np.full((n_frames, n_states), NEG_INF)
-    back = np.zeros((n_frames, n_states), dtype=np.intp)
-    score[0, 0] = logp[0, nac]
-    if n_states > 1:
-        score[0, 1] = logp[0, ext[1]]
-        back[0, 1] = 1
-    back[0, 0] = 0
-
+    score = lattice.init
+    # back[t, s]: how many states the best path into s at frame t moved.
+    back = np.zeros((n_frames, score.shape[0]), dtype=np.intp)
     for t in range(1, n_frames):
-        stay = score[t - 1]
-        step = np.concatenate(([NEG_INF], stay[:-1]))
-        jump = np.concatenate(([NEG_INF, NEG_INF], stay[:-2]))
-        jump = np.where(jump_ok, jump, NEG_INF)
-        # Prefer staying on ties, then a single step, then a jump.
-        idx = np.arange(n_states)
-        best = stay.copy()
-        src = idx.copy()
-        better = step > best
-        best = np.where(better, step, best)
-        src = np.where(better, idx - 1, src)
-        better = jump > best
-        best = np.where(better, jump, best)
-        src = np.where(better, idx - 2, src)
-        score[t] = best + logp[t, ext]
-        back[t] = src
+        moves = np.stack(lattice.moves(score))
+        # First maximum: ties prefer staying, then a single step, then a jump.
+        back[t] = moves.argmax(axis=0)
+        score = moves.max(axis=0) + lattice.emit[t]
 
-    end_candidates = [n_states - 1] + ([n_states - 2] if n_states > 1 else [])
-    end = max(end_candidates, key=lambda s: score[n_frames - 1, s])
-    if score[n_frames - 1, end] == NEG_INF:
+    # A path ends on the trailing NaC or on the last character; ties go to the NaC.
+    end = score.shape[0] - 1
+    if end > 0 and score[end - 1] > score[end]:
+        end -= 1
+    if score[end] == NEG_INF:
         raise LengthMismatch(f"no valid alignment of {text!r} in {n_frames} frames")
 
     states = np.empty(n_frames, dtype=np.intp)
-    cur = end
     for t in range(n_frames - 1, -1, -1):
-        states[t] = cur
-        cur = back[t, cur]
+        states[t] = end
+        end -= back[t, end]
+    # States never decrease along a path, so each character's frames are
+    # one run of its (odd) state.
+    chars = np.arange(1, 2 * len(text), 2)
+    starts = np.searchsorted(states, chars, side="left")
+    ends = np.searchsorted(states, chars, side="right")
+    return [(int(s), int(e)) for s, e in zip(starts, ends)]
 
-    spans: list[tuple[int, int]] = []
-    for i in range(len(indices)):
-        frames = np.nonzero(states == 2 * i + 1)[0]
-        spans.append((int(frames[0]), int(frames[-1]) + 1))
-    return spans
+
+def group_word_spans(
+    text: str, char_spans: list[tuple[int, int]], separator: str | None
+) -> list[tuple[str, int, int]]:
+    """Group per-character frame spans of ``text`` into per-word spans.
+
+    Words are the separator-split tokens of ``text`` (the whole text when
+    ``separator`` is None); each span runs from the start of the word's
+    first character to the end of its last.
+    """
+    out: list[tuple[str, int, int]] = []
+    pos = 0
+    for word in text.split(separator) if separator is not None else [text]:
+        if word:
+            out.append((word, char_spans[pos][0], char_spans[pos + len(word) - 1][1]))
+        pos += len(word) + 1
+    return out
 
 
 def word_spans(
@@ -188,19 +184,7 @@ def word_spans(
     """
     if not text:
         return []
-    spans = force_align(matrix, text)
-    out: list[tuple[str, int, int]] = []
-    start_char = None
-    for pos, ch in enumerate(text + (separator or "")):
-        if separator is not None and ch == separator:
-            if start_char is not None:
-                out.append((text[start_char:pos], spans[start_char][0], spans[pos - 1][1]))
-                start_char = None
-        elif start_char is None:
-            start_char = pos
-    if separator is None:
-        out.append((text, spans[0][0], spans[-1][1]))
-    return out
+    return group_word_spans(text, force_align(matrix, text), separator)
 
 
 def marginal_word_confidences(
@@ -208,8 +192,7 @@ def marginal_word_confidences(
 ) -> tuple[float, ...]:
     """Per-word confidences: the CTC marginal of each word over the frame
     span it was decoded to, in [0, 1]."""
-    confs = []
-    for word, start, end in word_spans(matrix, text, separator):
-        sub = ConfidenceMatrix(matrix.probs[start:end], matrix.alphabet)
-        confs.append(math.exp(string_log_score(sub, word)))
-    return tuple(confs)
+    return tuple(
+        math.exp(_forward(_Lattice(matrix.log_probs[start:end], word, matrix.alphabet)))
+        for word, start, end in word_spans(matrix, text, separator)
+    )

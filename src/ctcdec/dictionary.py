@@ -178,8 +178,6 @@ def decode_dictionary(
     hypothesis score is the full log-linear objective; word confidences
     are per-word CTC marginals over the decoded frame spans.
     """
-    if len(lexicon) == 0:
-        raise EmptyLexicon("cannot decode with an empty lexicon")
     constraint = _LexiconConstraint(lexicon, matrix.alphabet, params)
     if expression_model is not None:
         expression_model.validate(matrix.alphabet)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,6 +33,48 @@ class EditOps:
         return self.substitutions + self.deletions + self.insertions
 
 
+def edit_alignment(
+    reference: Sequence, hypothesis: Sequence, deletion_costs: Sequence[int]
+) -> tuple[int, list[tuple[str, int, int]]]:
+    """Minimum-cost edit alignment of ``hypothesis`` against ``reference``.
+
+    A match costs 0, a substitution or an insertion 1, and deleting
+    ``reference[i]`` costs ``deletion_costs[i]``. On equal cost the
+    traceback prefers match > substitution > deletion > insertion. Returns
+    the total cost and the ops ``(kind, ref_index, hyp_index)`` in order,
+    with kind one of ``match``/``sub``/``del``/``ins``; a deletion carries
+    the hypothesis position it falls before, an insertion the reference
+    position.
+    """
+    n, m = len(reference), len(hypothesis)
+    dist = [list(range(m + 1))]
+    for ref, cost in zip(reference, deletion_costs):
+        prev = dist[-1]
+        left = prev[0] + cost
+        row = [left]
+        for diag, up, tok in zip(prev, prev[1:], hypothesis):
+            left = min(diag + (0 if ref == tok else 1), up + cost, left + 1)
+            row.append(left)
+        dist.append(row)
+
+    ops: list[tuple[str, int, int]] = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        here = dist[i][j]
+        sub = i > 0 and j > 0 and reference[i - 1] != hypothesis[j - 1]
+        if i > 0 and j > 0 and here == dist[i - 1][j - 1] + sub:
+            ops.append(("sub" if sub else "match", i - 1, j - 1))
+            i, j = i - 1, j - 1
+        elif i > 0 and here == dist[i - 1][j] + deletion_costs[i - 1]:
+            ops.append(("del", i - 1, j))
+            i -= 1
+        else:
+            ops.append(("ins", i, j - 1))
+            j -= 1
+    ops.reverse()
+    return dist[n][m], ops
+
+
 def edit_distance(a: Sequence, b: Sequence) -> tuple[int, EditOps]:
     """Levenshtein distance from reference ``a`` to hypothesis ``b``.
 
@@ -39,40 +82,9 @@ def edit_distance(a: Sequence, b: Sequence) -> tuple[int, EditOps]:
     insertions are extra tokens in ``b``. Ties in the traceback prefer
     match > substitution > deletion > insertion.
     """
-    n, m = len(a), len(b)
-    dist = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        dist[i][0] = i
-    for j in range(1, m + 1):
-        dist[0][j] = j
-    for i in range(1, n + 1):
-        row = dist[i]
-        prev = dist[i - 1]
-        ai = a[i - 1]
-        for j in range(1, m + 1):
-            row[j] = min(
-                prev[j - 1] + (0 if ai == b[j - 1] else 1),
-                prev[j] + 1,
-                row[j - 1] + 1,
-            )
-
-    matches = subs = dels = ins = 0
-    i, j = n, m
-    while i > 0 or j > 0:
-        here = dist[i][j]
-        if i > 0 and j > 0 and a[i - 1] == b[j - 1] and here == dist[i - 1][j - 1]:
-            matches += 1
-            i, j = i - 1, j - 1
-        elif i > 0 and j > 0 and here == dist[i - 1][j - 1] + 1:
-            subs += 1
-            i, j = i - 1, j - 1
-        elif i > 0 and here == dist[i - 1][j] + 1:
-            dels += 1
-            i -= 1
-        else:
-            ins += 1
-            j -= 1
-    return dist[n][m], EditOps(matches, subs, dels, ins)
+    distance, ops = edit_alignment(a, b, [1] * len(a))
+    kinds = Counter(kind for kind, _, _ in ops)
+    return distance, EditOps(kinds["match"], kinds["sub"], kinds["del"], kinds["ins"])
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,13 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .alphabet import Alphabet
+from .alphabet import Alphabet, default_alphabet
 from .errors import InvalidSymbol, ParseError
+from .expressions import CLASS_ATTACH, default_rule_config
 
 #: Punctuation that may attach to word boundaries without dictionary
-#: membership (mirrors the stock expression-rule attach class).
-DEFAULT_ATTACH_CHARS = frozenset('.,:;!?"()[]£$')
+#: membership: the stock expression rules' attach class.
+DEFAULT_ATTACH_CHARS = default_rule_config(default_alphabet()).classes[CLASS_ATTACH]
 
 
 class Lexicon:
@@ -174,5 +175,7 @@ def load_lexicon(
                 raise ParseError(lineno, f"expected '<count>\\t<word>', got {line!r}") from None
             if not word or count < 1:
                 raise ParseError(lineno, f"invalid lexicon entry {line!r}")
+            if separator is not None and separator in word:
+                raise ParseError(lineno, f"word {word!r} contains the separator {separator!r}")
             counts[word] = counts.get(word, 0) + count
     return Lexicon(counts, separator=separator, attach_chars=attach_chars)

@@ -36,6 +36,14 @@ def _format_alphabet(alphabet: Alphabet) -> str:
     )
 
 
+def _decode(raw: bytes, lineno: int) -> str:
+    """One line of the file as text, without its newline."""
+    try:
+        return raw.decode("utf-8").rstrip("\n")
+    except UnicodeDecodeError as exc:
+        raise ParseError(lineno, f"invalid UTF-8 ({exc.reason})") from None
+
+
 def _parse_alphabet(line: str, lineno: int) -> Alphabet:
     tokens = line.split("\t")
     if NAC_TOKEN not in tokens:
@@ -97,9 +105,8 @@ def load_matrix(path: str | Path, alphabet: Alphabet | None = None) -> Confidenc
         magic = fh.readline().decode("utf-8", errors="replace").rstrip("\n")
         if magic not in (TEXT_MAGIC, BINARY_MAGIC):
             raise ParseError(1, f"bad magic {magic!r}")
-        alpha_line = fh.readline().decode("utf-8").rstrip("\n")
-        file_alphabet = _parse_alphabet(alpha_line, 2)
-        n_frames = _parse_frame_count(fh.readline().decode("utf-8").rstrip("\n"), 3)
+        file_alphabet = _parse_alphabet(_decode(fh.readline(), 2), 2)
+        n_frames = _parse_frame_count(_decode(fh.readline(), 3), 3)
         n_symbols = len(file_alphabet)
 
         if alphabet is not None:
@@ -116,19 +123,20 @@ def load_matrix(path: str | Path, alphabet: Alphabet | None = None) -> Confidenc
             rows = np.frombuffer(payload, dtype="<f4").reshape(n_frames, n_symbols)
             return ConfidenceMatrix.from_rows(rows.astype(np.float64), alphabet)
 
-        rows = np.empty((n_frames, n_symbols))
-        for t in range(n_frames):
-            lineno = 4 + t
-            raw = fh.readline().decode("utf-8")
+        # Values are collected as read, never preallocated from the header's
+        # T, so a huge T fails where the file ends rather than in numpy.
+        values: list[float] = []
+        for lineno in range(4, 4 + n_frames):
+            raw = fh.readline()
             if not raw:
-                raise ParseError(lineno, f"expected {n_frames} rows, file ends at row {t}")
-            parts = raw.rstrip("\n").split("\t")
+                raise ParseError(lineno, f"expected {n_frames} rows, file ends at row {lineno - 4}")
+            parts = _decode(raw, lineno).split("\t")
             if len(parts) != n_symbols:
                 raise ParseError(lineno, f"expected {n_symbols} values, got {len(parts)}")
             try:
-                rows[t] = [float(p) for p in parts]
+                values.extend(map(float, parts))
             except ValueError as exc:
                 raise ParseError(lineno, str(exc)) from None
         if fh.readline().strip():
             raise ParseError(4 + n_frames, "trailing content after the last row")
-        return ConfidenceMatrix.from_rows(rows, alphabet)
+        return ConfidenceMatrix.from_rows(np.reshape(values, (n_frames, n_symbols)), alphabet)

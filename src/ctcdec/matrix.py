@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -14,6 +15,18 @@ from .errors import InvariantViolation
 ROW_SUM_TOLERANCE = 1e-6
 #: Row sums off by more than this are rejected outright.
 ROW_SUM_REJECT = 1e-3
+
+
+def _checked_entries(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself, once it is a T x S array (T >= 1) of finite,
+    nonnegative entries; otherwise :class:`InvariantViolation`."""
+    if arr.ndim != 2 or arr.shape[0] < 1:
+        raise InvariantViolation(f"expected a T x S matrix with T >= 1, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InvariantViolation("matrix entries must be finite")
+    if np.any(arr < 0):
+        raise InvariantViolation("matrix entries must be nonnegative")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -28,20 +41,11 @@ class ConfidenceMatrix:
     alphabet: Alphabet
 
     def __post_init__(self) -> None:
-        arr = np.ascontiguousarray(np.asarray(self.probs, dtype=np.float64))
-        if arr.ndim != 2:
-            raise InvariantViolation(f"matrix must be 2-D, got shape {arr.shape}")
-        t, s = arr.shape
-        if t < 1:
-            raise InvariantViolation("matrix needs at least one frame")
-        if s != len(self.alphabet):
+        arr = _checked_entries(np.ascontiguousarray(np.asarray(self.probs, dtype=np.float64)))
+        if arr.shape[1] != len(self.alphabet):
             raise InvariantViolation(
-                f"matrix has {s} columns but the alphabet has {len(self.alphabet)} symbols"
+                f"matrix has {arr.shape[1]} columns but the alphabet has {len(self.alphabet)} symbols"
             )
-        if not np.all(np.isfinite(arr)):
-            raise InvariantViolation("matrix entries must be finite")
-        if np.any(arr < 0):
-            raise InvariantViolation("matrix entries must be nonnegative")
         dev = np.abs(arr.sum(axis=1) - 1.0)
         worst = int(np.argmax(dev))
         if dev[worst] > ROW_SUM_TOLERANCE:
@@ -50,6 +54,14 @@ class ConfidenceMatrix:
             )
         arr.flags.writeable = False
         object.__setattr__(self, "probs", arr)
+
+    @cached_property
+    def log_probs(self) -> np.ndarray:
+        """Elementwise log of ``probs`` (read-only; zeros map to -inf)."""
+        with np.errstate(divide="ignore"):
+            logp = np.log(self.probs)
+        logp.flags.writeable = False
+        return logp
 
     @property
     def num_frames(self) -> int:
@@ -68,13 +80,7 @@ class ConfidenceMatrix:
         network outputs carry serialization rounding); anything worse
         raises :class:`InvariantViolation`.
         """
-        arr = np.asarray(rows, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] < 1:
-            raise InvariantViolation(f"expected a T x S matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise InvariantViolation("matrix entries must be finite")
-        if np.any(arr < 0):
-            raise InvariantViolation("matrix entries must be nonnegative")
+        arr = _checked_entries(np.asarray(rows, dtype=np.float64))
         sums = arr.sum(axis=1)
         dev = np.abs(sums - 1.0)
         if np.any(dev > ROW_SUM_REJECT):

@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .ctc import NEG_INF, logadd
 from .errors import NoAcceptedString
 from .matrix import ConfidenceMatrix
@@ -88,10 +86,8 @@ def prefix_beam_search(
     """
     if beam_width is not None and beam_width < 1:
         raise ValueError("beam_width must be >= 1 or None")
-    probs = matrix.probs
     nac = matrix.alphabet.nac_index
-    with np.errstate(divide="ignore"):
-        logp = np.log(probs)
+    logp = matrix.log_probs
     floor = math.log(min_symbol_prob) if min_symbol_prob > 0.0 else NEG_INF
     printable = matrix.alphabet.printable_indices
 

@@ -280,3 +280,27 @@ def test_per_line_errors_still_exit_zero(workspace):
     lines = hyp.read_text(encoding="utf-8").splitlines()
     assert lines[1] == "l0001\tERROR:InvariantViolation"
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize(
+    "scheme, flags",
+    [
+        ("dec-bp", ("--beam", 0)),
+        ("dec-e", ("--lambda", 1.5)),
+        ("dec-e", ("--experts", -1)),
+    ],
+)
+def test_bad_decode_numbers_exit_2_with_one_line(workspace, capsys, scheme, flags):
+    lex_path = workspace / "words.tsv"
+    run_cli("lexicon", "build", "--corpus", workspace / "corpus", "--out", lex_path)
+    out_dir = workspace / "synth"
+    run_cli("synth", "--lines", workspace / "lines.txt", "--out-dir", out_dir)
+    capsys.readouterr()
+    code = run_cli(
+        "decode", "--manifest", out_dir / "manifest.json", "--scheme", scheme,
+        "--lexicon", lex_path, "--out", workspace / "x.tsv", *flags,
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (workspace / "x.tsv").exists()

@@ -200,3 +200,8 @@ class TestAlignment:
         m = ConfidenceMatrix([[0.5, 0.5]], ab)
         assert word_spans(m, "", " ") == []
         assert marginal_word_confidences(m, "", " ") == ()
+
+
+def test_force_align_of_empty_text_has_no_spans():
+    m = random_matrix(np.random.default_rng(3), AB2, 4)
+    assert force_align(m, "") == []

@@ -107,3 +107,20 @@ def test_load_rejects_garbage(tmp_path):
     path.write_text("0\tword\n", encoding="utf-8")
     with pytest.raises(ParseError):
         load_lexicon(path)
+
+
+def test_load_rejects_word_containing_separator(tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_text("3\tcat\n2\tnew york\n", encoding="utf-8")
+    with pytest.raises(ParseError, match="line 2"):
+        load_lexicon(path)
+    # Without a separator the same entry is an ordinary word.
+    assert "new york" in load_lexicon(path, separator=None)
+
+
+def test_default_attach_chars_are_the_stock_rule_attach_class():
+    from ctcdec.expressions import CLASS_ATTACH, default_rule_config
+    from ctcdec.lexicon import DEFAULT_ATTACH_CHARS
+
+    assert DEFAULT_ATTACH_CHARS == default_rule_config(ALPHA).classes[CLASS_ATTACH]
+    assert DEFAULT_ATTACH_CHARS == frozenset('.,:;!?"()[]£$')

@@ -1,10 +1,13 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ctcdec import (
     Alphabet,
+    CtcDecError,
     InvariantViolation,
     NAC_CHAR,
     ParseError,
@@ -164,3 +167,52 @@ def test_negative_entries_rejected(tmp_path):
     path.write_text("CTCMAT v1\na\t<NaC>\nT=1\n1.5\t-0.5\n", encoding="utf-8")
     with pytest.raises(InvariantViolation):
         load_matrix(path)
+
+
+def test_invalid_utf8_is_a_parse_error_naming_the_line(tmp_path):
+    path = tmp_path / "bad.ctcmat"
+    path.write_bytes(b"CTCMAT v1\na\xff\t<NaC>\nT=1\n0.5\t0.5\n")
+    with pytest.raises(ParseError) as err:
+        load_matrix(path)
+    assert err.value.line == 2
+    path.write_bytes(b"CTCMAT v1\na\t<NaC>\nT=2\n0.5\t0.5\n0.5\xc3\t0.5\n")
+    with pytest.raises(ParseError) as err:
+        load_matrix(path)
+    assert err.value.line == 5
+
+
+def test_huge_frame_count_fails_where_the_file_ends(tmp_path):
+    path = tmp_path / "bad.ctcmat"
+    path.write_text("CTCMAT v1\na\t<NaC>\nT=1000000000000000\n0.5\t0.5\n", encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_matrix(path)
+    assert err.value.line == 5
+
+
+_edits = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=200),  # position (wrapped to the file size)
+        st.integers(min_value=0, max_value=3),  # bytes removed there
+        st.binary(max_size=3),  # bytes inserted there
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(binary=st.booleans(), edits=_edits)
+def test_mutated_bytes_raise_only_ctcdec_errors(tmp_path_factory, binary, edits):
+    path = tmp_path_factory.mktemp("fuzz") / "m.ctcmat"
+    store_matrix(random_matrix(np.random.default_rng(0), AB, 3), path, binary=binary)
+    data = bytearray(path.read_bytes())
+    for pos, removed, inserted in edits:
+        pos %= len(data) + 1
+        data[pos : pos + removed] = inserted
+    path.write_bytes(bytes(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            load_matrix(path)
+        except CtcDecError:
+            pass
