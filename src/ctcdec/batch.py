@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable
 
 from .errors import CtcDecError, ParseError
-from .matio import load_matrix
+from .matio import load_matrix, read_text
 from .matrix import ConfidenceMatrix
 from .types import Hypothesis
 
@@ -59,8 +59,7 @@ class Manifest:
 def load_manifest(path: str | Path) -> Manifest:
     base = Path(path).parent
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(exc.lineno, f"invalid JSON: {exc.msg}") from None
     if not isinstance(doc, dict) or not isinstance(doc.get("lines"), list):

@@ -39,7 +39,7 @@ from .expressions import (
     parse_rules,
 )
 from .lexicon import build_lexicon, load_lexicon, save_lexicon
-from .matio import NAC_TOKEN, load_matrix, store_matrix
+from .matio import NAC_TOKEN, load_matrix, read_text, store_matrix
 from .matrix import detect_boundaries
 from .synthetic import generate_synthetic
 
@@ -128,8 +128,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
     rule_config = None
     if args.rules:
-        with open(args.rules, encoding="utf-8") as fh:
-            rule_config = parse_rules(fh.read())
+        rule_config = parse_rules(read_text(args.rules))
     lexicon = None
     if args.scheme in ("dec-dm", "dec-e"):
         if not args.lexicon:
@@ -349,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CtcDecError as exc:
+    except (CtcDecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

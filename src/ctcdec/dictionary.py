@@ -20,7 +20,7 @@ from .errors import EmptyLexicon
 from .expressions import ExpressionModel, _FsaConstraint
 from .lexicon import Lexicon
 from .matrix import ConfidenceMatrix
-from .search import ProductConstraint, prefix_beam_search
+from .search import Node, prefix_beam_search
 from .types import Hypothesis
 
 OOV_POLICIES = ("reject", "pass-punct")
@@ -35,8 +35,8 @@ class DecodeParams:
     prior's preference for fewer words. ``oov_policy`` is ``"reject"``
     (every word must be in the lexicon) or ``"pass-punct"`` (tokens made
     purely of attaching punctuation are also permitted).
-    ``min_symbol_prob`` prunes extensions below that per-frame
-    probability; keep at 0 for exact search.
+    ``min_symbol_prob``, in [0, 1), prunes extensions below that
+    per-frame probability; keep at 0 for exact search.
     """
 
     lm_weight: float = 1.0
@@ -52,6 +52,8 @@ class DecodeParams:
             raise ValueError("beam_width must be >= 1 or None")
         if self.oov_policy not in OOV_POLICIES:
             raise ValueError(f"oov_policy must be one of {OOV_POLICIES}")
+        if not 0.0 <= self.min_symbol_prob < 1.0:
+            raise ValueError("min_symbol_prob must be in [0, 1)")
 
 
 # Parse phases for the word-by-word constraint.
@@ -74,31 +76,51 @@ class _LexiconConstraint:
             raise EmptyLexicon("cannot decode with an empty lexicon")
         self.lexicon = lexicon
         self.symbols = alphabet.symbols
-        self.alpha = params.lm_weight
-        self.beta = params.word_bonus
         self.pass_punct = params.oov_policy == "pass-punct"
         self.attach = lexicon.attach_chars
         self.separator = lexicon.separator
         log_total = math.log(lexicon.total_count)
-        self._word_prior = {
-            word: self.alpha * (math.log(count) - log_total) + self.beta
+        word_prior = {
+            word: params.lm_weight * (math.log(count) - log_total) + params.word_bonus
             for word, count in lexicon.counts.items()
         }
         # Look-ahead for pruning: best completion prior below each trie
         # node, so in-progress words rank comparably to completed ones.
-        self._lookahead = lexicon.node_best_completion(self._word_prior)
+        self._lookahead = lexicon.node_best_completion(word_prior)
+        # Prior of the word ending at each trie node (None: no word ends there).
+        self._completed = [
+            None if word is None else word_prior[word]
+            for word in map(lexicon.word_ending_at, range(len(self._lookahead)))
+        ]
+        # One Node per distinct analysis tuple, built on first sight.
+        self._nodes: dict[tuple, Node] = {}
+        self.initial = self._node(((_START, 0, 0.0),))
 
-    def initial(self):
-        return ((_START, 0, 0.0),)
-
-    def _completed(self, node: int) -> float | None:
-        word = self.lexicon.word_ending_at(node)
-        if word is None:
-            return None
-        return self._word_prior[word]
+    def _node(self, analyses: tuple) -> Node:
+        """Build and keep the Node of ``analyses``: best prior with
+        look-ahead (``rank``) and best prior as a complete line (``final``)."""
+        rank = final = None
+        for phase, node, prior in analyses:
+            bonus = prior + (self._lookahead[node] if phase == _WORD else 0.0)
+            if rank is None or bonus > rank:
+                rank = bonus
+            if phase == _WORD:
+                inc = self._completed[node]
+                if inc is None:
+                    continue
+                total = prior + inc
+            elif phase in (_START, _POST) or (phase == _PRE and self.pass_punct):
+                total = prior
+            else:
+                continue
+            if final is None or total > final:
+                final = total
+        built = self._nodes[analyses] = Node(analyses, rank, final)
+        return built
 
     def extend(self, state, symbol_index: int):
         sym = self.symbols[symbol_index]
+        completed = self._completed
         best: dict[tuple[int, int], float] = {}
 
         def add(phase: int, node: int, prior: float) -> None:
@@ -109,9 +131,8 @@ class _LexiconConstraint:
         for phase, node, prior in state:
             if sym == self.separator:
                 if phase == _WORD:
-                    inc = self._completed(node)
-                    if inc is not None:
-                        add(_BETWEEN, 0, prior + inc)
+                    if completed[node] is not None:
+                        add(_BETWEEN, 0, prior + completed[node])
                 elif phase == _POST:
                     add(_BETWEEN, 0, prior)
                 elif phase == _PRE and self.pass_punct:
@@ -123,10 +144,8 @@ class _LexiconConstraint:
                     add(_PRE, 0, prior)
                 elif phase == _POST:
                     add(_POST, 0, prior)
-                elif phase == _WORD:
-                    inc = self._completed(node)
-                    if inc is not None:
-                        add(_POST, 0, prior + inc)
+                elif phase == _WORD and completed[node] is not None:
+                    add(_POST, 0, prior + completed[node])
             # A symbol may extend the current word even when it is also
             # attaching punctuation (words can contain such characters).
             if phase in (_START, _BETWEEN, _PRE):
@@ -140,29 +159,32 @@ class _LexiconConstraint:
 
         if not best:
             return None
-        return tuple(sorted((ph, nd, pr) for (ph, nd), pr in best.items()))
+        analyses = tuple(sorted((ph, nd, pr) for (ph, nd), pr in best.items()))
+        return self._nodes.get(analyses) or self._node(analyses)
 
-    def rank_bonus(self, state) -> float:
-        return max(
-            pr + (self._lookahead[nd] if ph == _WORD else 0.0)
-            for ph, nd, pr in state
-        )
 
-    def final_bonus(self, state):
-        final = None
-        for phase, node, prior in state:
-            if phase == _WORD:
-                inc = self._completed(node)
-                if inc is None:
-                    continue
-                total = prior + inc
-            elif phase in (_START, _POST) or (phase == _PRE and self.pass_punct):
-                total = prior
-            else:
-                continue
-            if final is None or total > final:
-                final = total
-        return final
+class _Intersection:
+    """Both constraints at once: a prefix survives if both accept it, and
+    bonuses add. A state is the pair of the two constraints' nodes."""
+
+    def __init__(self, first, second):
+        self.first = first
+        self.second = second
+        self.initial = self._pair(first.initial, second.initial)
+
+    @staticmethod
+    def _pair(a: Node, b: Node) -> Node:
+        final = None if a.final is None or b.final is None else a.final + b.final
+        return Node((a, b), a.rank + b.rank, final)
+
+    def extend(self, state, symbol_index: int):
+        a = self.first.extend(state[0].state, symbol_index)
+        if a is None:
+            return None
+        b = self.second.extend(state[1].state, symbol_index)
+        if b is None:
+            return None
+        return self._pair(a, b)
 
 
 def decode_dictionary(
@@ -181,9 +203,7 @@ def decode_dictionary(
     constraint = _LexiconConstraint(lexicon, matrix.alphabet, params)
     if expression_model is not None:
         expression_model.validate(matrix.alphabet)
-        constraint = ProductConstraint(
-            _FsaConstraint(expression_model, matrix.alphabet), constraint
-        )
+        constraint = _Intersection(_FsaConstraint(expression_model, matrix.alphabet), constraint)
     prefix, mass, bonus = prefix_beam_search(
         matrix,
         constraint,
@@ -191,5 +211,5 @@ def decode_dictionary(
         min_symbol_prob=params.min_symbol_prob,
     )
     text = "".join(matrix.alphabet.symbols[i] for i in prefix)
-    confs = marginal_word_confidences(matrix, text, lexicon.separator) if text else ()
+    confs = marginal_word_confidences(matrix, text, lexicon.separator)
     return Hypothesis(text=text, score=mass + bonus, word_confidences=confs)

@@ -16,7 +16,7 @@ from .alphabet import Alphabet
 from .ctc import marginal_word_confidences
 from .errors import EmptyLanguage, InvalidRule
 from .matrix import ConfidenceMatrix
-from .search import prefix_beam_search
+from .search import Node, prefix_beam_search
 from .types import Hypothesis
 
 CLASS_UPPER = "uppercase"
@@ -53,14 +53,6 @@ class ExpressionModel:
     transitions: Mapping[tuple[str, str], str]
     accepting: frozenset[str]
     symbol_classes: Mapping[str, str]
-
-    @cached_property
-    def states(self) -> frozenset[str]:
-        found = {self.start} | set(self.accepting)
-        for (src, _), dst in self.transitions.items():
-            found.add(src)
-            found.add(dst)
-        return frozenset(found)
 
     @cached_property
     def live_states(self) -> frozenset[str]:
@@ -334,28 +326,27 @@ def format_rules(config: RuleConfig) -> str:
 
 
 class _FsaConstraint:
-    """Prefix-search constraint wrapping an ExpressionModel."""
+    """Prefix-search constraint: the model's transitions as a node table.
+
+    ``table`` maps ``(live_state, symbol_index)`` to the next live state's
+    :class:`Node` (no bonuses; accepting states have ``final == 0``).
+    """
 
     def __init__(self, model: ExpressionModel, alphabet: Alphabet):
-        self.model = model
-        self.symbols = alphabet.symbols
-        self.live = model.live_states
-        self.accepting = model.accepting
-
-    def initial(self):
-        return self.model.start
+        nodes = {
+            state: Node(state, 0.0, 0.0 if state in model.accepting else None)
+            for state in model.live_states
+        }
+        self.initial = nodes[model.start]
+        self.table = {
+            (state, i): nodes[nxt]
+            for state in nodes
+            for i in alphabet.printable_indices
+            if (nxt := model.step(state, alphabet.symbols[i])) in nodes
+        }
 
     def extend(self, state, symbol_index: int):
-        nxt = self.model.step(state, self.symbols[symbol_index])
-        if nxt is None or nxt not in self.live:
-            return None
-        return nxt
-
-    def rank_bonus(self, state) -> float:
-        return 0.0
-
-    def final_bonus(self, state):
-        return 0.0 if state in self.accepting else None
+        return self.table.get((state, symbol_index))
 
 
 def decode_expression(
@@ -377,5 +368,5 @@ def decode_expression(
         matrix, constraint, beam_width=beam_width, min_symbol_prob=min_symbol_prob
     )
     text = "".join(matrix.alphabet.symbols[i] for i in prefix)
-    confs = marginal_word_confidences(matrix, text, matrix.alphabet.separator) if text else ()
+    confs = marginal_word_confidences(matrix, text, matrix.alphabet.separator)
     return Hypothesis(text=text, score=mass, word_confidences=confs)

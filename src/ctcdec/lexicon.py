@@ -10,6 +10,7 @@ from typing import Iterable, Mapping
 from .alphabet import Alphabet, default_alphabet
 from .errors import InvalidSymbol, ParseError
 from .expressions import CLASS_ATTACH, default_rule_config
+from .matio import read_text
 
 #: Punctuation that may attach to word boundaries without dictionary
 #: membership: the stock expression rules' attach class.
@@ -70,9 +71,6 @@ class Lexicon:
     @property
     def counts(self) -> Mapping[str, int]:
         return dict(self._counts)
-
-    def count(self, word: str) -> int:
-        return self._counts.get(word, 0)
 
     def log_unigram(self, word: str) -> float:
         """log(count / total); -inf for unknown words."""
@@ -163,19 +161,17 @@ def load_lexicon(
 ) -> Lexicon:
     """Read ``<count>\\t<word>`` lines."""
     counts: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            try:
-                count_str, word = line.split("\t", 1)
-                count = int(count_str)
-            except ValueError:
-                raise ParseError(lineno, f"expected '<count>\\t<word>', got {line!r}") from None
-            if not word or count < 1:
-                raise ParseError(lineno, f"invalid lexicon entry {line!r}")
-            if separator is not None and separator in word:
-                raise ParseError(lineno, f"word {word!r} contains the separator {separator!r}")
-            counts[word] = counts.get(word, 0) + count
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line:
+            continue
+        try:
+            count_str, word = line.split("\t", 1)
+            count = int(count_str)
+        except ValueError:
+            raise ParseError(lineno, f"expected '<count>\\t<word>', got {line!r}") from None
+        if not word or count < 1:
+            raise ParseError(lineno, f"invalid lexicon entry {line!r}")
+        if separator is not None and separator in word:
+            raise ParseError(lineno, f"word {word!r} contains the separator {separator!r}")
+        counts[word] = counts.get(word, 0) + count
     return Lexicon(counts, separator=separator, attach_chars=attach_chars)

@@ -44,6 +44,22 @@ def _decode(raw: bytes, lineno: int) -> str:
         raise ParseError(lineno, f"invalid UTF-8 ({exc.reason})") from None
 
 
+def read_text(path: str | Path) -> str:
+    """A UTF-8 text file's contents, with ``\\r\\n`` and ``\\r`` line ends
+    read as ``\\n`` (as text mode reads them). Bytes that are not UTF-8
+    raise :class:`ParseError` with their line number."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        # Decode line by line to find the line; one of them must fail.
+        for lineno, raw in enumerate(data.splitlines(), start=1):
+            _decode(raw, lineno)
+        raise
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _parse_alphabet(line: str, lineno: int) -> Alphabet:
     tokens = line.split("\t")
     if NAC_TOKEN not in tokens:

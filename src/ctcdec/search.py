@@ -7,24 +7,19 @@ last symbol (``pnb``), which the extension rules need to keep apart. With
 an unlimited beam the accumulated mass of a prefix is its exact CTC
 marginal, so the search returns the exact constrained argmax.
 
-Constraints are duck-typed objects with four methods:
-
-``initial()``
-    state attached to the empty prefix.
-``extend(state, symbol_index)``
-    state for the prefix extended by one printable symbol, or ``None``
-    when no accepted string can start that way (the prefix is discarded).
-``rank_bonus(state)``
-    score bonus accumulated so far, used when pruning (0 when scores are
-    pure CTC mass).
-``final_bonus(state)``
-    total bonus if the prefix is an accepted complete string, else
-    ``None``.
+A constraint is an automaton with weights. It has an ``initial``
+:class:`Node` for the empty prefix and one method,
+``extend(state, symbol_index)``, which returns the :class:`Node` of the
+prefix extended by one printable symbol, or ``None`` when no accepted
+string starts that way (the prefix is discarded). Each node carries its
+own bonuses, so the search reads them from its beam entries and calls
+the constraint for nothing else.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 from .ctc import NEG_INF, logadd
 from .errors import NoAcceptedString
@@ -32,39 +27,20 @@ from .matrix import ConfidenceMatrix
 
 Prefix = tuple[int, ...]
 
-_PB, _PNB, _STATE = 0, 1, 2
+_PB, _PNB, _NODE = 0, 1, 2
 
 
-class ProductConstraint:
-    """Intersection of two constraints; bonuses add."""
+class Node(NamedTuple):
+    """A constraint state with its bonuses.
 
-    def __init__(self, first, second):
-        self.first = first
-        self.second = second
+    ``rank`` is the score bonus used when pruning (0 when scores are pure
+    CTC mass); ``final`` is the total bonus if the prefix is an accepted
+    complete string, else ``None``.
+    """
 
-    def initial(self):
-        return (self.first.initial(), self.second.initial())
-
-    def extend(self, state, symbol_index: int):
-        a = self.first.extend(state[0], symbol_index)
-        if a is None:
-            return None
-        b = self.second.extend(state[1], symbol_index)
-        if b is None:
-            return None
-        return (a, b)
-
-    def rank_bonus(self, state) -> float:
-        return self.first.rank_bonus(state[0]) + self.second.rank_bonus(state[1])
-
-    def final_bonus(self, state):
-        a = self.first.final_bonus(state[0])
-        if a is None:
-            return None
-        b = self.second.final_bonus(state[1])
-        if b is None:
-            return None
-        return a + b
+    state: object
+    rank: float
+    final: float | None
 
 
 def prefix_beam_search(
@@ -75,12 +51,12 @@ def prefix_beam_search(
 ) -> tuple[Prefix, float, float]:
     """Best accepted string under the constraint.
 
-    Returns ``(prefix, ctc_log_mass, final_bonus)`` for the accepted prefix
-    maximizing ``ctc_log_mass + final_bonus``; score ties break toward the
-    lexicographically smallest index sequence. ``beam_width=None`` disables
-    pruning (exact on small inputs). ``min_symbol_prob`` skips extending
-    with symbols below that per-frame probability (speed knob; keep at 0
-    for exact search).
+    Returns ``(prefix, ctc_log_mass, final)`` for the accepted prefix
+    maximizing ``ctc_log_mass + final`` (``final`` from the prefix's
+    :class:`Node`); score ties break toward the lexicographically smallest
+    index sequence. ``beam_width=None`` disables pruning (exact on small
+    inputs). ``min_symbol_prob`` skips extending with symbols below that
+    per-frame probability (speed knob; keep at 0 for exact search).
 
     Raises :class:`NoAcceptedString` when no accepted prefix survives.
     """
@@ -91,7 +67,8 @@ def prefix_beam_search(
     floor = math.log(min_symbol_prob) if min_symbol_prob > 0.0 else NEG_INF
     printable = matrix.alphabet.printable_indices
 
-    beam: dict[Prefix, list] = {(): [0.0, NEG_INF, constraint.initial()]}
+    extend = constraint.extend
+    beam: dict[Prefix, list] = {(): [0.0, NEG_INF, constraint.initial]}
 
     for t in range(matrix.num_frames):
         row = logp[t]
@@ -100,12 +77,12 @@ def prefix_beam_search(
         nxt: dict[Prefix, list] = {}
 
         for prefix, entry in beam.items():
-            pb, pnb, state = entry
+            pb, pnb, node = entry
             total = logadd(pb, pnb)
 
             ent = nxt.get(prefix)
             if ent is None:
-                ent = [NEG_INF, NEG_INF, state]
+                ent = [NEG_INF, NEG_INF, node]
                 nxt[prefix] = ent
             if blank != NEG_INF:
                 ent[_PB] = logadd(ent[_PB], total + blank)
@@ -121,10 +98,10 @@ def prefix_beam_search(
                 new_prefix = prefix + (c,)
                 ent2 = nxt.get(new_prefix)
                 if ent2 is None:
-                    new_state = constraint.extend(state, c)
-                    if new_state is None:
+                    new_node = extend(node.state, c)
+                    if new_node is None:
                         continue
-                    ent2 = [NEG_INF, NEG_INF, new_state]
+                    ent2 = [NEG_INF, NEG_INF, new_node]
                     nxt[new_prefix] = ent2
                 ent2[_PNB] = logadd(ent2[_PNB], mass)
 
@@ -132,18 +109,15 @@ def prefix_beam_search(
         if beam_width is not None and len(live) > beam_width:
             ranked = sorted(
                 live.items(),
-                key=lambda kv: (
-                    -(logadd(kv[1][_PB], kv[1][_PNB]) + constraint.rank_bonus(kv[1][_STATE])),
-                    kv[0],
-                ),
+                key=lambda kv: (-(logadd(kv[1][_PB], kv[1][_PNB]) + kv[1][_NODE].rank), kv[0]),
             )
             kept = ranked[:beam_width]
             # Keep the best already-accepted prefix alive as an anchor, so a
             # narrow beam full of unfinishable prefixes cannot strand the
             # search without any acceptable hypothesis at the last frame.
-            if all(constraint.final_bonus(e[_STATE]) is None for _, e in kept):
+            if all(e[_NODE].final is None for _, e in kept):
                 for candidate in ranked[beam_width:]:
-                    if constraint.final_bonus(candidate[1][_STATE]) is not None:
+                    if candidate[1][_NODE].final is not None:
                         kept.append(candidate)
                         break
             live = dict(kept)
@@ -152,8 +126,8 @@ def prefix_beam_search(
     best_prefix: Prefix | None = None
     best_score = NEG_INF
     best_parts = (NEG_INF, 0.0)
-    for prefix, (pb, pnb, state) in beam.items():
-        bonus = constraint.final_bonus(state)
+    for prefix, (pb, pnb, node) in beam.items():
+        bonus = node.final
         if bonus is None:
             continue
         mass = logadd(pb, pnb)

@@ -63,6 +63,12 @@ class TestManifest:
         with pytest.raises(ParseError):
             load_manifest(path)
 
+    def test_bytes_that_are_not_utf8(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_bytes(b'{"lines": [\n  {"id": "l\xff1", "matrices": ["a.ctcmat"]}\n]}\n')
+        with pytest.raises(ParseError, match="line 2: invalid UTF-8"):
+            load_manifest(path)
+
     def test_missing_fields(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps({"lines": [{"id": "l1"}]}), encoding="utf-8")

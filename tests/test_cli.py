@@ -288,6 +288,9 @@ def test_per_line_errors_still_exit_zero(workspace):
         ("dec-bp", ("--beam", 0)),
         ("dec-e", ("--lambda", 1.5)),
         ("dec-e", ("--experts", -1)),
+        ("dec-dm", ("--min-symbol-prob", 2)),
+        ("dec-ce", ("--min-symbol-prob", -0.1)),
+        ("dec-ce", ("--min-symbol-prob", "nan")),
     ],
 )
 def test_bad_decode_numbers_exit_2_with_one_line(workspace, capsys, scheme, flags):
@@ -303,4 +306,45 @@ def test_bad_decode_numbers_exit_2_with_one_line(workspace, capsys, scheme, flag
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (workspace / "x.tsv").exists()
+
+
+def _decode_inputs(workspace):
+    lex_path = workspace / "words.tsv"
+    run_cli("lexicon", "build", "--corpus", workspace / "corpus", "--out", lex_path)
+    out_dir = workspace / "synth"
+    run_cli("synth", "--lines", workspace / "lines.txt", "--out-dir", out_dir)
+    return out_dir / "manifest.json", lex_path
+
+
+def test_rules_file_not_utf8_exits_1_with_one_line(workspace, capsys):
+    manifest, _ = _decode_inputs(workspace)
+    rules = workspace / "bad.rules"
+    rules.write_bytes(b"# rules\nrule line_start_capital str\xffict\n")
+    capsys.readouterr()
+    code = run_cli(
+        "decode", "--manifest", manifest, "--scheme", "dec-ce", "--rules", rules,
+        "--out", workspace / "x.tsv",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: invalid UTF-8") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("missing", ["manifest", "lexicon"])
+def test_missing_input_file_exits_1_with_one_line(workspace, capsys, missing):
+    manifest, lex_path = _decode_inputs(workspace)
+    if missing == "manifest":
+        manifest = workspace / "nope.json"
+    else:
+        lex_path = workspace / "nope.tsv"
+    capsys.readouterr()
+    code = run_cli(
+        "decode", "--manifest", manifest, "--scheme", "dec-dm", "--lexicon", lex_path,
+        "--out", workspace / "x.tsv",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nope" in err
     assert not (workspace / "x.tsv").exists()

@@ -283,6 +283,19 @@ def test_word_confidences_are_probabilities():
     assert all(0.0 <= c <= 1.0 for c in hyp.word_confidences)
 
 
+def test_min_symbol_prob_skips_a_symbol_the_exact_best_needs():
+    # "a" has probability 0.05 at the only frame but a much larger prior;
+    # NaC has none, so the empty line is impossible.
+    m = ConfidenceMatrix([[0.05, 0.95, 0.0]], AB2)
+    lex = Lexicon({"a": 99, "b": 1}, separator=None)
+    exact = decode_dictionary(m, lex, DecodeParams(beam_width=None, min_symbol_prob=0.0))
+    assert exact.text == "a"
+    assert exact.score == pytest.approx(dm_objective("a", m, lex, 1.0, 0.0))
+    assert dm_objective("b", m, lex, 1.0, 0.0) < exact.score
+    pruned = decode_dictionary(m, lex, DecodeParams(beam_width=None, min_symbol_prob=0.1))
+    assert pruned.text == "b"
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         DecodeParams(lm_weight=-1.0)
@@ -290,3 +303,6 @@ def test_params_validation():
         DecodeParams(beam_width=0)
     with pytest.raises(ValueError):
         DecodeParams(oov_policy="ignore")
+    for value in (-0.1, 1.0, 2.0, float("nan")):
+        with pytest.raises(ValueError, match="min_symbol_prob"):
+            DecodeParams(min_symbol_prob=value)

@@ -118,6 +118,19 @@ def test_load_rejects_word_containing_separator(tmp_path):
     assert "new york" in load_lexicon(path, separator=None)
 
 
+def test_load_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_bytes(b"3\tcat\n2\tc\xffat\n")
+    with pytest.raises(ParseError, match="line 2: invalid UTF-8"):
+        load_lexicon(path)
+
+
+def test_load_accepts_crlf_line_ends(tmp_path):
+    path = tmp_path / "words.tsv"
+    path.write_bytes(b"3\tcat\r\n2\that\r\n")
+    assert load_lexicon(path).counts == {"cat": 3, "hat": 2}
+
+
 def test_default_attach_chars_are_the_stock_rule_attach_class():
     from ctcdec.expressions import CLASS_ATTACH, default_rule_config
     from ctcdec.lexicon import DEFAULT_ATTACH_CHARS
