@@ -176,15 +176,14 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 def _read_lines_file(path: str) -> list[tuple[str, str]]:
     """Read ``id<TAB>text`` or bare-text lines."""
+    content = read_text(path)
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for i, raw in enumerate(fh):
-            line = raw.rstrip("\n")
-            if "\t" in line:
-                line_id, text = line.split("\t", 1)
-            else:
-                line_id, text = str(i), line
-            out.append((line_id, text))
+    for i, line in enumerate(content.removesuffix("\n").split("\n") if content else ()):
+        if "\t" in line:
+            line_id, text = line.split("\t", 1)
+        else:
+            line_id, text = str(i), line
+        out.append((line_id, text))
     return out
 
 
@@ -231,11 +230,9 @@ def _cmd_lexicon(args: argparse.Namespace) -> int:
         path = Path(source)
         files = sorted(path.glob("*.txt")) if path.is_dir() else [path]
         for f in files:
-            with open(f, encoding="utf-8") as fh:
-                for raw in fh:
-                    line = raw.rstrip("\n")
-                    if line:
-                        transcripts.append(normalize_transcript(line, alphabet))
+            for line in read_text(f).split("\n"):
+                if line:
+                    transcripts.append(normalize_transcript(line, alphabet))
     lexicon = build_lexicon(transcripts, alphabet)
     save_lexicon(lexicon, args.out)
     print(f"{len(lexicon)} words, total count {lexicon.total_count} -> {args.out}")

@@ -20,15 +20,6 @@ from .types import Path
 NEG_INF = float("-inf")
 
 
-def logadd(a: float, b: float) -> float:
-    """log(exp(a) + exp(b)) without leaving the log domain."""
-    if a < b:
-        a, b = b, a
-    if b == NEG_INF:
-        return a
-    return a + math.log1p(math.exp(b - a))
-
-
 def collapse(path: Path, alphabet: Alphabet) -> str:
     """Collapse a path to a string: merge runs, then delete NaC."""
     size = len(alphabet)

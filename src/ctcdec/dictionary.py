@@ -66,8 +66,10 @@ class _LexiconConstraint:
     A constraint state is a tuple of analyses ``(phase, trie_node,
     prior)``; several analyses coexist when punctuation is ambiguous
     between word-internal and attached (e.g. an apostrophe that may end
-    the word or continue it). ``prior`` accumulates the weighted unigram
-    scores and word bonuses of completed words; analyses sharing
+    the word or continue it). ``prior`` is the weighted unigram scores
+    and word bonuses of completed words, relative to the best analysis:
+    ``extend`` moves the best prior into the node's ``weight``, so states
+    that differ only by the words before them are equal. Analyses sharing
     ``(phase, node)`` keep only the best prior.
     """
 
@@ -92,13 +94,11 @@ class _LexiconConstraint:
             None if word is None else word_prior[word]
             for word in map(lexicon.word_ending_at, range(len(self._lookahead)))
         ]
-        # One Node per distinct analysis tuple, built on first sight.
-        self._nodes: dict[tuple, Node] = {}
-        self.initial = self._node(((_START, 0, 0.0),))
+        self.initial = self._node(((_START, 0, 0.0),), 0.0)
 
-    def _node(self, analyses: tuple) -> Node:
-        """Build and keep the Node of ``analyses``: best prior with
-        look-ahead (``rank``) and best prior as a complete line (``final``)."""
+    def _node(self, analyses: tuple, weight: float) -> Node:
+        """The Node of ``analyses``: best prior with look-ahead (``rank``)
+        and best prior as a complete line (``final``)."""
         rank = final = None
         for phase, node, prior in analyses:
             bonus = prior + (self._lookahead[node] if phase == _WORD else 0.0)
@@ -115,8 +115,7 @@ class _LexiconConstraint:
                 continue
             if final is None or total > final:
                 final = total
-        built = self._nodes[analyses] = Node(analyses, rank, final)
-        return built
+        return Node(analyses, rank, final, weight)
 
     def extend(self, state, symbol_index: int):
         sym = self.symbols[symbol_index]
@@ -159,13 +158,14 @@ class _LexiconConstraint:
 
         if not best:
             return None
-        analyses = tuple(sorted((ph, nd, pr) for (ph, nd), pr in best.items()))
-        return self._nodes.get(analyses) or self._node(analyses)
+        top = max(best.values())
+        return self._node(tuple(sorted((ph, nd, pr - top) for (ph, nd), pr in best.items())), top)
 
 
 class _Intersection:
     """Both constraints at once: a prefix survives if both accept it, and
-    bonuses add. A state is the pair of the two constraints' nodes."""
+    weights and bonuses add. A state is the pair of the two constraints'
+    states."""
 
     def __init__(self, first, second):
         self.first = first
@@ -175,13 +175,13 @@ class _Intersection:
     @staticmethod
     def _pair(a: Node, b: Node) -> Node:
         final = None if a.final is None or b.final is None else a.final + b.final
-        return Node((a, b), a.rank + b.rank, final)
+        return Node((a.state, b.state), a.rank + b.rank, final, a.weight + b.weight)
 
     def extend(self, state, symbol_index: int):
-        a = self.first.extend(state[0].state, symbol_index)
+        a = self.first.extend(state[0], symbol_index)
         if a is None:
             return None
-        b = self.second.extend(state[1].state, symbol_index)
+        b = self.second.extend(state[1], symbol_index)
         if b is None:
             return None
         return self._pair(a, b)

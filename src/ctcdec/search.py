@@ -7,13 +7,23 @@ last symbol (``pnb``), which the extension rules need to keep apart. With
 an unlimited beam the accumulated mass of a prefix is its exact CTC
 marginal, so the search returns the exact constrained argmax.
 
-A constraint is an automaton with weights. It has an ``initial``
-:class:`Node` for the empty prefix and one method,
-``extend(state, symbol_index)``, which returns the :class:`Node` of the
-prefix extended by one printable symbol, or ``None`` when no accepted
-string starts that way (the prefix is discarded). Each node carries its
-own bonuses, so the search reads them from its beam entries and calls
-the constraint for nothing else.
+A constraint is a weighted automaton. It has an ``initial`` :class:`Node`
+for the empty prefix and one method, ``extend(state, symbol_index)``,
+which returns the :class:`Node` of the prefix extended by one printable
+symbol, or ``None`` when no accepted string starts that way (the prefix
+is discarded). A node's ``weight`` is the weight of the arc that reached
+it; ``rank`` and ``final`` belong to its state. A prefix accumulates the
+weights along its path (``acc``); the search ranks it by
+``mass + acc + rank`` and finishes it with the bonus ``acc + final``.
+
+Each frame is one array step over the beam x symbol grid (Hannun et al.
+2014): every entry stays (NaC, or its last symbol again) and extends with
+every symbol whose probability clears ``min_symbol_prob``; an extension
+that lands on a prefix already in the beam merges into that entry.
+Constraint states are interned to integer ids on first sight, and the
+``id x symbol`` transition table is filled on demand, so ``extend`` runs
+once per (state, symbol) per search. Score ties break toward the
+lexicographically smallest prefix, at the beam edge and in the result.
 """
 
 from __future__ import annotations
@@ -21,26 +31,86 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .ctc import NEG_INF, logadd
+import numpy as np
+
+from .ctc import NEG_INF
 from .errors import NoAcceptedString
 from .matrix import ConfidenceMatrix
 
 Prefix = tuple[int, ...]
 
-_PB, _PNB, _NODE = 0, 1, 2
+_UNKNOWN, _DEAD = -2, -1
 
 
 class Node(NamedTuple):
     """A constraint state with its bonuses.
 
     ``rank`` is the score bonus used when pruning (0 when scores are pure
-    CTC mass); ``final`` is the total bonus if the prefix is an accepted
-    complete string, else ``None``.
+    CTC mass); ``final`` is the bonus if the prefix is an accepted
+    complete string, else ``None``; ``weight`` is the weight of the arc
+    that reached this node. Equal states must have equal ``rank`` and
+    ``final``.
     """
 
     state: object
     rank: float
     final: float | None
+    weight: float = 0.0
+
+
+class _Transitions:
+    """A constraint's transitions over interned state ids, looked up once.
+
+    ``child[id, col]`` is the target id of printable column ``col``
+    (``_DEAD`` when ``extend`` refused, ``_UNKNOWN`` before the first
+    look) and ``weight[id, col]`` its arc weight; ``rank``, ``final`` and
+    ``has_final`` are indexed by id.
+    """
+
+    def __init__(self, constraint, symbols: list[int]):
+        self._extend = constraint.extend
+        self._symbols = symbols
+        self._ids: dict = {}
+        self._states: list = []
+        self.child = np.full((16, len(symbols)), _UNKNOWN, dtype=np.intp)
+        self.weight = np.zeros((16, len(symbols)))
+        self.rank = np.zeros(16)
+        self.final = np.zeros(16)
+        self.has_final = np.zeros(16, dtype=bool)
+
+    def intern(self, node: Node) -> int:
+        i = self._ids.get(node.state)
+        if i is None:
+            i = self._ids[node.state] = len(self._states)
+            self._states.append(node.state)
+            if i == len(self.rank):
+                self.child = np.concatenate((self.child, np.full_like(self.child, _UNKNOWN)))
+                self.weight = np.concatenate((self.weight, np.zeros_like(self.weight)))
+                self.rank, self.final, self.has_final = (
+                    np.concatenate((a, np.zeros_like(a)))
+                    for a in (self.rank, self.final, self.has_final)
+                )
+            self.rank[i] = node.rank
+            if node.final is not None:
+                self.final[i] = node.final
+                self.has_final[i] = True
+        return i
+
+    def children(self, ids: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """``child[ids x cols]``, first calling ``extend`` for unseen cells."""
+        grid = self.child[ids[:, None], cols]
+        unseen = grid == _UNKNOWN
+        if unseen.any():
+            rows, ks = unseen.nonzero()
+            for i, c in set(zip(ids[rows].tolist(), cols[ks].tolist())):
+                node = self._extend(self._states[i], self._symbols[c])
+                if node is None:
+                    self.child[i, c] = _DEAD
+                else:
+                    self.child[i, c] = self.intern(node)
+                    self.weight[i, c] = node.weight
+            grid = self.child[ids[:, None], cols]
+        return grid
 
 
 def prefix_beam_search(
@@ -51,97 +121,112 @@ def prefix_beam_search(
 ) -> tuple[Prefix, float, float]:
     """Best accepted string under the constraint.
 
-    Returns ``(prefix, ctc_log_mass, final)`` for the accepted prefix
-    maximizing ``ctc_log_mass + final`` (``final`` from the prefix's
-    :class:`Node`); score ties break toward the lexicographically smallest
-    index sequence. ``beam_width=None`` disables pruning (exact on small
-    inputs). ``min_symbol_prob`` skips extending with symbols below that
-    per-frame probability (speed knob; keep at 0 for exact search).
+    Returns ``(prefix, ctc_log_mass, bonus)`` for the accepted prefix
+    maximizing ``ctc_log_mass + bonus``, where ``bonus`` is the prefix's
+    accumulated arc weight plus its node's ``final``; score ties break
+    toward the lexicographically smallest index sequence.
+    ``beam_width=None`` disables pruning (exact on small inputs).
+    ``min_symbol_prob``, in [0, 1), skips extending with symbols below
+    that per-frame probability (speed knob; keep at 0 for exact search).
 
     Raises :class:`NoAcceptedString` when no accepted prefix survives.
     """
     if beam_width is not None and beam_width < 1:
         raise ValueError("beam_width must be >= 1 or None")
-    nac = matrix.alphabet.nac_index
+    if not 0.0 <= min_symbol_prob < 1.0:
+        raise ValueError("min_symbol_prob must be in [0, 1)")
+    symbols = list(matrix.alphabet.printable_indices)
     logp = matrix.log_probs
+    blanks = logp[:, matrix.alphabet.nac_index].tolist()
+    # Printable columns plus a -inf column, read through index -1 (no last symbol).
+    rows = np.concatenate((logp[:, symbols], np.full((matrix.num_frames, 1), NEG_INF)), axis=1)
     floor = math.log(min_symbol_prob) if min_symbol_prob > 0.0 else NEG_INF
-    printable = matrix.alphabet.printable_indices
+    table = _Transitions(constraint, symbols)
 
-    extend = constraint.extend
-    beam: dict[Prefix, list] = {(): [0.0, NEG_INF, constraint.initial]}
+    # The beam: parallel arrays, plus each entry's prefix as a tuple of
+    # printable columns (ordered as their symbol indices) and the beam
+    # index of that prefix minus its last column (-1 if not in the beam).
+    prefixes: list[Prefix] = [()]
+    parent = np.array([-1])
+    pb, pnb = np.zeros(1), np.full(1, NEG_INF)
+    acc = np.full(1, constraint.initial.weight)
+    nid = np.array([table.intern(constraint.initial)])
+    last = np.array([-1])
 
     for t in range(matrix.num_frames):
-        row = logp[t]
-        blank = row[nac]
-        cands = [c for c in printable if row[c] > floor]
-        nxt: dict[Prefix, list] = {}
+        row = rows[t]
+        cols = (row[:-1] > floor).nonzero()[0]
+        n, k = len(prefixes), len(cols)
+        tot = np.logaddexp(pb, pnb)
+        stay_pb = tot + blanks[t]
+        # Same symbol again with no NaC in between: absorbed by the run.
+        stay_pnb = pnb + row[last]
+        ext = np.where(last[:, None] == cols, pb[:, None], tot[:, None]) + row[cols]
+        child = table.children(nid, cols)
+        # Extending an entry's parent by the entry's last symbol reaches the
+        # entry itself: add that mass to it instead of a new candidate.
+        col_at = np.full(len(row), -1)
+        col_at[cols] = np.arange(k)
+        into = ((parent >= 0) & (col_at[last] >= 0)).nonzero()[0]
+        if into.size:
+            src = (parent[into], col_at[last[into]])
+            stay_pnb[into] = np.logaddexp(stay_pnb[into], ext[src])
+            ext[src] = NEG_INF
+        ext[child < 0] = NEG_INF
+        ext_acc = acc[:, None] + table.weight[nid[:, None], cols]
 
-        for prefix, entry in beam.items():
-            pb, pnb, node = entry
-            total = logadd(pb, pnb)
+        # Candidates: the n stays, then the n x k extensions row by row.
+        cand_pb = np.concatenate((stay_pb, np.full(n * k, NEG_INF)))
+        cand_pnb = np.concatenate((stay_pnb, ext.ravel()))
+        cand_tot = np.concatenate((np.logaddexp(stay_pb, stay_pnb), ext.ravel()))
+        cand_acc = np.concatenate((acc, ext_acc.ravel()))
+        cand_node = np.concatenate((nid, child.ravel()))
+        keep = (cand_tot > NEG_INF).nonzero()[0]
+        prefix_of = _prefix_maker(prefixes, cols.tolist(), n, k)
 
-            ent = nxt.get(prefix)
-            if ent is None:
-                ent = [NEG_INF, NEG_INF, node]
-                nxt[prefix] = ent
-            if blank != NEG_INF:
-                ent[_PB] = logadd(ent[_PB], total + blank)
-            last = prefix[-1] if prefix else -1
-            if last >= 0 and pnb != NEG_INF and row[last] != NEG_INF:
-                # Same symbol again with no NaC in between: absorbed by the run.
-                ent[_PNB] = logadd(ent[_PNB], pnb + row[last])
-
-            for c in cands:
-                mass = (pb + row[c]) if c == last else (total + row[c])
-                if mass == NEG_INF:
-                    continue
-                new_prefix = prefix + (c,)
-                ent2 = nxt.get(new_prefix)
-                if ent2 is None:
-                    new_node = extend(node.state, c)
-                    if new_node is None:
-                        continue
-                    ent2 = [NEG_INF, NEG_INF, new_node]
-                    nxt[new_prefix] = ent2
-                ent2[_PNB] = logadd(ent2[_PNB], mass)
-
-        live = {p: e for p, e in nxt.items() if e[_PB] != NEG_INF or e[_PNB] != NEG_INF}
-        if beam_width is not None and len(live) > beam_width:
-            ranked = sorted(
-                live.items(),
-                key=lambda kv: (-(logadd(kv[1][_PB], kv[1][_PNB]) + kv[1][_NODE].rank), kv[0]),
-            )
-            kept = ranked[:beam_width]
+        if beam_width is not None and keep.size > beam_width:
+            score = cand_tot[keep] + cand_acc[keep] + table.rank[cand_node[keep]]
+            # Everything scoring at least the beam_width-th best score; only
+            # when exact ties cross that edge does the prefix order decide.
+            cut = keep.size - beam_width
+            top = (score >= np.partition(score, cut)[cut]).nonzero()[0]
+            if top.size > beam_width:
+                s, kl = score.tolist(), keep.tolist()
+                top = np.array(sorted(top.tolist(), key=lambda x: (-s[x], prefix_of(kl[x])))[:beam_width])
             # Keep the best already-accepted prefix alive as an anchor, so a
             # narrow beam full of unfinishable prefixes cannot strand the
             # search without any acceptable hypothesis at the last frame.
-            if all(e[_NODE].final is None for _, e in kept):
-                for candidate in ranked[beam_width:]:
-                    if candidate[1][_NODE].final is not None:
-                        kept.append(candidate)
-                        break
-            live = dict(kept)
-        beam = live
+            finals = table.has_final[cand_node[keep]]
+            if not finals[top].any() and finals.any():
+                finals[top] = False
+                best = (finals & (score == score[finals].max())).nonzero()[0].tolist()
+                top = np.append(top, min(best, key=lambda x: prefix_of(int(keep[x]))))
+            keep = keep[top]
 
-    best_prefix: Prefix | None = None
-    best_score = NEG_INF
-    best_parts = (NEG_INF, 0.0)
-    for prefix, (pb, pnb, node) in beam.items():
-        bonus = node.final
-        if bonus is None:
-            continue
-        mass = logadd(pb, pnb)
-        if mass == NEG_INF:
-            continue
-        score = mass + bonus
-        if (
-            best_prefix is None
-            or score > best_score
-            or (score == best_score and prefix < best_prefix)
-        ):
-            best_prefix = prefix
-            best_score = score
-            best_parts = (mass, bonus)
-    if best_prefix is None:
+        prefixes = [prefix_of(x) for x in keep.tolist()]
+        at = {p: i for i, p in enumerate(prefixes)}
+        parent = np.array([at.get(p[:-1], -1) if p else -1 for p in prefixes], dtype=np.intp)
+        last = np.array([p[-1] if p else -1 for p in prefixes], dtype=np.intp)
+        pb, pnb, acc, nid = cand_pb[keep], cand_pnb[keep], cand_acc[keep], cand_node[keep]
+
+    mass = np.logaddexp(pb, pnb)
+    bonus = acc + table.final[nid]
+    score = mass + bonus
+    done = table.has_final[nid] & (mass > NEG_INF)
+    if not done.any():
         raise NoAcceptedString("beam exhausted with no accepted hypothesis")
-    return best_prefix, best_parts[0], best_parts[1]
+    best = (done & (score == score[done].max())).nonzero()[0].tolist()
+    i = min(best, key=prefixes.__getitem__)
+    return tuple(symbols[c] for c in prefixes[i]), float(mass[i]), float(bonus[i])
+
+
+def _prefix_maker(prefixes: list[Prefix], cols: list[int], n: int, k: int):
+    """Prefix of candidate ``x``: a stay (``x < n``) or an extension."""
+
+    def prefix_of(x: int) -> Prefix:
+        if x < n:
+            return prefixes[x]
+        b, j = divmod(x - n, k)
+        return prefixes[b] + (cols[j],)
+
+    return prefix_of

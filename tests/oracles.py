@@ -8,11 +8,13 @@ but obviously correct, so decoder outputs can be checked against them.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
 
-from ctcdec import Alphabet, ConfidenceMatrix
+from ctcdec import Alphabet, ConfidenceMatrix, NoAcceptedString
+from ctcdec.ctc import NEG_INF
 
 
 def enumerate_string_probs(matrix: ConfidenceMatrix) -> dict[str, float]:
@@ -170,3 +172,95 @@ def dm_objective(
             return None
         prior += token_prior
     return string_log_score(matrix, text) + prior
+
+
+def logadd(a: float, b: float) -> float:
+    """log(exp(a) + exp(b)) without leaving the log domain."""
+    if a < b:
+        a, b = b, a
+    if b == NEG_INF:
+        return a
+    return a + math.log1p(math.exp(b - a))
+
+
+def reference_prefix_beam_search(matrix: ConfidenceMatrix, constraint, beam_width=64, min_symbol_prob=0.0):
+    """The scalar prefix beam search: one dict entry per prefix, one
+    ``logadd`` per candidate, ``extend`` called wherever a new prefix
+    appears. Same contract, tie order and result as
+    ``ctcdec.search.prefix_beam_search``."""
+    PB, PNB, NODE, ACC = 0, 1, 2, 3
+    nac = matrix.alphabet.nac_index
+    logp = matrix.log_probs
+    floor = math.log(min_symbol_prob) if min_symbol_prob > 0.0 else NEG_INF
+    printable = matrix.alphabet.printable_indices
+
+    extend = constraint.extend
+    beam = {(): [0.0, NEG_INF, constraint.initial, constraint.initial.weight]}
+
+    for t in range(matrix.num_frames):
+        row = logp[t]
+        blank = row[nac]
+        cands = [c for c in printable if row[c] > floor]
+        nxt = {}
+
+        for prefix, entry in beam.items():
+            pb, pnb, node, acc = entry
+            total = logadd(pb, pnb)
+
+            ent = nxt.get(prefix)
+            if ent is None:
+                ent = [NEG_INF, NEG_INF, node, acc]
+                nxt[prefix] = ent
+            if blank != NEG_INF:
+                ent[PB] = logadd(ent[PB], total + blank)
+            last = prefix[-1] if prefix else -1
+            if last >= 0 and pnb != NEG_INF and row[last] != NEG_INF:
+                ent[PNB] = logadd(ent[PNB], pnb + row[last])
+
+            for c in cands:
+                mass = (pb + row[c]) if c == last else (total + row[c])
+                if mass == NEG_INF:
+                    continue
+                new_prefix = prefix + (c,)
+                ent2 = nxt.get(new_prefix)
+                if ent2 is None:
+                    new_node = extend(node.state, c)
+                    if new_node is None:
+                        continue
+                    ent2 = [NEG_INF, NEG_INF, new_node, acc + new_node.weight]
+                    nxt[new_prefix] = ent2
+                ent2[PNB] = logadd(ent2[PNB], mass)
+
+        live = {p: e for p, e in nxt.items() if e[PB] != NEG_INF or e[PNB] != NEG_INF}
+        if beam_width is not None and len(live) > beam_width:
+            ranked = sorted(
+                live.items(),
+                key=lambda kv: (-(logadd(kv[1][PB], kv[1][PNB]) + kv[1][ACC] + kv[1][NODE].rank), kv[0]),
+            )
+            kept = ranked[:beam_width]
+            if all(e[NODE].final is None for _, e in kept):
+                for candidate in ranked[beam_width:]:
+                    if candidate[1][NODE].final is not None:
+                        kept.append(candidate)
+                        break
+            live = dict(kept)
+        beam = live
+
+    best_prefix = None
+    best_score = NEG_INF
+    best_parts = (NEG_INF, 0.0)
+    for prefix, (pb, pnb, node, acc) in beam.items():
+        if node.final is None:
+            continue
+        bonus = acc + node.final
+        mass = logadd(pb, pnb)
+        if mass == NEG_INF:
+            continue
+        score = mass + bonus
+        if best_prefix is None or score > best_score or (score == best_score and prefix < best_prefix):
+            best_prefix = prefix
+            best_score = score
+            best_parts = (mass, bonus)
+    if best_prefix is None:
+        raise NoAcceptedString("beam exhausted with no accepted hypothesis")
+    return best_prefix, best_parts[0], best_parts[1]

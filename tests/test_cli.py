@@ -348,3 +348,39 @@ def test_missing_input_file_exits_1_with_one_line(workspace, capsys, missing):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "nope" in err
     assert not (workspace / "x.tsv").exists()
+
+
+def test_eval_file_not_utf8_exits_1_with_one_line(tmp_path, capsys):
+    hyp = tmp_path / "hyp.tsv"
+    hyp.write_bytes(b"l0\tthe cat\nl1\tthe h\xffat\n")
+    ref = tmp_path / "ref.tsv"
+    ref.write_text("l0\tthe cat\nl1\tthe hat\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("eval", "--hyp", hyp, "--ref", ref) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: invalid UTF-8") and err.count("\n") == 1
+
+
+def test_lexicon_corpus_not_utf8_exits_1_with_one_line(workspace, capsys):
+    (workspace / "corpus" / "bad.txt").write_bytes(b"the cat\n\xff\n")
+    out = workspace / "words.tsv"
+    capsys.readouterr()
+    assert run_cli("lexicon", "build", "--corpus", workspace / "corpus", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: invalid UTF-8") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_eval_reads_lines_as_text_mode_does(tmp_path, capsys):
+    """CRLF and a missing final newline read as before; a trailing blank
+    line still counts as a line."""
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_bytes(b"the cat\r\nthe hat\r\n\n")
+    ref = tmp_path / "ref.txt"
+    ref.write_bytes(b"the cat\nthe hat\n")
+    capsys.readouterr()
+    assert run_cli("eval", "--hyp", hyp, "--ref", ref) == 2
+    assert "cannot pair 3 hypotheses with 2 references" in capsys.readouterr().err
+    hyp.write_bytes(b"the cat\r\nthe hat")
+    assert run_cli("eval", "--hyp", hyp, "--ref", ref) == 0
+    assert "cer=0.0" in capsys.readouterr().out

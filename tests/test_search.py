@@ -1,4 +1,5 @@
-"""Properties of the prefix beam search under pruning."""
+"""Properties of the prefix beam search under pruning, and its agreement
+with the scalar reference search."""
 
 import math
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ctcdec import (
     Alphabet,
+    ConfidenceMatrix,
     DecodeParams,
     Lexicon,
     NoAcceptedString,
@@ -15,10 +17,21 @@ from ctcdec import (
     compile_rules,
     decode_dictionary,
     decode_expression,
+    default_alphabet,
     default_rule_config,
+    generate_synthetic,
     string_log_score,
 )
-from oracles import random_matrix
+from ctcdec.dictionary import _Intersection, _LexiconConstraint
+from ctcdec.expressions import _FsaConstraint
+from ctcdec.search import prefix_beam_search
+from oracles import (
+    argmax_string,
+    dm_text_valid,
+    enumerate_string_probs,
+    random_matrix,
+    reference_prefix_beam_search,
+)
 
 ALPHA = Alphabet.with_nac("aB.' ", separator=" ")
 RULES = compile_rules(default_rule_config(ALPHA), ALPHA)
@@ -94,3 +107,166 @@ def test_accept_all_overlay_changes_nothing(beam, seed):
             return None
 
     assert outcome(expression_model=accept_all_model(ALPHA)) == outcome()
+
+
+def search_outcome(search, matrix, constraint, beam, min_symbol_prob=0.0):
+    try:
+        return search(matrix, constraint, beam, min_symbol_prob)
+    except NoAcceptedString:
+        return None
+
+
+def assert_matches_reference(matrix, make_constraint, beam, min_symbol_prob=0.0):
+    """The search returns the reference's prefix, mass and bonus."""
+    got = search_outcome(prefix_beam_search, matrix, make_constraint(), beam, min_symbol_prob)
+    want = search_outcome(
+        reference_prefix_beam_search, matrix, make_constraint(), beam, min_symbol_prob
+    )
+    if want is None:
+        assert got is None
+        return None
+    assert got is not None and got[0] == want[0]
+    assert math.isclose(got[1], want[1], rel_tol=0.0, abs_tol=1e-12)
+    assert math.isclose(got[2], want[2], rel_tol=0.0, abs_tol=1e-12)
+    return got
+
+
+def constraint_maker(kind: str, alphabet, rules, lexicon, params):
+    def make():
+        if kind == "fsa":
+            return _FsaConstraint(rules, alphabet)
+        lexical = _LexiconConstraint(lexicon, alphabet, params)
+        if kind == "lexicon":
+            return lexical
+        return _Intersection(_FsaConstraint(rules, alphabet), lexical)
+
+    return make
+
+
+@pytest.mark.parametrize("beam", BEAMS)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([0.0, 0.1]),
+    st.sampled_from(["fsa", "lexicon", "rules"]),
+    st.sampled_from(["reject", "pass-punct"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_search_matches_the_scalar_reference(beam, seed, min_symbol_prob, kind, oov):
+    rng = np.random.default_rng(seed)
+    lex = random_lexicon(rng)
+    m = random_matrix(rng, ALPHA, int(rng.integers(1, 7)))
+    if rng.random() < 0.3:
+        probs = np.where(rng.random(m.probs.shape) < 0.3, 0.0, m.probs)
+        probs[:, ALPHA.nac_index] += 1e-3
+        m = ConfidenceMatrix(probs / probs.sum(axis=1, keepdims=True), ALPHA)
+    params = DecodeParams(
+        lm_weight=float(rng.choice([0.0, 1.0, 0.7])),
+        word_bonus=float(rng.choice([0.0, 0.5, -0.3])),
+        oov_policy=oov,
+    )
+    make = constraint_maker(kind, ALPHA, RULES, lex, params)
+    assert_matches_reference(m, make, beam, min_symbol_prob)
+
+
+# Degenerate matrices. A wider alphabet, so that the first frame already
+# has more candidates than a beam of 8 keeps.
+WIDE = Alphabet.with_nac("abcdefg.' ", separator=" ")
+WIDE_RULES = compile_rules(default_rule_config(WIDE), WIDE)
+WIDE_LEXICON = Lexicon(
+    {"ab": 3, "bad": 2, "cafe": 1, "g": 4, "fed": 2, "a'b": 1, "dab": 2},
+    separator=" ",
+    attach_chars=frozenset("."),
+)
+SCHEMES = {"dec-ce": "fsa", "dec-dm": "lexicon"}
+DEGENERATE_BEAMS = [1, 8, None]
+
+
+def wide_constraint(scheme: str, params: DecodeParams = DecodeParams()):
+    return constraint_maker(SCHEMES[scheme], WIDE, WIDE_RULES, WIDE_LEXICON, params)
+
+
+@pytest.mark.parametrize("beam", DEGENERATE_BEAMS)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_single_frame(scheme, beam):
+    for seed in range(20):
+        m = random_matrix(np.random.default_rng(seed), WIDE, 1)
+        assert_matches_reference(m, wide_constraint(scheme), beam)
+
+
+@pytest.mark.parametrize("beam", DEGENERATE_BEAMS)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_all_nac_matrix_decodes_to_the_empty_string(scheme, beam):
+    probs = np.zeros((4, len(WIDE)))
+    probs[:, WIDE.nac_index] = 1.0
+    got = assert_matches_reference(ConfidenceMatrix(probs, WIDE), wide_constraint(scheme), beam)
+    assert got == ((), 0.0, 0.0)
+
+
+@pytest.mark.parametrize("beam", DEGENERATE_BEAMS)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_exact_zero_on_the_symbol_at_the_beam_edge(scheme, beam):
+    """Each row's k-th most probable symbol (k = the beam width, 3 for an
+    unlimited beam) has probability exactly 0, so its log is -inf where
+    the pruning boundary falls; some rows carry a second zero."""
+    k = beam or 3
+    for seed in range(15):
+        rng = np.random.default_rng(seed)
+        probs = random_matrix(rng, WIDE, 3).probs.copy()
+        for row in probs:
+            order = np.argsort(-row, kind="stable")
+            row[order[k - 1]] = 0.0
+            if rng.random() < 0.5:
+                row[order[-1]] = 0.0
+        m = ConfidenceMatrix(probs / probs.sum(axis=1, keepdims=True), WIDE)
+        for params in (DecodeParams(), DecodeParams(lm_weight=0.0)):
+            assert_matches_reference(m, wide_constraint(scheme, params), beam)
+
+
+@pytest.mark.parametrize("beam", DEGENERATE_BEAMS)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_uniform_matrix_breaks_ties_on_the_prefix(scheme, beam):
+    """Every path has the same probability, so equally long prefixes tie
+    exactly at the pruning boundary and in the result. Rows drawn from
+    three weights tie too, between prefixes the beam holds out of
+    lexicographic order."""
+    params = DecodeParams(lm_weight=0.0, word_bonus=0.0)
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        weights = rng.choice([1.0, 2.0, 4.0], size=(int(rng.integers(2, 5)), len(WIDE)))
+        m = ConfidenceMatrix(weights / weights.sum(axis=1, keepdims=True), WIDE)
+        assert_matches_reference(m, wide_constraint(scheme, params), beam)
+    m = ConfidenceMatrix(np.full((3, len(WIDE)), 1.0 / len(WIDE)), WIDE)
+    got = assert_matches_reference(m, wide_constraint(scheme, params), beam)
+    if beam is None:
+        scores = enumerate_string_probs(m)
+        accepts = {
+            "dec-ce": WIDE_RULES.accepts,
+            "dec-dm": lambda text: dm_text_valid(text, WIDE_LEXICON),
+        }[scheme]
+        best = argmax_string({t: p for t, p in scores.items() if accepts(t)}, WIDE)
+        assert "".join(WIDE.symbols[i] for i in got[0]) == best
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_beam_one_anchor_keeps_an_accepted_prefix(scheme):
+    """The one prefix a beam of 1 keeps cannot be finished ("." needs a
+    word after it; "a" is no word), so only the anchor fallback keeps
+    the empty string, the one accepted hypothesis."""
+    probs = np.zeros((1, len(WIDE)))
+    probs[0, WIDE.index("." if scheme == "dec-ce" else "a")] = 0.6
+    probs[0, WIDE.nac_index] = 0.4
+    m = ConfidenceMatrix(probs, WIDE)
+    params = DecodeParams(lm_weight=0.0, word_bonus=0.0)
+    got = assert_matches_reference(m, wide_constraint(scheme, params), 1)
+    assert got == ((), math.log(0.4), 0.0)
+
+
+@pytest.mark.parametrize("value", [2.0, 1.0, -0.1, -1.0, float("nan")])
+def test_min_symbol_prob_outside_unit_interval_is_rejected(value):
+    alphabet = default_alphabet()
+    m = generate_synthetic("the cat", alphabet, frames_per_char=3, noise=0.1, seed=1)
+    rules = compile_rules(default_rule_config(alphabet), alphabet)
+    with pytest.raises(ValueError, match="min_symbol_prob"):
+        decode_expression(m, rules, beam_width=8, min_symbol_prob=value)
+    with pytest.raises(ValueError, match="min_symbol_prob"):
+        prefix_beam_search(m, _FsaConstraint(rules, alphabet), 8, value)
