@@ -68,44 +68,60 @@ class _LexiconConstraint:
     between word-internal and attached (e.g. an apostrophe that may end
     the word or continue it). ``prior`` is the weighted unigram scores
     and word bonuses of completed words, relative to the best analysis:
-    ``extend`` moves the best prior into the node's ``weight``, so states
-    that differ only by the words before them are equal. Analyses sharing
-    ``(phase, node)`` keep only the best prior.
+    ``successors`` moves the best prior into the node's ``weight``, so
+    states that differ only by the words before them are equal. Analyses
+    sharing ``(phase, node)`` keep only the best prior.
+
+    Construction is O(1) in the lexicon size: word priors are computed
+    from the lexicon's per-node counts as rows are built.
     """
 
     def __init__(self, lexicon: Lexicon, alphabet, params: DecodeParams):
         if len(lexicon) == 0:
             raise EmptyLexicon("cannot decode with an empty lexicon")
-        self.lexicon = lexicon
-        self.symbols = alphabet.symbols
+        self.children = lexicon.children
+        self.word_count = lexicon.word_count
+        self.best_count = lexicon.best_count
+        self.lm_weight = params.lm_weight
+        self.word_bonus = params.word_bonus
+        self.log_total = math.log(lexicon.total_count)
         self.pass_punct = params.oov_policy == "pass-punct"
-        self.attach = lexicon.attach_chars
-        self.separator = lexicon.separator
-        log_total = math.log(lexicon.total_count)
-        word_prior = {
-            word: params.lm_weight * (math.log(count) - log_total) + params.word_bonus
-            for word, count in lexicon.counts.items()
-        }
-        # Look-ahead for pruning: best completion prior below each trie
-        # node, so in-progress words rank comparably to completed ones.
-        self._lookahead = lexicon.node_best_completion(word_prior)
-        # Prior of the word ending at each trie node (None: no word ends there).
-        self._completed = [
-            None if word is None else word_prior[word]
-            for word in map(lexicon.word_ending_at, range(len(self._lookahead)))
+        self.index = {alphabet.symbols[i]: i for i in alphabet.printable_indices}
+        self.separator = self.index.get(lexicon.separator)
+        self.attach = [
+            i for ch, i in self.index.items() if ch in lexicon.attach_chars and i != self.separator
         ]
+        self.root_children = self._indexed(0)
         self.initial = self._node(((_START, 0, 0.0),), 0.0)
+
+    def prior(self, count: int) -> float:
+        """Weighted unigram score plus word bonus of a word seen ``count`` times.
+
+        Monotone in ``count`` (``lm_weight >= 0``), so the best prior of the
+        words below a trie node is the prior of their best count.
+        """
+        return self.lm_weight * (math.log(count) - self.log_total) + self.word_bonus
+
+    def lookahead(self, node: int) -> float:
+        """Best prior of a word at or below trie ``node``, for pruning, so
+        in-progress words rank comparably to completed ones."""
+        return self.prior(self.best_count[node])
+
+    def completed(self, node: int) -> float | None:
+        """Prior of the word ending at trie ``node`` (None: no word ends there)."""
+        count = self.word_count[node]
+        return self.prior(count) if count else None
 
     def _node(self, analyses: tuple, weight: float) -> Node:
         """The Node of ``analyses``: best prior with look-ahead (``rank``)
         and best prior as a complete line (``final``)."""
         rank = final = None
         for phase, node, prior in analyses:
-            bonus = prior + (self._lookahead[node] if phase == _WORD else 0.0)
+            bonus = prior + (self.lookahead(node) if phase == _WORD else 0.0)
             if rank is None or bonus > rank:
                 rank = bonus
             if phase == _WORD:
-                inc = self._completed[node]
+                inc = self.completed(node)
                 if inc is None:
                     continue
                 total = prior + inc
@@ -117,49 +133,64 @@ class _LexiconConstraint:
                 final = total
         return Node(analyses, rank, final, weight)
 
-    def extend(self, state, symbol_index: int):
-        sym = self.symbols[symbol_index]
-        completed = self._completed
-        best: dict[tuple[int, int], float] = {}
+    def successors(self, state) -> dict[int, Node]:
+        # Per symbol index, the best prior of each (phase, node) it reaches;
+        # what attaching punctuation reaches is the same for every attach
+        # symbol, so it is collected once.
+        rows: dict[int, dict[tuple[int, int], float]] = {}
+        attached: dict[tuple[int, int], float] = {}
 
-        def add(phase: int, node: int, prior: float) -> None:
-            key = (phase, node)
-            if prior > best.get(key, float("-inf")):
-                best[key] = prior
+        def add(row: dict, phase: int, node: int, prior: float) -> None:
+            if prior > row.get((phase, node), float("-inf")):
+                row[phase, node] = prior
 
         for phase, node, prior in state:
-            if sym == self.separator:
-                if phase == _WORD:
-                    if completed[node] is not None:
-                        add(_BETWEEN, 0, prior + completed[node])
-                elif phase == _POST:
-                    add(_BETWEEN, 0, prior)
-                elif phase == _PRE and self.pass_punct:
-                    add(_BETWEEN, 0, prior)
+            done = self.completed(node) if phase == _WORD else None
+            if self.separator is not None:
+                if done is not None:
+                    add(rows.setdefault(self.separator, {}), _BETWEEN, 0, prior + done)
+                elif phase == _POST or (phase == _PRE and self.pass_punct):
+                    add(rows.setdefault(self.separator, {}), _BETWEEN, 0, prior)
+            if phase in (_START, _BETWEEN, _PRE):
+                add(attached, _PRE, 0, prior)
+                word_children = self.root_children
+            elif phase == _POST:
+                add(attached, _POST, 0, prior)
                 continue
-            in_attach = sym in self.attach
-            if in_attach:
-                if phase in (_START, _BETWEEN, _PRE):
-                    add(_PRE, 0, prior)
-                elif phase == _POST:
-                    add(_POST, 0, prior)
-                elif phase == _WORD and completed[node] is not None:
-                    add(_POST, 0, prior + completed[node])
+            else:
+                if done is not None:
+                    add(attached, _POST, 0, prior + done)
+                word_children = self._indexed(node)
             # A symbol may extend the current word even when it is also
             # attaching punctuation (words can contain such characters).
-            if phase in (_START, _BETWEEN, _PRE):
-                child = self.lexicon.child(0, sym)
-                if child is not None:
-                    add(_WORD, child, prior)
-            elif phase == _WORD:
-                child = self.lexicon.child(node, sym)
-                if child is not None:
-                    add(_WORD, child, prior)
+            for c, child in word_children:
+                add(rows.setdefault(c, {}), _WORD, child, prior)
 
-        if not best:
-            return None
-        top = max(best.values())
-        return self._node(tuple(sorted((ph, nd, pr - top) for (ph, nd), pr in best.items())), top)
+        if attached:
+            for c in self.attach:
+                if c in rows:
+                    for (phase, node), prior in attached.items():
+                        add(rows[c], phase, node, prior)
+        out = {c: self._row_node(row) for c, row in rows.items()}
+        if attached:
+            shared = self._row_node(attached)
+            for c in self.attach:
+                out.setdefault(c, shared)
+        return out
+
+    def _indexed(self, node: int) -> list[tuple[int, int]]:
+        """``(symbol_index, child)`` for the trie children of ``node`` in the alphabet."""
+        index = self.index
+        return [(index[ch], child) for ch, child in self.children[node].items() if ch in index]
+
+    def _row_node(self, row: dict[tuple[int, int], float]) -> Node:
+        """The Node of one successor: priors relative to the best, which
+        becomes the arc weight."""
+        if len(row) == 1:
+            ((phase, node), top), = row.items()
+            return self._node(((phase, node, top - top),), top)
+        top = max(row.values())
+        return self._node(tuple(sorted((ph, nd, pr - top) for (ph, nd), pr in row.items())), top)
 
 
 class _Intersection:
@@ -177,14 +208,13 @@ class _Intersection:
         final = None if a.final is None or b.final is None else a.final + b.final
         return Node((a.state, b.state), a.rank + b.rank, final, a.weight + b.weight)
 
-    def extend(self, state, symbol_index: int):
-        a = self.first.extend(state[0], symbol_index)
-        if a is None:
-            return None
-        b = self.second.extend(state[1], symbol_index)
-        if b is None:
-            return None
-        return self._pair(a, b)
+    def successors(self, state) -> dict[int, Node]:
+        second = self.second.successors(state[1])
+        return {
+            c: self._pair(a, second[c])
+            for c, a in self.first.successors(state[0]).items()
+            if c in second
+        }
 
 
 def decode_dictionary(

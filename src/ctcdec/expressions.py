@@ -326,10 +326,10 @@ def format_rules(config: RuleConfig) -> str:
 
 
 class _FsaConstraint:
-    """Prefix-search constraint: the model's transitions as a node table.
+    """Prefix-search constraint: the model's transitions as node rows.
 
-    ``table`` maps ``(live_state, symbol_index)`` to the next live state's
-    :class:`Node` (no bonuses; accepting states have ``final == 0``).
+    ``rows`` maps each live state to ``{symbol_index: Node}`` of the next
+    live states (no bonuses; accepting states have ``final == 0``).
     """
 
     def __init__(self, model: ExpressionModel, alphabet: Alphabet):
@@ -338,15 +338,17 @@ class _FsaConstraint:
             for state in model.live_states
         }
         self.initial = nodes[model.start]
-        self.table = {
-            (state, i): nodes[nxt]
+        self.rows = {
+            state: {
+                i: nodes[nxt]
+                for i in alphabet.printable_indices
+                if (nxt := model.step(state, alphabet.symbols[i])) in nodes
+            }
             for state in nodes
-            for i in alphabet.printable_indices
-            if (nxt := model.step(state, alphabet.symbols[i])) in nodes
         }
 
-    def extend(self, state, symbol_index: int):
-        return self.table.get((state, symbol_index))
+    def successors(self, state) -> dict[int, Node]:
+        return self.rows[state]
 
 
 def decode_expression(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -43,20 +44,22 @@ class Lexicon:
         self.attach_chars = frozenset(attach_chars)
         self._total = sum(self._counts.values())
 
-        # Trie as parallel lists: children maps, and the word ending at a node.
-        self._children: list[dict[str, int]] = [{}]
-        self._word_at: list[str | None] = [None]
-        for word in self._counts:
+        # Trie (nodes are ints, the root is 0): ``children[node]`` maps a
+        # character to its child node, and ``word_count[node]`` is the count
+        # of the word ending at the node (0: none). Read-only.
+        self.children: list[dict[str, int]] = [{}]
+        self.word_count: list[int] = [0]
+        for word, count in self._counts.items():
             node = 0
             for ch in word:
-                nxt = self._children[node].get(ch)
+                nxt = self.children[node].get(ch)
                 if nxt is None:
-                    nxt = len(self._children)
-                    self._children[node][ch] = nxt
-                    self._children.append({})
-                    self._word_at.append(None)
+                    nxt = len(self.children)
+                    self.children[node][ch] = nxt
+                    self.children.append({})
+                    self.word_count.append(0)
                 node = nxt
-            self._word_at[node] = word
+            self.word_count[node] = count
 
     def __len__(self) -> int:
         return len(self._counts)
@@ -79,32 +82,19 @@ class Lexicon:
             return float("-inf")
         return math.log(c) - math.log(self._total)
 
-    # Trie navigation (nodes are ints, root is 0).
-    ROOT = 0
+    @cached_property
+    def best_count(self) -> list[int]:
+        """Per trie node, the largest count of a word at or below it.
 
-    def child(self, node: int, ch: str) -> int | None:
-        return self._children[node].get(ch)
-
-    def word_ending_at(self, node: int) -> str | None:
-        return self._word_at[node]
-
-    def node_best_completion(self, score: "dict[str, float] | None" = None) -> list[float]:
-        """Per trie node, the best score of any word at or below it.
-
-        ``score`` maps words to scores (default: log unigram). Used as a
-        look-ahead when ranking in-progress words during beam search.
+        Computed on first use (the first decode), not on construction.
         """
-        if score is None:
-            score = {w: self.log_unigram(w) for w in self._counts}
-        best = [float("-inf")] * len(self._children)
+        best = self.word_count.copy()
         # Children always have larger ids than their parent, so a reverse
         # sweep propagates bottom-up.
-        for node in range(len(self._children) - 1, -1, -1):
-            word = self._word_at[node]
-            if word is not None:
-                best[node] = max(best[node], score[word])
-            for child in self._children[node].values():
-                best[node] = max(best[node], best[child])
+        for node in range(len(best) - 1, -1, -1):
+            for child in self.children[node].values():
+                if best[child] > best[node]:
+                    best[node] = best[child]
         return best
 
 

@@ -8,22 +8,23 @@ an unlimited beam the accumulated mass of a prefix is its exact CTC
 marginal, so the search returns the exact constrained argmax.
 
 A constraint is a weighted automaton. It has an ``initial`` :class:`Node`
-for the empty prefix and one method, ``extend(state, symbol_index)``,
-which returns the :class:`Node` of the prefix extended by one printable
-symbol, or ``None`` when no accepted string starts that way (the prefix
-is discarded). A node's ``weight`` is the weight of the arc that reached
-it; ``rank`` and ``final`` belong to its state. A prefix accumulates the
-weights along its path (``acc``); the search ranks it by
+for the empty prefix and one method, ``successors(state)``, which returns
+``{symbol_index: Node}``: the node of the prefix extended by each
+printable symbol that some accepted string continues with (any other
+symbol discards the prefix). A node's ``weight`` is the weight of the arc
+that reached it; ``rank`` and ``final`` belong to its state. A prefix
+accumulates the weights along its path (``acc``); the search ranks it by
 ``mass + acc + rank`` and finishes it with the bonus ``acc + final``.
 
 Each frame is one array step over the beam x symbol grid (Hannun et al.
 2014): every entry stays (NaC, or its last symbol again) and extends with
 every symbol whose probability clears ``min_symbol_prob``; an extension
 that lands on a prefix already in the beam merges into that entry.
-Constraint states are interned to integer ids on first sight, and the
-``id x symbol`` transition table is filled on demand, so ``extend`` runs
-once per (state, symbol) per search. Score ties break toward the
-lexicographically smallest prefix, at the beam edge and in the result.
+Constraint states are interned to integer ids on first sight, and a
+state's row of the ``id x symbol`` transition table is filled the first
+time the state is expanded, so ``successors`` runs once per state per
+search. Score ties break toward the lexicographically smallest prefix, at
+the beam edge and in the result.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .matrix import ConfidenceMatrix
 
 Prefix = tuple[int, ...]
 
-_UNKNOWN, _DEAD = -2, -1
+_DEAD = -1
 
 
 class Node(NamedTuple):
@@ -59,20 +60,21 @@ class Node(NamedTuple):
 
 
 class _Transitions:
-    """A constraint's transitions over interned state ids, looked up once.
+    """A constraint's transitions over interned state ids, one row per state.
 
     ``child[id, col]`` is the target id of printable column ``col``
-    (``_DEAD`` when ``extend`` refused, ``_UNKNOWN`` before the first
-    look) and ``weight[id, col]`` its arc weight; ``rank``, ``final`` and
-    ``has_final`` are indexed by id.
+    (``_DEAD`` where the constraint has no successor, and before the
+    state's row is filled) and ``weight[id, col]`` its arc weight;
+    ``rank``, ``final`` and ``has_final`` are indexed by id.
     """
 
     def __init__(self, constraint, symbols: list[int]):
-        self._extend = constraint.extend
-        self._symbols = symbols
+        self._successors = constraint.successors
+        self._col = {s: c for c, s in enumerate(symbols)}
         self._ids: dict = {}
         self._states: list = []
-        self.child = np.full((16, len(symbols)), _UNKNOWN, dtype=np.intp)
+        self._filled = np.zeros(16, dtype=bool)
+        self.child = np.full((16, len(symbols)), _DEAD, dtype=np.intp)
         self.weight = np.zeros((16, len(symbols)))
         self.rank = np.zeros(16)
         self.final = np.zeros(16)
@@ -84,11 +86,10 @@ class _Transitions:
             i = self._ids[node.state] = len(self._states)
             self._states.append(node.state)
             if i == len(self.rank):
-                self.child = np.concatenate((self.child, np.full_like(self.child, _UNKNOWN)))
-                self.weight = np.concatenate((self.weight, np.zeros_like(self.weight)))
-                self.rank, self.final, self.has_final = (
+                self.child = np.concatenate((self.child, np.full_like(self.child, _DEAD)))
+                self.weight, self.rank, self.final, self.has_final, self._filled = (
                     np.concatenate((a, np.zeros_like(a)))
-                    for a in (self.rank, self.final, self.has_final)
+                    for a in (self.weight, self.rank, self.final, self.has_final, self._filled)
                 )
             self.rank[i] = node.rank
             if node.final is not None:
@@ -97,20 +98,16 @@ class _Transitions:
         return i
 
     def children(self, ids: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """``child[ids x cols]``, first calling ``extend`` for unseen cells."""
-        grid = self.child[ids[:, None], cols]
-        unseen = grid == _UNKNOWN
-        if unseen.any():
-            rows, ks = unseen.nonzero()
-            for i, c in set(zip(ids[rows].tolist(), cols[ks].tolist())):
-                node = self._extend(self._states[i], self._symbols[c])
-                if node is None:
-                    self.child[i, c] = _DEAD
-                else:
-                    self.child[i, c] = self.intern(node)
-                    self.weight[i, c] = node.weight
-            grid = self.child[ids[:, None], cols]
-        return grid
+        """``child[ids x cols]``, first filling the rows of unexpanded ids."""
+        for i in dict.fromkeys(ids[~self._filled[ids]].tolist()):
+            row = self._successors(self._states[i])
+            cs = [self._col[s] for s in row]
+            known = [self._ids.get(node.state) for node in row.values()]
+            targets = [self.intern(node) if t is None else t for t, node in zip(known, row.values())]
+            self.child[i, cs] = targets
+            self.weight[i, cs] = [node.weight for node in row.values()]
+            self._filled[i] = True
+        return self.child[ids[:, None], cols]
 
 
 def prefix_beam_search(

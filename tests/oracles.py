@@ -174,6 +174,35 @@ def dm_objective(
     return string_log_score(matrix, text) + prior
 
 
+def trie_prefixes(lexicon) -> dict[int, str]:
+    """The string spelled by each trie node, from a walk of ``lexicon.children``."""
+    out = {0: ""}
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        for ch, child in lexicon.children[node].items():
+            out[child] = out[node] + ch
+            stack.append(child)
+    return out
+
+
+def trie_node_priors(lexicon, lm_weight: float, word_bonus: float):
+    """Per trie node, the best word prior at or below it and the prior of
+    the word ending there (None if no word ends there), with the word
+    prior ``lm_weight * (log count - log total) + word_bonus`` evaluated
+    for every word and maximized directly."""
+    log_total = math.log(lexicon.total_count)
+    word_prior = {
+        word: lm_weight * (math.log(count) - log_total) + word_bonus
+        for word, count in lexicon.counts.items()
+    }
+    best, completed = {}, {}
+    for node, prefix in trie_prefixes(lexicon).items():
+        best[node] = max(p for w, p in word_prior.items() if w.startswith(prefix))
+        completed[node] = word_prior.get(prefix)
+    return best, completed
+
+
 def logadd(a: float, b: float) -> float:
     """log(exp(a) + exp(b)) without leaving the log domain."""
     if a < b:
@@ -185,7 +214,7 @@ def logadd(a: float, b: float) -> float:
 
 def reference_prefix_beam_search(matrix: ConfidenceMatrix, constraint, beam_width=64, min_symbol_prob=0.0):
     """The scalar prefix beam search: one dict entry per prefix, one
-    ``logadd`` per candidate, ``extend`` called wherever a new prefix
+    ``logadd`` per candidate, the constraint asked wherever a new prefix
     appears. Same contract, tie order and result as
     ``ctcdec.search.prefix_beam_search``."""
     PB, PNB, NODE, ACC = 0, 1, 2, 3
@@ -194,7 +223,7 @@ def reference_prefix_beam_search(matrix: ConfidenceMatrix, constraint, beam_widt
     floor = math.log(min_symbol_prob) if min_symbol_prob > 0.0 else NEG_INF
     printable = matrix.alphabet.printable_indices
 
-    extend = constraint.extend
+    successors = constraint.successors
     beam = {(): [0.0, NEG_INF, constraint.initial, constraint.initial.weight]}
 
     for t in range(matrix.num_frames):
@@ -224,7 +253,7 @@ def reference_prefix_beam_search(matrix: ConfidenceMatrix, constraint, beam_widt
                 new_prefix = prefix + (c,)
                 ent2 = nxt.get(new_prefix)
                 if ent2 is None:
-                    new_node = extend(node.state, c)
+                    new_node = successors(node.state).get(c)
                     if new_node is None:
                         continue
                     ent2 = [NEG_INF, NEG_INF, new_node, acc + new_node.weight]

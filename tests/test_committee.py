@@ -245,3 +245,33 @@ class TestCommitteeDecode:
             committee_decode(
                 [bad, bad], lexicon, DecodeParams(beam_width=4), CommitteeConfig(n=2)
             )
+
+
+class TestSeparatorFree:
+    """A line is one word when neither the alphabet nor the lexicon has a
+    separator."""
+
+    alphabet = Alphabet.with_nac("thecas")
+    lexicon = Lexicon({"the": 3, "cat": 2, "sat": 1}, separator=None)
+
+    def test_committee_decode_returns_a_lexicon_word(self):
+        mats = [
+            generate_synthetic("cat", self.alphabet, 3, noise, seed=s)
+            for s, noise in enumerate((0.0, 0.2, 0.3))
+        ]
+        out = committee_decode(
+            mats, self.lexicon, DecodeParams(beam_width=8), CommitteeConfig(n=3)
+        )
+        assert out.text in self.lexicon
+        assert out.text == "cat"
+        assert len(out.word_confidences) == 1
+
+    @pytest.mark.parametrize(
+        "texts, want",
+        [(["", "cat", ""], ""), (["", "", ""], ""), (["cat", "", "cat"], "cat")],
+    )
+    def test_votes_on_whole_lines(self, texts, want):
+        hyps = [hyp(t, (0.9,) if t else ()) for t in texts]
+        out = combine_hypotheses(hyps, CommitteeConfig(n=3), separator=None)
+        assert out.text == want
+        assert len(out.word_confidences) == len(want.split())

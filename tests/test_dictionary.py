@@ -16,6 +16,7 @@ from ctcdec import (
     decode_dictionary,
     string_log_score,
 )
+from ctcdec.dictionary import _LexiconConstraint
 from ctcdec.lexicon import strip_attached
 
 from oracles import (
@@ -24,6 +25,7 @@ from oracles import (
     dm_valid_texts,
     enumerate_string_probs,
     random_matrix,
+    trie_node_priors,
 )
 
 AB2 = Alphabet.with_nac("ab")
@@ -306,3 +308,24 @@ def test_params_validation():
     for value in (-0.1, 1.0, 2.0, float("nan")):
         with pytest.raises(ValueError, match="min_symbol_prob"):
             DecodeParams(min_symbol_prob=value)
+
+
+@given(
+    st.dictionaries(
+        st.text("abc", min_size=1, max_size=5), st.integers(1, 1000), min_size=1, max_size=12
+    ),
+    st.sampled_from([0.0, 0.7, 1.0, 3.0]),
+    st.floats(-5.0, 5.0, allow_nan=False),
+)
+@settings(max_examples=200, deadline=None)
+def test_node_priors_equal_the_best_word_prior_bit_for_bit(counts, lm_weight, word_bonus):
+    """The look-ahead is the prior of a node's best count, which equals the
+    best prior of the words below it exactly, because the prior is
+    monotone in the count."""
+    lexicon = Lexicon(counts, separator=None, attach_chars=frozenset())
+    params = DecodeParams(lm_weight=lm_weight, word_bonus=word_bonus)
+    constraint = _LexiconConstraint(lexicon, Alphabet.with_nac("abc"), params)
+    best, completed = trie_node_priors(lexicon, lm_weight, word_bonus)
+    for node in best:
+        assert constraint.lookahead(node) == best[node]
+        assert constraint.completed(node) == completed[node]

@@ -70,24 +70,23 @@ def test_log_unigram():
     assert lex.log_unigram("dog") == float("-inf")
 
 
-def test_trie_navigation():
+def test_trie_children_and_word_counts():
     lex = Lexicon({"ab": 2, "abc": 1, "b": 1})
-    node = lex.child(Lexicon.ROOT, "a")
-    assert node is not None
-    assert lex.word_ending_at(node) is None
-    node = lex.child(node, "b")
-    assert lex.word_ending_at(node) == "ab"
-    assert lex.child(node, "z") is None
+    node = lex.children[0]["a"]
+    assert lex.word_count[node] == 0
+    node = lex.children[node]["b"]
+    assert lex.word_count[node] == 2
+    assert "z" not in lex.children[node]
 
 
-def test_node_best_completion():
+def test_best_count_below_each_node():
     lex = Lexicon({"ab": 9, "abc": 1})
-    best = lex.node_best_completion()
-    a = lex.child(Lexicon.ROOT, "a")
-    # Best completion below "a" is the frequent "ab".
-    assert best[a] == pytest.approx(math.log(0.9))
-    abc = lex.child(lex.child(a, "b"), "c")
-    assert best[abc] == pytest.approx(math.log(0.1))
+    a = lex.children[0]["a"]
+    # Best count below "a" is the frequent "ab".
+    assert lex.best_count[a] == 9
+    abc = lex.children[lex.children[a]["b"]]["c"]
+    assert lex.best_count[abc] == 1
+    assert lex.best_count[0] == 9
 
 
 def test_save_load_round_trip(tmp_path):

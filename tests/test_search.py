@@ -2,6 +2,7 @@
 with the scalar reference search."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -270,3 +271,41 @@ def test_min_symbol_prob_outside_unit_interval_is_rejected(value):
         decode_expression(m, rules, beam_width=8, min_symbol_prob=value)
     with pytest.raises(ValueError, match="min_symbol_prob"):
         prefix_beam_search(m, _FsaConstraint(rules, alphabet), 8, value)
+
+
+class CountingConstraint:
+    """Passes a constraint through, counting ``successors`` calls per state."""
+
+    def __init__(self, inner):
+        self.initial = inner.initial
+        self._successors = inner.successors
+        self.calls = Counter()
+
+    def successors(self, state):
+        self.calls[state] += 1
+        return self._successors(state)
+
+
+@pytest.mark.parametrize("beam", DEGENERATE_BEAMS)
+@pytest.mark.parametrize("kind", ["fsa", "lexicon", "rules"])
+@given(st.integers(0, 10_000), st.sampled_from([0.0, 0.1]))
+@settings(max_examples=25, deadline=None)
+def test_each_state_row_is_built_once_per_search(kind, beam, seed, min_symbol_prob):
+    rng = np.random.default_rng(seed)
+    # The wide alphabet only under a beam: unpruned, its prefixes multiply
+    # tenfold per frame.
+    if beam is not None and rng.random() < 0.5:
+        alphabet, rules, lexicon = WIDE, WIDE_RULES, WIDE_LEXICON
+    else:
+        alphabet, rules, lexicon = ALPHA, RULES, random_lexicon(rng)
+    m = random_matrix(rng, alphabet, int(rng.integers(1, 7)))
+    params = DecodeParams(oov_policy=str(rng.choice(["reject", "pass-punct"])))
+    make = constraint_maker(kind, alphabet, rules, lexicon, params)
+    counted = CountingConstraint(make())
+    want = search_outcome(prefix_beam_search, m, make(), beam, min_symbol_prob)
+    assert search_outcome(prefix_beam_search, m, counted, beam, min_symbol_prob) == want
+    assert max(counted.calls.values()) == 1
+    # No row outlives its search: a second search asks again.
+    search_outcome(prefix_beam_search, m, counted, beam, min_symbol_prob)
+    assert counted.calls[counted.initial.state] == 2
+    assert max(counted.calls.values()) == 2
