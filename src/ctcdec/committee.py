@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .dictionary import DecodeParams, decode_dictionary
-from .errors import CtcDecError, LengthMismatch, NoAcceptedString
+from .dictionary import DecodeParams, _decode_dictionary_many
+from .errors import LengthMismatch, NoAcceptedString
 from .evaluate import edit_alignment
 from .expressions import ExpressionModel
 from .lexicon import Lexicon
@@ -217,20 +217,18 @@ def committee_decode(
     """Dictionary-decode each expert's matrix and combine via ROVER.
 
     ``matrices`` must come pre-sorted by descending expert quality (see
-    ``rank_experts``); their order decides tie-breaks. Experts whose
-    decode fails are dropped from the vote; if all fail,
-    :class:`NoAcceptedString` is raised.
+    ``rank_experts``); their order decides tie-breaks. They must share an
+    alphabet (:class:`InvariantViolation` otherwise). The experts are
+    decoded in one search. Experts whose decode fails are dropped from
+    the vote; if all fail, :class:`NoAcceptedString` is raised. Errors
+    that no expert's matrix causes (an empty lexicon, an invalid
+    expression model) raise as themselves.
     """
     if len(matrices) != config.n:
         raise LengthMismatch(f"{len(matrices)} matrices for a committee of {config.n}")
-    hyps: list[Hypothesis] = []
-    errors: list[CtcDecError] = []
-    for matrix in matrices:
-        try:
-            hyps.append(decode_dictionary(matrix, lexicon, params, expression_model))
-        except CtcDecError as exc:
-            errors.append(exc)
+    decoded = _decode_dictionary_many(matrices, lexicon, params, expression_model)
+    hyps = [h for h in decoded if isinstance(h, Hypothesis)]
     if not hyps:
-        raise NoAcceptedString(f"all {config.n} experts failed: {errors[0]}")
+        raise NoAcceptedString(f"all {config.n} experts failed: {decoded[0]}")
     effective = replace(config, n=len(hyps))
     return combine_hypotheses(hyps, effective, lexicon.separator)

@@ -16,11 +16,11 @@ import math
 from dataclasses import dataclass
 
 from .ctc import marginal_word_confidences
-from .errors import EmptyLexicon
+from .errors import EmptyLexicon, NoAcceptedString
 from .expressions import ExpressionModel, _FsaConstraint
 from .lexicon import Lexicon
 from .matrix import ConfidenceMatrix
-from .search import Node, prefix_beam_search
+from .search import Node, prefix_beam_search, prefix_beam_search_many
 from .types import Hypothesis
 
 OOV_POLICIES = ("reject", "pass-punct")
@@ -230,16 +230,53 @@ def decode_dictionary(
     hypothesis score is the full log-linear objective; word confidences
     are per-word CTC marginals over the decoded frame spans.
     """
-    constraint = _LexiconConstraint(lexicon, matrix.alphabet, params)
-    if expression_model is not None:
-        expression_model.validate(matrix.alphabet)
-        constraint = _Intersection(_FsaConstraint(expression_model, matrix.alphabet), constraint)
-    prefix, mass, bonus = prefix_beam_search(
+    constraint = _constraint(lexicon, matrix.alphabet, params, expression_model)
+    found = prefix_beam_search(
         matrix,
         constraint,
         beam_width=params.beam_width,
         min_symbol_prob=params.min_symbol_prob,
     )
+    return _hypothesis(matrix, lexicon, *found)
+
+
+def _decode_dictionary_many(
+    matrices: list[ConfidenceMatrix],
+    lexicon: Lexicon,
+    params: DecodeParams,
+    expression_model: ExpressionModel | None = None,
+) -> list[Hypothesis | NoAcceptedString]:
+    """:func:`decode_dictionary` of each matrix (the experts of one line),
+    as one search under one constraint.
+
+    Errors that do not depend on a matrix (an empty lexicon, an invalid
+    expression model, experts with different alphabets) raise; an
+    expert whose search finds no accepted string gets the
+    :class:`NoAcceptedString` in its place.
+    """
+    constraint = _constraint(lexicon, matrices[0].alphabet, params, expression_model)
+    found = prefix_beam_search_many(
+        matrices,
+        constraint,
+        beam_width=params.beam_width,
+        min_symbol_prob=params.min_symbol_prob,
+    )
+    return [
+        result if isinstance(result, NoAcceptedString) else _hypothesis(matrix, lexicon, *result)
+        for matrix, result in zip(matrices, found)
+    ]
+
+
+def _constraint(lexicon: Lexicon, alphabet, params: DecodeParams, expression_model):
+    """The lexicon constraint, intersected with the expression model if any."""
+    constraint = _LexiconConstraint(lexicon, alphabet, params)
+    if expression_model is not None:
+        expression_model.validate(alphabet)
+        constraint = _Intersection(_FsaConstraint(expression_model, alphabet), constraint)
+    return constraint
+
+
+def _hypothesis(matrix: ConfidenceMatrix, lexicon: Lexicon, prefix, mass: float, bonus: float) -> Hypothesis:
     text = "".join(matrix.alphabet.symbols[i] for i in prefix)
     confs = marginal_word_confidences(matrix, text, lexicon.separator)
     return Hypothesis(text=text, score=mass + bonus, word_confidences=confs)

@@ -20,7 +20,8 @@ import numpy as np
 from .alphabet import Alphabet
 from .bestpath import decode_best_path
 from .committee import CommitteeConfig, combine_hypotheses
-from .dictionary import DecodeParams, decode_dictionary
+from .dictionary import DecodeParams, _decode_dictionary_many
+from .errors import NoAcceptedString
 from .evaluate import EvalReport, evaluate, rank_experts
 from .lexicon import Lexicon
 from .synthetic import generate_synthetic
@@ -133,11 +134,9 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
         min_symbol_prob=config.min_symbol_prob,
     )
 
-    bp_reports: list[EvalReport] = []
-    dm_reports: list[EvalReport] = []
-    dm_hyps_per_expert = []
-    for expert in range(config.experts):
-        matrices = [
+    # Each line's expert matrices, decoded in one search per line.
+    lines = [
+        [
             generate_synthetic(
                 text,
                 alphabet,
@@ -147,10 +146,22 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
                     np.random.SeedSequence([config.seed, trial, expert, i]).generate_state(1)[0]
                 ),
             )
-            for i, text in enumerate(refs)
+            for expert in range(config.experts)
         ]
-        bp_hyps = [decode_best_path(m) for m in matrices]
-        dm_hyps = [decode_dictionary(m, lexicon, params) for m in matrices]
+        for i, text in enumerate(refs)
+    ]
+    decoded = [_decode_dictionary_many(matrices, lexicon, params) for matrices in lines]
+
+    bp_reports: list[EvalReport] = []
+    dm_reports: list[EvalReport] = []
+    dm_hyps_per_expert = []
+    for expert in range(config.experts):
+        dm_hyps = [line[expert] for line in decoded]
+        for hyp in dm_hyps:
+            # A failed decode ends the trial.
+            if isinstance(hyp, NoAcceptedString):
+                raise hyp
+        bp_hyps = [decode_best_path(matrices[expert]) for matrices in lines]
         bp_reports.append(evaluate(bp_hyps, refs, alphabet))
         dm_reports.append(evaluate(dm_hyps, refs, alphabet))
         dm_hyps_per_expert.append(dm_hyps)

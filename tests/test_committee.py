@@ -6,13 +6,19 @@ from ctcdec import (
     Alphabet,
     CommitteeConfig,
     DecodeParams,
+    EmptyLexicon,
     Hypothesis,
+    InvalidRule,
+    InvariantViolation,
     Lexicon,
     NoAcceptedString,
     WordTransitionNetwork,
     align_into_wtn,
     combine_hypotheses,
     committee_decode,
+    decode_dictionary,
+    compile_rules,
+    default_rule_config,
     generate_synthetic,
     vote,
 )
@@ -245,6 +251,44 @@ class TestCommitteeDecode:
             committee_decode(
                 [bad, bad], lexicon, DecodeParams(beam_width=4), CommitteeConfig(n=2)
             )
+
+
+    def test_experts_must_share_an_alphabet(self, setup):
+        alphabet, lexicon = setup
+        other = Alphabet.with_nac("thecasox ", separator=" ")
+        mats = [
+            generate_synthetic("the cat", alphabet, 3, 0.0, seed=0),
+            generate_synthetic("the cat", other, 3, 0.0, seed=1),
+        ]
+        with pytest.raises(InvariantViolation) as err:
+            committee_decode(mats, lexicon, DecodeParams(beam_width=4), CommitteeConfig(n=2))
+        assert repr(alphabet.symbols) in str(err.value)
+        assert repr(other.symbols) in str(err.value)
+
+    def test_empty_lexicon_raises_as_itself(self, setup):
+        alphabet, _ = setup
+        mats = [generate_synthetic("the", alphabet, 3, 0.0, seed=s) for s in range(2)]
+        with pytest.raises(EmptyLexicon):
+            committee_decode(mats, Lexicon({}), DecodeParams(), CommitteeConfig(n=2))
+
+    def test_invalid_expression_model_raises_as_itself(self, setup):
+        alphabet, lexicon = setup
+        other = Alphabet.with_nac("thecasox ", separator=" ")
+        rules = compile_rules(default_rule_config(other), other)
+        mats = [generate_synthetic("the", alphabet, 3, 0.0, seed=s) for s in range(2)]
+        with pytest.raises(InvalidRule):
+            committee_decode(mats, lexicon, DecodeParams(), CommitteeConfig(n=2), rules)
+
+    def test_experts_of_unequal_length_decode_as_alone(self, setup):
+        alphabet, lexicon = setup
+        params = DecodeParams(beam_width=4, min_symbol_prob=0.01)
+        mats = [
+            generate_synthetic("the cat sat", alphabet, fpc, noise, seed=s)
+            for s, (fpc, noise) in enumerate([(2, 0.5), (4, 0.6), (3, 0.7)])
+        ]
+        alone = [decode_dictionary(m, lexicon, params) for m in mats]
+        out = committee_decode(mats, lexicon, params, CommitteeConfig(n=3))
+        assert out == combine_hypotheses(alone, CommitteeConfig(n=3), " ")
 
 
 class TestSeparatorFree:

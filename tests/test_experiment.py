@@ -41,3 +41,33 @@ def test_ordering_predicate():
         wer_committee={2: 0.08, 5: 0.08},
     )
     assert not regression.ordering_holds
+
+
+def test_small_experiment_gives_pinned_results():
+    """Exact results of a small noisy run, as the line-by-line decode
+    before batching gave them; decoding a line's experts in one search
+    must not change a single error count."""
+    config = ExperimentConfig(
+        trials=2,
+        lines_per_trial=6,
+        vocab_size=12,
+        experts=3,
+        words_per_line=3,
+        committee_sizes=(2, 3),
+        seed=7,
+        noise=0.9,
+    )
+    assert run_experiment(config).trials == (
+        TrialResult(
+            wer_best_path_mean=1.037037037037037,
+            wer_dictionary_mean=0.4444444444444445,
+            wer_dictionary_best=0.2777777777777778,
+            wer_committee={2: 0.2777777777777778, 3: 0.2222222222222222},
+        ),
+        TrialResult(
+            wer_best_path_mean=1.2037037037037035,
+            wer_dictionary_mean=0.5185185185185185,
+            wer_dictionary_best=0.5,
+            wer_committee={2: 0.5, 3: 0.4444444444444444},
+        ),
+    )

@@ -1,5 +1,5 @@
 """Properties of the prefix beam search under pruning, and its agreement
-with the scalar reference search."""
+with the scalar reference search, alone and batched over experts."""
 
 import math
 from collections import Counter
@@ -12,6 +12,7 @@ from ctcdec import (
     Alphabet,
     ConfidenceMatrix,
     DecodeParams,
+    InvariantViolation,
     Lexicon,
     NoAcceptedString,
     accept_all_model,
@@ -25,7 +26,7 @@ from ctcdec import (
 )
 from ctcdec.dictionary import _Intersection, _LexiconConstraint
 from ctcdec.expressions import _FsaConstraint
-from ctcdec.search import prefix_beam_search
+from ctcdec.search import prefix_beam_search, prefix_beam_search_many
 from oracles import (
     argmax_string,
     dm_text_valid,
@@ -262,6 +263,103 @@ def test_beam_one_anchor_keeps_an_accepted_prefix(scheme):
     assert got == ((), math.log(0.4), 0.0)
 
 
+# Batched search: several experts' matrices under one constraint.
+
+
+def separator_only(alphabet, frames: int) -> ConfidenceMatrix:
+    """A matrix whose one string is a lone separator, which no constraint
+    here accepts."""
+    probs = np.zeros((frames, len(alphabet)))
+    probs[:, alphabet.index(alphabet.separator)] = 1.0
+    return ConfidenceMatrix(probs, alphabet)
+
+
+def assert_each_expert_matches_reference(matrices, make_constraint, beam, min_symbol_prob=0.0):
+    """The batched search gives every expert the reference's result on
+    that expert's matrix alone."""
+    got = prefix_beam_search_many(matrices, make_constraint(), beam, min_symbol_prob)
+    assert len(got) == len(matrices)
+    for m, result in zip(matrices, got):
+        want = search_outcome(reference_prefix_beam_search, m, make_constraint(), beam, min_symbol_prob)
+        if want is None:
+            assert isinstance(result, NoAcceptedString)
+            continue
+        assert not isinstance(result, NoAcceptedString) and result[0] == want[0]
+        assert math.isclose(result[1], want[1], rel_tol=0.0, abs_tol=1e-12)
+        assert math.isclose(result[2], want[2], rel_tol=0.0, abs_tol=1e-12)
+    return got
+
+
+@pytest.mark.parametrize("beam", BEAMS)
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from([1, 2, 3, 5]),
+    st.sampled_from([0.0, 0.1]),
+    st.sampled_from(["fsa", "lexicon", "rules"]),
+    st.sampled_from(["reject", "pass-punct"]),
+)
+@settings(max_examples=30, deadline=None)
+def test_batched_search_matches_the_reference_per_expert(beam, seed, n, min_symbol_prob, kind, oov):
+    rng = np.random.default_rng(seed)
+    lex = random_lexicon(rng)
+    matrices = []
+    for _ in range(n):
+        # Unequal lengths, down to one frame; zeroed cells make the columns
+        # each expert can extend with differ, as does the floor.
+        m = random_matrix(rng, ALPHA, int(rng.choice([1, rng.integers(1, 7)])))
+        if rng.random() < 0.5:
+            probs = np.where(rng.random(m.probs.shape) < 0.3, 0.0, m.probs)
+            probs[:, ALPHA.nac_index] += 1e-3
+            m = ConfidenceMatrix(probs / probs.sum(axis=1, keepdims=True), ALPHA)
+        matrices.append(m)
+    if n > 1 and rng.random() < 0.4:
+        matrices[int(rng.integers(n))] = separator_only(ALPHA, int(rng.integers(1, 4)))
+    params = DecodeParams(
+        lm_weight=float(rng.choice([0.0, 1.0, 0.7])),
+        word_bonus=float(rng.choice([0.0, 0.5, -0.3])),
+        oov_policy=oov,
+    )
+    make = constraint_maker(kind, ALPHA, RULES, lex, params)
+    assert_each_expert_matches_reference(matrices, make, beam, min_symbol_prob)
+
+
+@pytest.mark.parametrize("beam", DEGENERATE_BEAMS)
+@pytest.mark.parametrize("kind", ["fsa", "lexicon", "rules"])
+def test_a_failing_expert_leaves_the_others_alone(kind, beam):
+    """One expert's matrix admits no accepted string; the experts around
+    it, of other lengths, still get their own results."""
+    rng = np.random.default_rng(7)
+    matrices = [random_matrix(rng, WIDE, 4), separator_only(WIDE, 2), random_matrix(rng, WIDE, 1)]
+    make = constraint_maker(kind, WIDE, WIDE_RULES, WIDE_LEXICON, DecodeParams())
+    got = assert_each_expert_matches_reference(matrices, make, beam)
+    assert [isinstance(r, NoAcceptedString) for r in got] == [False, True, False]
+
+
+@pytest.mark.parametrize("beam", DEGENERATE_BEAMS)
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_batched_experts_tie_exactly(scheme, beam):
+    """Experts whose rows are uniform or drawn from three weights tie at
+    every beam edge and between anchor candidates, each in its own way."""
+    params = DecodeParams(lm_weight=0.0, word_bonus=0.0)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        matrices = []
+        for _ in range(3):
+            weights = rng.choice([1.0, 2.0, 4.0], size=(int(rng.integers(1, 5)), len(WIDE)))
+            if rng.random() < 0.3:
+                weights[:] = 1.0
+            matrices.append(ConfidenceMatrix(weights / weights.sum(axis=1, keepdims=True), WIDE))
+        assert_each_expert_matches_reference(matrices, wide_constraint(scheme, params), beam)
+
+
+def test_experts_must_share_an_alphabet():
+    other = Alphabet.with_nac("aB.'x ", separator=" ")
+    rng = np.random.default_rng(0)
+    matrices = [random_matrix(rng, ALPHA, 3), random_matrix(rng, other, 3)]
+    with pytest.raises(InvariantViolation, match="share an alphabet"):
+        prefix_beam_search_many(matrices, _FsaConstraint(RULES, ALPHA), 8)
+
+
 @pytest.mark.parametrize("value", [2.0, 1.0, -0.1, -1.0, float("nan")])
 def test_min_symbol_prob_outside_unit_interval_is_rejected(value):
     alphabet = default_alphabet()
@@ -309,3 +407,12 @@ def test_each_state_row_is_built_once_per_search(kind, beam, seed, min_symbol_pr
     search_outcome(prefix_beam_search, m, counted, beam, min_symbol_prob)
     assert counted.calls[counted.initial.state] == 2
     assert max(counted.calls.values()) == 2
+    # One batched search asks for each state's row once, however many
+    # experts reach the state.
+    matrices = [m] + [random_matrix(rng, alphabet, int(rng.integers(1, 6))) for _ in range(2)]
+    counted = CountingConstraint(make())
+    got = prefix_beam_search_many(matrices, counted, beam, min_symbol_prob)
+    assert max(counted.calls.values()) == 1
+    assert [None if isinstance(r, NoAcceptedString) else r for r in got] == [
+        search_outcome(prefix_beam_search, x, make(), beam, min_symbol_prob) for x in matrices
+    ]
