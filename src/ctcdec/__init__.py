@@ -15,15 +15,8 @@ file formats, and a manifest-driven batch CLI.
 from .alphabet import NAC_CHAR, Alphabet, default_alphabet, normalize_transcript
 from .batch import LineRecord, Manifest, load_manifest, run_batch, save_manifest
 from .bestpath import decode_best_path
-from .committee import (
-    CommitteeConfig,
-    WordTransitionNetwork,
-    align_into_wtn,
-    combine_hypotheses,
-    committee_decode,
-    vote,
-)
-from .ctc import collapse, force_align, path_log_score, string_log_score
+from .committee import CommitteeConfig, combine_hypotheses, committee_decode
+from .ctc import collapse, force_align, string_log_score
 from .dictionary import DecodeParams, decode_dictionary
 from .errors import (
     CtcDecError,
@@ -41,18 +34,16 @@ from .evaluate import EvalReport, edit_distance, evaluate, rank_experts
 from .expressions import (
     ExpressionModel,
     RuleConfig,
-    accept_all_model,
     compile_rules,
     decode_expression,
     default_rule_config,
-    format_rules,
     parse_rules,
 )
 from .lexicon import Lexicon, build_lexicon, load_lexicon, save_lexicon
 from .matio import load_matrix, store_matrix
 from .matrix import ConfidenceMatrix, detect_boundaries
 from .synthetic import generate_synthetic
-from .types import Hypothesis, Path
+from .types import Hypothesis
 
 __version__ = "0.1.0"
 
@@ -77,12 +68,8 @@ __all__ = [
     "NAC_CHAR",
     "NoAcceptedString",
     "ParseError",
-    "Path",
     "RuleConfig",
     "UnmappableCharacter",
-    "WordTransitionNetwork",
-    "accept_all_model",
-    "align_into_wtn",
     "build_lexicon",
     "collapse",
     "combine_hypotheses",
@@ -97,19 +84,16 @@ __all__ = [
     "edit_distance",
     "evaluate",
     "force_align",
-    "format_rules",
     "generate_synthetic",
     "load_lexicon",
     "load_manifest",
     "load_matrix",
     "normalize_transcript",
     "parse_rules",
-    "path_log_score",
     "rank_experts",
     "run_batch",
     "save_lexicon",
     "save_manifest",
     "store_matrix",
     "string_log_score",
-    "vote",
 ]

@@ -86,6 +86,12 @@ class Alphabet:
         return self.index_of[symbol]
 
 
+def file_separator(symbols: tuple[str, ...]) -> str | None:
+    """The separator of an alphabet read from a file (a matrix header or an
+    alphabet JSON): the space symbol if present, else none."""
+    return " " if " " in symbols else None
+
+
 def normalize_transcript(raw: str, alphabet: Alphabet) -> str:
     """Map a raw transcript onto canonical alphabet symbols.
 

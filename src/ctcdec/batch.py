@@ -72,6 +72,8 @@ def load_manifest(path: str | Path) -> Manifest:
         if not isinstance(paths, list) or not paths:
             raise ParseError(0, f"record {entry['id']!r} needs a non-empty 'matrices' array")
         ref = entry.get("ref")
+        if not all(isinstance(p, str) for p in paths) or not isinstance(ref, (str, type(None))):
+            raise ParseError(0, f"record {entry['id']!r}: matrix paths and 'ref' must be strings")
         records.append(
             LineRecord(
                 line_id=str(entry["id"]),

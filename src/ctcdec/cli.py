@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .alphabet import NAC_CHAR, Alphabet, default_alphabet, normalize_transcript
+from .alphabet import NAC_CHAR, Alphabet, default_alphabet, file_separator, normalize_transcript
 from .batch import LineRecord, Manifest, load_manifest, run_batch, save_manifest
 from .bestpath import decode_best_path
 from .committee import CommitteeConfig, committee_decode
@@ -53,18 +53,23 @@ def _parse_beam(value: str) -> int | None:
 
 
 def load_alphabet_arg(spec: str) -> Alphabet:
-    """``default`` or a path to an alphabet JSON file."""
+    """``default`` or a path to an alphabet JSON file. Its separator is the
+    one matrix files give (:func:`file_separator`); a ``separator`` entry
+    must agree, so matrices written with the alphabet read back the same."""
     if spec == "default":
         return default_alphabet()
     try:
         with open(spec, encoding="utf-8") as fh:
             doc = json.load(fh)
         symbols = tuple(NAC_CHAR if s == NAC_TOKEN else s for s in doc["symbols"])
+        separator = file_separator(symbols)
+        if doc.get("separator", separator) != separator:
+            raise ValueError(f"separator {doc['separator']!r} must be {separator!r}, as in matrix files")
         return Alphabet(
             symbols=symbols,
             nac_index=symbols.index(NAC_CHAR),
             normalization_map=doc.get("normalization", {}),
-            separator=doc.get("separator"),
+            separator=separator,
         )
     except (KeyError, ValueError, json.JSONDecodeError) as exc:
         raise ParseError(0, f"bad alphabet file {spec!r}: {exc}") from None
@@ -132,35 +137,22 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     lexicon = None
     if args.scheme in ("dec-dm", "dec-e"):
         if not args.lexicon:
-            print(f"{args.scheme} requires --lexicon", file=sys.stderr)
-            return 2
+            raise ValueError(f"{args.scheme} requires --lexicon")
         lexicon = load_lexicon(args.lexicon)
-    experts = None
+    params = DecodeParams(
+        lm_weight=args.alpha,
+        word_bonus=args.beta,
+        beam_width=args.beam,
+        oov_policy=args.oov,
+        min_symbol_prob=args.min_symbol_prob,
+    )
+    # The single-matrix schemes decode (and load) each line's first matrix.
+    experts, committee = 1, None
     if args.scheme == "dec-e":
         experts = args.experts or manifest.expert_count
         if experts > manifest.expert_count:
-            print(
-                f"--experts {experts} but the manifest lists only "
-                f"{manifest.expert_count} matrices per line",
-                file=sys.stderr,
-            )
-            return 2
-    try:
-        params = DecodeParams(
-            lm_weight=args.alpha,
-            word_bonus=args.beta,
-            beam_width=args.beam,
-            oov_policy=args.oov,
-            min_symbol_prob=args.min_symbol_prob,
-        )
-        committee = None
-        if experts is not None:
-            committee = CommitteeConfig(
-                n=experts, vote_lambda=args.vote_lambda, null_confidence=args.null_conf
-            )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+            raise ValueError(f"--experts {experts} but the manifest lists only {manifest.expert_count} matrices per line")
+        committee = CommitteeConfig(n=experts, vote_lambda=args.vote_lambda, null_confidence=args.null_conf)
     decoder = SchemeDecoder(
         args.scheme,
         rule_config=rule_config,
@@ -196,11 +188,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         pairs = [(text, ref_by_id[line_id]) for line_id, text in hyp_lines]
     else:
         if len(hyp_lines) != len(ref_lines):
-            print(
-                f"cannot pair {len(hyp_lines)} hypotheses with {len(ref_lines)} references",
-                file=sys.stderr,
-            )
-            return 2
+            raise ValueError(f"cannot pair {len(hyp_lines)} hypotheses with {len(ref_lines)} references")
         pairs = [(h[1], r[1]) for h, r in zip(hyp_lines, ref_lines)]
     report = evaluate([p[0] for p in pairs], [p[1] for p in pairs], alphabet)
     cops, wops = report.char_ops, report.word_ops
@@ -348,6 +336,10 @@ def main(argv: list[str] | None = None) -> int:
     except (CtcDecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        # A bad option value: a number out of range or a missing option.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -9,15 +9,18 @@ separates a genuine repetition, NaC-free runs merge.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
 from .alphabet import Alphabet
 from .errors import InvalidSymbol, LengthMismatch
 from .matrix import ConfidenceMatrix
-from .types import Path
 
 NEG_INF = float("-inf")
+
+#: A path through a confidence matrix: one symbol index per frame.
+Path = Sequence[int]
 
 
 def collapse(path: Path, alphabet: Alphabet) -> str:

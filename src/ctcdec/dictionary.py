@@ -15,12 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ctc import marginal_word_confidences
 from .errors import EmptyLexicon, NoAcceptedString
 from .expressions import ExpressionModel, _FsaConstraint
 from .lexicon import Lexicon
 from .matrix import ConfidenceMatrix
-from .search import Node, prefix_beam_search, prefix_beam_search_many
+from .search import Node, _hypothesis, prefix_beam_search, prefix_beam_search_many
 from .types import Hypothesis
 
 OOV_POLICIES = ("reject", "pass-punct")
@@ -237,7 +236,7 @@ def decode_dictionary(
         beam_width=params.beam_width,
         min_symbol_prob=params.min_symbol_prob,
     )
-    return _hypothesis(matrix, lexicon, *found)
+    return _hypothesis(matrix, lexicon.separator, *found)
 
 
 def _decode_dictionary_many(
@@ -262,7 +261,7 @@ def _decode_dictionary_many(
         min_symbol_prob=params.min_symbol_prob,
     )
     return [
-        result if isinstance(result, NoAcceptedString) else _hypothesis(matrix, lexicon, *result)
+        result if isinstance(result, NoAcceptedString) else _hypothesis(matrix, lexicon.separator, *result)
         for matrix, result in zip(matrices, found)
     ]
 
@@ -271,12 +270,5 @@ def _constraint(lexicon: Lexicon, alphabet, params: DecodeParams, expression_mod
     """The lexicon constraint, intersected with the expression model if any."""
     constraint = _LexiconConstraint(lexicon, alphabet, params)
     if expression_model is not None:
-        expression_model.validate(alphabet)
         constraint = _Intersection(_FsaConstraint(expression_model, alphabet), constraint)
     return constraint
-
-
-def _hypothesis(matrix: ConfidenceMatrix, lexicon: Lexicon, prefix, mass: float, bonus: float) -> Hypothesis:
-    text = "".join(matrix.alphabet.symbols[i] for i in prefix)
-    confs = marginal_word_confidences(matrix, text, lexicon.separator)
-    return Hypothesis(text=text, score=mass + bonus, word_confidences=confs)

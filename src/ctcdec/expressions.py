@@ -13,10 +13,9 @@ from functools import cached_property
 from typing import Mapping
 
 from .alphabet import Alphabet
-from .ctc import marginal_word_confidences
 from .errors import EmptyLanguage, InvalidRule
 from .matrix import ConfidenceMatrix
-from .search import Node, prefix_beam_search
+from .search import Node, _hypothesis, prefix_beam_search
 from .types import Hypothesis
 
 CLASS_UPPER = "uppercase"
@@ -241,17 +240,6 @@ def compile_rules(config: RuleConfig, alphabet: Alphabet) -> ExpressionModel:
     return model
 
 
-def accept_all_model(alphabet: Alphabet) -> ExpressionModel:
-    """FSA accepting every string over the printable alphabet."""
-    classes = {sym: "any" for sym in alphabet.printable_symbols}
-    return ExpressionModel(
-        start="s",
-        transitions={("s", "any"): "s"},
-        accepting=frozenset({"s"}),
-        symbol_classes=classes,
-    )
-
-
 def _unescape_symbols(listed: str) -> str:
     out = []
     i = 0
@@ -329,10 +317,12 @@ class _FsaConstraint:
     """Prefix-search constraint: the model's transitions as node rows.
 
     ``rows`` maps each live state to ``{symbol_index: Node}`` of the next
-    live states (no bonuses; accepting states have ``final == 0``).
+    live states (no bonuses; accepting states have ``final == 0``). The
+    model is validated against the alphabet first.
     """
 
     def __init__(self, model: ExpressionModel, alphabet: Alphabet):
+        model.validate(alphabet)
         nodes = {
             state: Node(state, 0.0, 0.0 if state in model.accepting else None)
             for state in model.live_states
@@ -364,11 +354,6 @@ def decode_expression(
     Raises :class:`NoAcceptedString` when the beam exhausts without an
     accepting completion.
     """
-    model.validate(matrix.alphabet)
     constraint = _FsaConstraint(model, matrix.alphabet)
-    prefix, mass, _ = prefix_beam_search(
-        matrix, constraint, beam_width=beam_width, min_symbol_prob=min_symbol_prob
-    )
-    text = "".join(matrix.alphabet.symbols[i] for i in prefix)
-    confs = marginal_word_confidences(matrix, text, matrix.alphabet.separator)
-    return Hypothesis(text=text, score=mass, word_confidences=confs)
+    found = prefix_beam_search(matrix, constraint, beam_width=beam_width, min_symbol_prob=min_symbol_prob)
+    return _hypothesis(matrix, matrix.alphabet.separator, *found)

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .alphabet import NAC_CHAR, Alphabet
+from .alphabet import NAC_CHAR, Alphabet, file_separator
 from .errors import ParseError
 from .matrix import ConfidenceMatrix
 
@@ -72,7 +72,7 @@ def _parse_alphabet(line: str, lineno: int) -> Alphabet:
         return Alphabet(
             symbols=symbols,
             nac_index=tokens.index(NAC_TOKEN),
-            separator=" " if " " in symbols else None,
+            separator=file_separator(symbols),
         )
     except ValueError as exc:
         raise ParseError(lineno, str(exc)) from None
@@ -113,8 +113,8 @@ def load_matrix(path: str | Path, alphabet: Alphabet | None = None) -> Confidenc
 
     When ``alphabet`` is given, its symbols must match the file's and it
     is used as-is (keeping its normalization map and separator); otherwise
-    the alphabet is reconstructed from the file, with a space symbol, if
-    present, taken as the separator. Row sums follow the load policy:
+    the alphabet is reconstructed from the file, with the separator of
+    :func:`~ctcdec.alphabet.file_separator`. Row sums follow the load policy:
     small deviations are renormalized with a warning, large ones raise.
     """
     with open(path, "rb") as fh:

@@ -44,9 +44,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ctc import NEG_INF
+from .ctc import NEG_INF, marginal_word_confidences
 from .errors import InvariantViolation, NoAcceptedString
 from .matrix import ConfidenceMatrix
+from .types import Hypothesis
 
 Prefix = tuple[int, ...]
 
@@ -287,6 +288,13 @@ def prefix_beam_search_many(
         pb, pnb, acc, nid = cand_pb[keep], cand_pnb[keep], cand_acc[keep], cand_node[keep]
 
     return results
+
+
+def _hypothesis(matrix: ConfidenceMatrix, separator: str | None, prefix: Prefix, mass: float, bonus: float) -> Hypothesis:
+    """A search result ``(prefix, mass, bonus)`` as a :class:`Hypothesis`
+    scored ``mass + bonus``, with word confidences split on ``separator``."""
+    text = "".join(matrix.alphabet.symbols[i] for i in prefix)
+    return Hypothesis(text, mass + bonus, marginal_word_confidences(matrix, text, separator))
 
 
 def _best(kept: np.ndarray, pb, pnb, acc, node, table: _Transitions, prefix_of, symbols: list[int]):

@@ -3,10 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
-#: A path through a confidence matrix: one symbol index per frame.
-Path = Sequence[int]
 
 
 @dataclass(frozen=True)

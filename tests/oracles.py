@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ctcdec import Alphabet, ConfidenceMatrix, NoAcceptedString
+from ctcdec import Alphabet, ConfidenceMatrix, ExpressionModel, NoAcceptedString
 from ctcdec.ctc import NEG_INF
 
 
@@ -72,6 +72,17 @@ def random_matrix(
 ) -> ConfidenceMatrix:
     rows = rng.dirichlet(np.ones(len(alphabet)), size=n_frames)
     return ConfidenceMatrix(rows, alphabet)
+
+
+def accept_all_model(alphabet: Alphabet) -> ExpressionModel:
+    """FSA accepting every string over the printable alphabet."""
+    classes = {sym: "any" for sym in alphabet.printable_symbols}
+    return ExpressionModel(
+        start="s",
+        transitions={("s", "any"): "s"},
+        accepting=frozenset({"s"}),
+        symbol_classes=classes,
+    )
 
 
 def reference_collapse(path, alphabet: Alphabet) -> str:

@@ -22,8 +22,6 @@ from ctcdec import (
     InvariantViolation,
     Lexicon,
     NoAcceptedString,
-    WordTransitionNetwork,
-    align_into_wtn,
     combine_hypotheses,
     decode_best_path,
     decode_dictionary,
@@ -35,7 +33,7 @@ from ctcdec import (
     store_matrix,
     string_log_score,
 )
-from ctcdec.committee import word_alignment
+from ctcdec.committee import WordTransitionNetwork, align_into_wtn, word_alignment
 from ctcdec.ctc import collapse
 from ctcdec.experiment import ExperimentConfig, run_experiment
 

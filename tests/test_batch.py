@@ -75,6 +75,20 @@ class TestManifest:
         with pytest.raises(ParseError):
             load_manifest(path)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"id": "l1", "matrices": [1]},
+            {"id": "l1", "matrices": [{"x": 1}]},
+            {"id": "l1", "matrices": ["a.ctcmat"], "ref": 5},
+        ],
+    )
+    def test_entries_of_the_wrong_type(self, tmp_path, entry):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"lines": [entry]}), encoding="utf-8")
+        with pytest.raises(ParseError, match="record 'l1'"):
+            load_manifest(path)
+
     def test_paths_resolve_relative_to_manifest(self, tmp_path):
         write_line(tmp_path, "l1", "ab")
         path = tmp_path / "manifest.json"

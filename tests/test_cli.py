@@ -384,3 +384,96 @@ def test_eval_reads_lines_as_text_mode_does(tmp_path, capsys):
     hyp.write_bytes(b"the cat\r\nthe hat")
     assert run_cli("eval", "--hyp", hyp, "--ref", ref) == 0
     assert "cer=0.0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("inspect", "--threshold", 2),
+        ("synth", "--fpc", 1),
+        ("synth", "--noise", 1.5),
+    ],
+)
+def test_bad_numbers_exit_2_with_one_line(workspace, capsys, argv):
+    out_dir = workspace / "synth"
+    run_cli("synth", "--lines", workspace / "lines.txt", "--out-dir", out_dir)
+    matrix = out_dir / "e0_l0000.ctcmat"
+    inputs = {
+        "inspect": ("--matrix", matrix),
+        "synth": ("--lines", workspace / "lines.txt", "--out-dir", workspace / "again"),
+    }
+    capsys.readouterr()
+    assert run_cli(argv[0], *inputs[argv[0]], *argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_alphabet_json_separator_must_follow_the_file_rule(tmp_path, capsys):
+    """Matrix files take the space symbol as the separator if present, else
+    none; an alphabet file declaring another one would decode silently
+    wrong against the matrices written with it, so it is refused."""
+    alphabet_json = tmp_path / "alphabet.json"
+    alphabet_json.write_text(
+        json.dumps({"symbols": ["a", "b", "|", "<NaC>"], "separator": "|"}), encoding="utf-8"
+    )
+    lines = tmp_path / "lines.txt"
+    lines.write_text("ab|ba\nba|ab|ab\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("synth", "--lines", lines, "--out-dir", tmp_path / "x", "--alphabet", alphabet_json) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "separator" in err and err.count("\n") == 1
+
+    # Without the entry the alphabet has no separator, as its matrices do,
+    # so every line is one lexicon word and decodes back as written.
+    alphabet_json.write_text(json.dumps({"symbols": ["a", "b", "|", "<NaC>"]}), encoding="utf-8")
+    out_dir = tmp_path / "synth"
+    assert run_cli("synth", "--lines", lines, "--out-dir", out_dir, "--alphabet", alphabet_json) == 0
+    lex_path = tmp_path / "words.tsv"
+    assert run_cli(
+        "lexicon", "build", "--corpus", out_dir / "refs", "--out", lex_path, "--alphabet", alphabet_json
+    ) == 0
+    hyp = tmp_path / "hyp.tsv"
+    assert run_cli(
+        "decode", "--manifest", out_dir / "manifest.json", "--scheme", "dec-dm",
+        "--lexicon", lex_path, "--out", hyp,
+    ) == 0
+    assert hyp.read_text(encoding="utf-8") == "l0000\tab|ba\nl0001\tba|ab|ab\n"
+    capsys.readouterr()
+    assert run_cli("inspect", "--matrix", out_dir / "e0_l0000.ctcmat") == 0
+    assert "separator   None" in capsys.readouterr().out
+
+
+def test_single_matrix_scheme_ignores_other_experts(workspace):
+    out_dir = workspace / "synth"
+    run_cli("synth", "--lines", workspace / "lines.txt", "--out-dir", out_dir, "--experts", 2)
+    doc = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+    (out_dir / doc["lines"][0]["matrices"][1]).unlink()
+    hyp = workspace / "hyp.tsv"
+    assert run_cli(
+        "decode", "--manifest", out_dir / "manifest.json", "--scheme", "dec-bp", "--out", hyp
+    ) == 0
+    assert hyp.read_text(encoding="utf-8").splitlines()[0] == "l0000\tthe cat"
+
+
+@pytest.mark.parametrize("scheme", ["dec-bp", "dec-ce", "dec-dm"])
+def test_single_matrix_scheme_loads_one_matrix_per_line(workspace, monkeypatch, scheme):
+    import ctcdec.batch
+
+    lex_path = workspace / "words.tsv"
+    run_cli("lexicon", "build", "--corpus", workspace / "corpus", "--out", lex_path)
+    out_dir = workspace / "synth"
+    run_cli("synth", "--lines", workspace / "lines.txt", "--out-dir", out_dir, "--experts", 3)
+    loaded = []
+
+    def counting_load(path, *args, **kwargs):
+        loaded.append(path)
+        return load_matrix(path, *args, **kwargs)
+
+    load_matrix = ctcdec.batch.load_matrix
+    monkeypatch.setattr(ctcdec.batch, "load_matrix", counting_load)
+    assert run_cli(
+        "decode", "--manifest", out_dir / "manifest.json", "--scheme", scheme,
+        "--lexicon", lex_path, "--out", workspace / "hyp.tsv",
+    ) == 0
+    assert len(loaded) == 3
+    assert all("/e0_" in p for p in loaded)

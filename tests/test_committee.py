@@ -12,17 +12,14 @@ from ctcdec import (
     InvariantViolation,
     Lexicon,
     NoAcceptedString,
-    WordTransitionNetwork,
-    align_into_wtn,
     combine_hypotheses,
     committee_decode,
     decode_dictionary,
     compile_rules,
     default_rule_config,
     generate_synthetic,
-    vote,
 )
-from ctcdec.committee import NULL_WORD, word_alignment
+from ctcdec.committee import NULL_WORD, WordTransitionNetwork, align_into_wtn, vote, word_alignment
 
 from oracles import recursive_edit_distance
 

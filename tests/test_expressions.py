@@ -12,16 +12,15 @@ from ctcdec import (
     InvalidRule,
     NoAcceptedString,
     RuleConfig,
-    accept_all_model,
     compile_rules,
     decode_expression,
     default_alphabet,
     default_rule_config,
-    format_rules,
     parse_rules,
 )
 
-from oracles import argmax_string, enumerate_string_probs, random_matrix
+from ctcdec.expressions import format_rules
+from oracles import accept_all_model, argmax_string, enumerate_string_probs, random_matrix
 
 ALPHA = default_alphabet()
 DEFAULT_MODEL = compile_rules(default_rule_config(ALPHA), ALPHA)

@@ -15,7 +15,6 @@ from ctcdec import (
     InvariantViolation,
     Lexicon,
     NoAcceptedString,
-    accept_all_model,
     compile_rules,
     decode_dictionary,
     decode_expression,
@@ -28,6 +27,7 @@ from ctcdec.dictionary import _Intersection, _LexiconConstraint
 from ctcdec.expressions import _FsaConstraint
 from ctcdec.search import prefix_beam_search, prefix_beam_search_many
 from oracles import (
+    accept_all_model,
     argmax_string,
     dm_text_valid,
     enumerate_string_probs,
