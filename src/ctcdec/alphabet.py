@@ -16,6 +16,7 @@ from .errors import UnmappableCharacter
 #: In-memory representation of the NaC symbol. Serialized as the literal
 #: token ``<NaC>`` in matrix files; never a printable character.
 NAC_CHAR = "\x00"
+NAC_TOKEN = "<NaC>"
 
 
 @dataclass(frozen=True)
@@ -86,10 +87,22 @@ class Alphabet:
         return self.index_of[symbol]
 
 
-def file_separator(symbols: tuple[str, ...]) -> str | None:
-    """The separator of an alphabet read from a file (a matrix header or an
-    alphabet JSON): the space symbol if present, else none."""
-    return " " if " " in symbols else None
+def file_alphabet(tokens: list[str], normalization_map: Mapping[str, str] | None = None) -> Alphabet:
+    """The alphabet a file lists (a matrix header or an alphabet JSON).
+
+    ``tokens`` are its symbols in order: exactly one ``<NaC>``, and every
+    other symbol one character that is not a tab or a newline (which
+    delimit symbols and rows in matrix files). Its separator is the space
+    symbol if present, else none. Raises :class:`ValueError`.
+    """
+    if tokens.count(NAC_TOKEN) != 1:
+        raise ValueError(f"the alphabet needs exactly one {NAC_TOKEN} token, got {tokens.count(NAC_TOKEN)}")
+    for tok in tokens:
+        if tok != NAC_TOKEN and not (isinstance(tok, str) and len(tok) == 1 and tok not in "\t\n"):
+            raise ValueError(f"alphabet symbol {tok!r} is not one character other than a tab or a newline")
+    symbols = tuple(NAC_CHAR if tok == NAC_TOKEN else tok for tok in tokens)
+    separator = " " if " " in symbols else None
+    return Alphabet(symbols, tokens.index(NAC_TOKEN), dict(normalization_map or {}), separator)
 
 
 def normalize_transcript(raw: str, alphabet: Alphabet) -> str:

@@ -22,14 +22,14 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
+from numpy.random import SeedSequence
 
-from .alphabet import NAC_CHAR, Alphabet, default_alphabet, file_separator, normalize_transcript
+from .alphabet import Alphabet, default_alphabet, file_alphabet, normalize_transcript
 from .batch import LineRecord, Manifest, load_manifest, run_batch, save_manifest
 from .bestpath import decode_best_path
 from .committee import CommitteeConfig, committee_decode
 from .dictionary import DecodeParams, decode_dictionary
-from .errors import CtcDecError, ParseError
+from .errors import CtcDecError, EmptyLexicon, ParseError
 from .evaluate import evaluate
 from .expressions import (
     RuleConfig,
@@ -39,7 +39,7 @@ from .expressions import (
     parse_rules,
 )
 from .lexicon import build_lexicon, load_lexicon, save_lexicon
-from .matio import NAC_TOKEN, load_matrix, read_text, store_matrix
+from .matio import load_matrix, read_text, store_matrix
 from .matrix import detect_boundaries
 from .synthetic import generate_synthetic
 
@@ -53,25 +53,22 @@ def _parse_beam(value: str) -> int | None:
 
 
 def load_alphabet_arg(spec: str) -> Alphabet:
-    """``default`` or a path to an alphabet JSON file. Its separator is the
-    one matrix files give (:func:`file_separator`); a ``separator`` entry
-    must agree, so matrices written with the alphabet read back the same."""
+    """``default`` or a path to an alphabet JSON file, read by the rule of
+    matrix files (:func:`file_alphabet`); a ``separator`` entry must agree
+    with it, so matrices written with the alphabet read back the same."""
     if spec == "default":
         return default_alphabet()
     try:
         with open(spec, encoding="utf-8") as fh:
             doc = json.load(fh)
-        symbols = tuple(NAC_CHAR if s == NAC_TOKEN else s for s in doc["symbols"])
-        separator = file_separator(symbols)
-        if doc.get("separator", separator) != separator:
-            raise ValueError(f"separator {doc['separator']!r} must be {separator!r}, as in matrix files")
-        return Alphabet(
-            symbols=symbols,
-            nac_index=symbols.index(NAC_CHAR),
-            normalization_map=doc.get("normalization", {}),
-            separator=separator,
-        )
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+        shape = isinstance(doc, dict) and (type(doc.get("symbols")), type(doc.get("normalization", {})))
+        if shape != (list, dict):
+            raise ValueError('expected {"symbols": [...], "normalization": {...}}')
+        alphabet = file_alphabet(doc["symbols"], doc.get("normalization"))
+        if doc.get("separator", alphabet.separator) != alphabet.separator:
+            raise ValueError(f"separator {doc['separator']!r} must be {alphabet.separator!r}, as in matrix files")
+        return alphabet
+    except ValueError as exc:
         raise ParseError(0, f"bad alphabet file {spec!r}: {exc}") from None
 
 
@@ -139,6 +136,8 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         if not args.lexicon:
             raise ValueError(f"{args.scheme} requires --lexicon")
         lexicon = load_lexicon(args.lexicon)
+        if len(lexicon) == 0:
+            raise EmptyLexicon(f"lexicon {args.lexicon!r} has no words")
     params = DecodeParams(
         lm_weight=args.alpha,
         word_bonus=args.beta,
@@ -229,21 +228,30 @@ def _cmd_lexicon(args: argparse.Namespace) -> int:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     alphabet = load_alphabet_arg(args.alphabet)
+    if args.experts < 1:
+        raise ValueError(f"--experts must be >= 1, got {args.experts}")
+    texts = [normalize_transcript(t, alphabet) for _, t in _read_lines_file(args.lines)]
+    # Every matrix is built before anything is written, so a bad option or
+    # line leaves no files behind.
+    matrices = [
+        [
+            generate_synthetic(
+                text, alphabet, frames_per_char=args.fpc, noise=args.noise,
+                seed=int(SeedSequence([args.seed, e, i]).generate_state(1)[0]),
+            )
+            for e in range(args.experts)
+        ]
+        for i, text in enumerate(texts)
+    ]
     out_dir = Path(args.out_dir)
     (out_dir / "refs").mkdir(parents=True, exist_ok=True)
-    texts = [t for _, t in _read_lines_file(args.lines)]
     records = []
-    for i, text in enumerate(texts):
+    for i, (text, experts) in enumerate(zip(texts, matrices)):
         line_id = f"l{i:04d}"
-        normalized = normalize_transcript(text, alphabet)
         ref_path = out_dir / "refs" / f"{line_id}.txt"
-        ref_path.write_text(normalized + "\n", encoding="utf-8")
+        ref_path.write_text(text + "\n", encoding="utf-8")
         paths = []
-        for expert in range(args.experts):
-            seed = int(np.random.SeedSequence([args.seed, expert, i]).generate_state(1)[0])
-            matrix = generate_synthetic(
-                normalized, alphabet, frames_per_char=args.fpc, noise=args.noise, seed=seed
-            )
+        for expert, matrix in enumerate(experts):
             mat_path = out_dir / f"e{expert}_{line_id}.ctcmat"
             store_matrix(matrix, mat_path, binary=args.binary)
             paths.append(str(mat_path))
@@ -252,7 +260,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     save_manifest(manifest, out_dir / "manifest.json")
     with open(out_dir / "refs.tsv", "w", encoding="utf-8") as fh:
         for rec, text in zip(records, texts):
-            fh.write(f"{rec.line_id}\t{normalize_transcript(text, alphabet)}\n")
+            fh.write(f"{rec.line_id}\t{text}\n")
     print(f"{len(records)} line(s) x {args.experts} expert(s) -> {out_dir}")
     return 0
 

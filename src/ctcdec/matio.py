@@ -20,13 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .alphabet import NAC_CHAR, Alphabet, file_separator
+from .alphabet import NAC_TOKEN, Alphabet, file_alphabet
 from .errors import ParseError
 from .matrix import ConfidenceMatrix
 
 TEXT_MAGIC = "CTCMAT v1"
 BINARY_MAGIC = "CTCMAT b1"
-NAC_TOKEN = "<NaC>"
 
 
 def _format_alphabet(alphabet: Alphabet) -> str:
@@ -58,24 +57,6 @@ def read_text(path: str | Path) -> str:
             _decode(raw, lineno)
         raise
     return text.replace("\r\n", "\n").replace("\r", "\n")
-
-
-def _parse_alphabet(line: str, lineno: int) -> Alphabet:
-    tokens = line.split("\t")
-    if NAC_TOKEN not in tokens:
-        raise ParseError(lineno, f"alphabet line lacks the {NAC_TOKEN} token")
-    symbols = tuple(NAC_CHAR if tok == NAC_TOKEN else tok for tok in tokens)
-    for sym in symbols:
-        if sym != NAC_CHAR and len(sym) != 1:
-            raise ParseError(lineno, f"alphabet symbol {sym!r} is not a single character")
-    try:
-        return Alphabet(
-            symbols=symbols,
-            nac_index=tokens.index(NAC_TOKEN),
-            separator=file_separator(symbols),
-        )
-    except ValueError as exc:
-        raise ParseError(lineno, str(exc)) from None
 
 
 def _parse_frame_count(line: str, lineno: int) -> int:
@@ -114,22 +95,25 @@ def load_matrix(path: str | Path, alphabet: Alphabet | None = None) -> Confidenc
     When ``alphabet`` is given, its symbols must match the file's and it
     is used as-is (keeping its normalization map and separator); otherwise
     the alphabet is reconstructed from the file, with the separator of
-    :func:`~ctcdec.alphabet.file_separator`. Row sums follow the load policy:
+    :func:`~ctcdec.alphabet.file_alphabet`. Row sums follow the load policy:
     small deviations are renormalized with a warning, large ones raise.
     """
     with open(path, "rb") as fh:
         magic = fh.readline().decode("utf-8", errors="replace").rstrip("\n")
         if magic not in (TEXT_MAGIC, BINARY_MAGIC):
             raise ParseError(1, f"bad magic {magic!r}")
-        file_alphabet = _parse_alphabet(_decode(fh.readline(), 2), 2)
+        try:
+            header = file_alphabet(_decode(fh.readline(), 2).split("\t"))
+        except ValueError as exc:
+            raise ParseError(2, str(exc)) from None
         n_frames = _parse_frame_count(_decode(fh.readline(), 3), 3)
-        n_symbols = len(file_alphabet)
+        n_symbols = len(header)
 
         if alphabet is not None:
-            if alphabet.symbols != file_alphabet.symbols:
+            if alphabet.symbols != header.symbols:
                 raise ParseError(2, "file alphabet does not match the expected alphabet")
         else:
-            alphabet = file_alphabet
+            alphabet = header
 
         if magic == BINARY_MAGIC:
             payload = fh.read()

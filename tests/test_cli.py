@@ -392,6 +392,7 @@ def test_eval_reads_lines_as_text_mode_does(tmp_path, capsys):
         ("inspect", "--threshold", 2),
         ("synth", "--fpc", 1),
         ("synth", "--noise", 1.5),
+        ("synth", "--experts", 0),
     ],
 )
 def test_bad_numbers_exit_2_with_one_line(workspace, capsys, argv):
@@ -406,6 +407,9 @@ def test_bad_numbers_exit_2_with_one_line(workspace, capsys, argv):
     assert run_cli(argv[0], *inputs[argv[0]], *argv[1:]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    # synth checks everything before it writes a file.
+    assert not (workspace / "again").exists()
+    assert argv[1] != "--experts" or "--experts" in err
 
 
 def test_alphabet_json_separator_must_follow_the_file_rule(tmp_path, capsys):
@@ -477,3 +481,60 @@ def test_single_matrix_scheme_loads_one_matrix_per_line(workspace, monkeypatch, 
     ) == 0
     assert len(loaded) == 3
     assert all("/e0_" in p for p in loaded)
+
+
+def test_synth_with_an_unmappable_line_writes_nothing(workspace):
+    lines = workspace / "lines.txt"
+    lines.write_text("the cat\nthe ~ hat\n", encoding="utf-8")
+    out_dir = workspace / "out"
+    assert run_cli("synth", "--lines", lines, "--out-dir", out_dir) == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"symbols": ["ab", "c", "<NaC>"]},
+        {"symbols": ["a", "\t", "<NaC>"]},
+        {"symbols": ["a", "\n", "<NaC>"]},
+        {"symbols": ["a", "", "<NaC>"]},
+        {"symbols": ["a", 1, "<NaC>"]},
+        {"symbols": ["a", "<NaC>", "<NaC>"]},
+        ["a", "<NaC>"],
+        {"symbols": 5},
+        {"symbols": "a<NaC>"},
+        {"normalization": {}},
+        {"symbols": ["a", "<NaC>"], "normalization": ["a"]},
+        {"symbols": ["a", "<NaC>"], "normalization": {"b": "c"}},
+    ],
+    ids=[
+        "two-chars", "tab", "newline", "empty", "number", "two-nac", "top-level-array",
+        "symbols-number", "symbols-string", "no-symbols", "normalization-list", "normalization-target",
+    ],
+)
+def test_bad_alphabet_json_exits_1_with_one_line(tmp_path, capsys, doc):
+    """Every alphabet JSON that matrix files could not carry, or that is
+    not shaped like one, is refused before anything is written."""
+    alphabet_json = tmp_path / "alphabet.json"
+    alphabet_json.write_text(json.dumps(doc), encoding="utf-8")
+    lines = tmp_path / "lines.txt"
+    lines.write_text("a\n", encoding="utf-8")
+    capsys.readouterr()
+    out_dir = tmp_path / "out"
+    assert run_cli("synth", "--lines", lines, "--out-dir", out_dir, "--alphabet", alphabet_json) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "bad alphabet file" in err and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("scheme", ["dec-dm", "dec-e"])
+def test_empty_lexicon_exits_1_with_one_line(workspace, capsys, scheme):
+    manifest, _ = _decode_inputs(workspace)
+    lex_path = workspace / "empty.tsv"
+    lex_path.write_text("", encoding="utf-8")
+    capsys.readouterr()
+    out = workspace / "x.tsv"
+    assert run_cli("decode", "--manifest", manifest, "--scheme", scheme, "--lexicon", lex_path, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "empty.tsv" in err and err.count("\n") == 1
+    assert not out.exists()

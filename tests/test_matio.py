@@ -216,3 +216,17 @@ def test_mutated_bytes_raise_only_ctcdec_errors(tmp_path_factory, binary, edits)
             load_matrix(path)
         except CtcDecError:
             pass
+
+
+@pytest.mark.parametrize(
+    "header",
+    ["a\t<NaC>\t<NaC>", "ab\t<NaC>", "a\t\t<NaC>", "<NaC>\t<NaC>"],
+)
+def test_header_alphabet_follows_the_token_rule(tmp_path, header):
+    """Exactly one ``<NaC>``; every other symbol one character."""
+    width = len(header.split("\t"))
+    path = tmp_path / "bad.ctcmat"
+    path.write_text(f"CTCMAT v1\n{header}\nT=1\n" + "\t".join(["0.0"] * (width - 1) + ["1.0"]) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as exc:
+        load_matrix(path)
+    assert exc.value.line == 2

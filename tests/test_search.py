@@ -261,6 +261,12 @@ def test_beam_one_anchor_keeps_an_accepted_prefix(scheme):
     params = DecodeParams(lm_weight=0.0, word_bonus=0.0)
     got = assert_matches_reference(m, wide_constraint(scheme, params), 1)
     assert got == ((), math.log(0.4), 0.0)
+    # As the shorter expert of a committee, the matrix ends with the anchor
+    # in its beam four frames before the other expert's; the padding frames
+    # change nothing, so the result is the solo one exactly.
+    longer = random_matrix(np.random.default_rng(0), WIDE, 5)
+    batched = prefix_beam_search_many([m, longer], wide_constraint(scheme, params)(), 1)
+    assert batched[0] == got
 
 
 # Batched search: several experts' matrices under one constraint.
