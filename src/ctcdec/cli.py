@@ -230,6 +230,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     alphabet = load_alphabet_arg(args.alphabet)
     if args.experts < 1:
         raise ValueError(f"--experts must be >= 1, got {args.experts}")
+    if args.fpc < 2:
+        raise ValueError(f"--fpc must be >= 2, got {args.fpc}")
+    if not 0.0 <= args.noise < 1.0:
+        raise ValueError(f"--noise must be in [0, 1), got {args.noise}")
     texts = [normalize_transcript(t, alphabet) for _, t in _read_lines_file(args.lines)]
     # Every matrix is built before anything is written, so a bad option or
     # line leaves no files behind.

@@ -16,27 +16,38 @@ that reached it; ``rank`` and ``final`` belong to its state. A prefix
 accumulates the weights along its path (``acc``); the search ranks it by
 ``mass + acc + rank`` and finishes it with the bonus ``acc + final``.
 
-Each frame is one array step over the beam x symbol grid (Hannun et al.
-2014): every entry stays (NaC, or its last symbol again) and extends with
-every symbol whose probability clears ``min_symbol_prob``; an extension
-that lands on a prefix already in the beam merges into that entry.
-Constraint states are interned to integer ids on first sight, and a
-state's row of the ``id x symbol`` transition table is filled the first
-time the state is expanded, so ``successors`` runs once per state per
-search. Score ties break toward the lexicographically smallest prefix, at
-the beam edge and in the result.
+Each frame is one array step over the beam's live extensions (Hannun et
+al. 2014): every entry stays (NaC, or its last symbol again) and extends
+with every symbol that its constraint state has a successor for and whose
+probability clears ``min_symbol_prob``; an extension that lands on a
+prefix already in the beam merges into that entry. Constraint states are
+interned to integer ids on first sight, and a state's transitions are
+stored as one flat row (its successor columns, ascending, with their
+target ids and arc weights) the first time the state is expanded, so
+``successors`` runs once per state per search. A frame gathers the rows
+of its entries into one candidate list, ordered by entry and then column.
+
+A beam entry is an id in a per-search prefix tree: a prefix is its parent
+prefix's id plus its last column, and each such pair has one id. The
+frame loop therefore holds no prefix tuples. An entry's parent is found
+through its tree parent's position in the beam, and the extension that
+reaches it by one sorted lookup in the candidate list. Prefixes are
+spelled out, by walking up the tree, only where exact score ties must be
+broken: toward the lexicographically smallest prefix, at the beam edge,
+between anchor candidates and in the result.
 
 The matrices of a committee's experts are searched together
 (:func:`prefix_beam_search_many`): frames are stacked T x expert x
-symbol, every beam entry belongs to one expert, and the beam cut, its tie
-rule and the anchor apply per expert, so each expert's result is that of
-its search alone. The experts share the call's transition table. A
-shorter matrix is padded with frames where NaC has probability 1, which
-is exact: such a frame moves ``pb + pnb`` into ``pb``, allows no
-extension and changes no score or beam. So every expert runs to the last
-frame, and each one's result is read from the final beam. A beam entry's
-prefix starts with its expert's index, so one lookup per frame finds
-every entry's parent.
+symbol, every beam entry belongs to one expert (whose own empty prefix
+is its tree root), and the beam cut, its tie rule and the anchor apply
+per expert, so each expert's result is that of its search alone. The
+experts share the call's transition table. A shorter matrix is padded
+with frames where NaC has probability 1, which is exact: such a frame
+moves ``pb + pnb`` into ``pb``, allows no extension and changes no score
+or beam. So every expert runs to the last frame, and each one's result is
+read from the final beam. On a frame where an expert has no usable cell,
+as on all of its padding, its entries only stay: they gather no row and
+expand no state.
 """
 
 from __future__ import annotations
@@ -52,8 +63,6 @@ from .matrix import ConfidenceMatrix
 from .types import Hypothesis
 
 Prefix = tuple[int, ...]
-
-_DEAD = -1
 
 
 class Node(NamedTuple):
@@ -73,13 +82,14 @@ class Node(NamedTuple):
 
 
 class _Transitions:
-    """A constraint's transitions over interned state ids, one row per state.
+    """A constraint's transitions over interned state ids, as flat rows.
 
-    ``child[id, col]`` is the target id of printable column ``col``
-    (``_DEAD`` where the constraint has no successor, and before the
-    state's row is filled) and ``weight[id, col]`` its arc weight;
     ``rank`` and ``final`` are indexed by id, ``final`` -inf where the
-    state does not accept.
+    state does not accept. Only a state the search expands has a row: its
+    printable columns with a successor, ascending, are ``cols[start[id] :
+    start[id] + length[id]]``, and ``child`` and ``weight`` hold the
+    target id and the arc weight at the same positions. ``start`` is -1
+    until the row is filled.
     """
 
     def __init__(self, constraint, symbols: list[int]):
@@ -87,37 +97,103 @@ class _Transitions:
         self._col = {s: c for c, s in enumerate(symbols)}
         self._ids: dict = {}
         self._states: list = []
-        self._filled = np.zeros(16, dtype=bool)
-        self.child = np.full((16, len(symbols)), _DEAD, dtype=np.intp)
-        self.weight = np.zeros((16, len(symbols)))
-        self.rank = np.zeros(16)
-        self.final = np.zeros(16)
+        self.rank, self.final = np.zeros(0), np.zeros(0)
+        self.start, self.length = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+        self._size = 0
+        self.cols, self.child = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+        self.weight = np.zeros(0)
 
-    def intern(self, node: Node) -> int:
-        i = self._ids.get(node.state)
-        if i is None:
-            i = self._ids[node.state] = len(self._states)
-            self._states.append(node.state)
-            if i == len(self.rank):
-                self.child = np.concatenate((self.child, np.full_like(self.child, _DEAD)))
-                self.weight, self.rank, self.final, self._filled = (
-                    np.concatenate((a, np.zeros_like(a))) for a in (self.weight, self.rank, self.final, self._filled)
-                )
-            self.rank[i] = node.rank
-            self.final[i] = NEG_INF if node.final is None else node.final
-        return i
+    def intern(self, nodes: list[Node]) -> list[int]:
+        """The id of each node's state; a new state gets the next id."""
+        ids, new = [], []
+        for node in nodes:
+            i = self._ids.get(node.state)
+            if i is None:
+                i = self._ids[node.state] = len(self._states)
+                self._states.append(node.state)
+                new.append(node)
+            ids.append(i)
+        if new:
+            end = len(self._states)
+            self.rank, self.final, self.length = (_grown(a, end) for a in (self.rank, self.final, self.length))
+            self.start = _grown(self.start, end, -1)
+            self.rank[end - len(new) : end] = [node.rank for node in new]
+            self.final[end - len(new) : end] = [NEG_INF if node.final is None else node.final for node in new]
+        return ids
 
-    def children(self, ids: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """``child[ids x cols]``, first filling the rows of unexpanded ids."""
-        for i in dict.fromkeys(ids[~self._filled[ids]].tolist()):
-            row = self._successors(self._states[i])
-            cs = [self._col[s] for s in row]
-            known = [self._ids.get(node.state) for node in row.values()]
-            targets = [self.intern(node) if t is None else t for t, node in zip(known, row.values())]
-            self.child[i, cs] = targets
-            self.weight[i, cs] = [node.weight for node in row.values()]
-            self._filled[i] = True
-        return self.child[ids[:, None], cols]
+    def gather(self, ids: np.ndarray, grow) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of the states ``ids`` where ``grow`` (a mask, or one
+        bool for all) as one flat list, state by state and column by
+        column: each item's position in ``ids`` and its index into
+        ``cols``/``child``/``weight``. Rows not filled yet are filled
+        first."""
+        start = self.start[ids]
+        unfilled = ids[grow & (start < 0)]
+        if unfilled.size:
+            self._fill(list(dict.fromkeys(unfilled.tolist())))
+            start = self.start[ids]
+        lengths = self.length[ids] * grow
+        at = np.repeat(np.arange(ids.size), lengths)
+        return at, np.arange(at.size) + np.repeat(start - (np.cumsum(lengths) - lengths), lengths)
+
+    def _fill(self, ids: list[int]) -> None:
+        # Symbol order is column order, so each row's columns ascend.
+        rows = [sorted(self._successors(self._states[i]).items()) for i in ids]
+        arcs = [arc for row in rows for arc in row]
+        nodes = [node for _, node in arcs]
+        size, end = self._size, self._size + len(arcs)
+        self.cols, self.child, self.weight = (_grown(a, end) for a in (self.cols, self.child, self.weight))
+        self.cols[size:end] = [self._col[s] for s, _ in arcs]
+        self.child[size:end] = self.intern(nodes)
+        self.weight[size:end] = [node.weight for node in nodes]
+        lengths = [len(row) for row in rows]
+        self.length[ids] = lengths
+        self.start[ids] = size + np.cumsum(lengths) - lengths
+        self._size = end
+
+
+def _grown(a: np.ndarray, size: int, fill=0) -> np.ndarray:
+    """``a``, or when shorter than ``size`` a copy padded with ``fill``
+    (at least doubled, so that appending one item at a time stays linear)."""
+    if size <= a.size:
+        return a
+    return np.concatenate((a, np.full(max(size, 2 * a.size, 16) - a.size, fill, dtype=a.dtype)))
+
+
+class _PrefixTree:
+    """The prefixes of one search as integer ids.
+
+    A non-empty prefix is keyed ``up * stride + col``: the id of the
+    prefix without its last column, and that column. Ids ``0 .. n-1`` are
+    the empty prefixes of the ``n`` experts, keyed ``-1 .. -n``. A key has
+    one id, so a prefix keeps its id however often it leaves the beam and
+    comes back.
+    """
+
+    def __init__(self, n: int, stride: int):
+        self.stride = stride
+        self.size = n
+        self._key = np.arange(-1, -n - 1, -1)
+        self._id = dict(zip(self._key.tolist(), range(n)))
+
+    def ids(self, keys: np.ndarray) -> np.ndarray:
+        """The id of each of the distinct ``keys``, numbering new ones in order."""
+        ids = np.array([self._id.setdefault(k, len(self._id)) for k in keys.tolist()], dtype=np.intp)
+        new = keys[ids >= self.size]
+        self._key = _grown(self._key, self.size + new.size)
+        self._key[self.size : self.size + new.size] = new
+        self.size += new.size
+        return ids
+
+    def prefix(self, i: int) -> Prefix:
+        """The columns of prefix ``i``, walking up to its root."""
+        cols = []
+        key = int(self._key[i])
+        while key >= 0:
+            i, c = divmod(key, self.stride)
+            cols.append(c)
+            key = int(self._key[i])
+        return tuple(reversed(cols))
 
 
 def prefix_beam_search(
@@ -184,71 +260,91 @@ def prefix_beam_search_many(
         rows[: m.num_frames, e, :width] = m.log_probs[:, symbols]
         blanks[: m.num_frames, e] = m.log_probs[:, alphabet.nac_index]
     # The cells each expert may extend with (-inf below its floor), and
-    # the columns some expert may extend with.
+    # whether an expert has any such cell in a frame (never on padding).
     floor = math.log(min_symbol_prob) if min_symbol_prob > 0.0 else NEG_INF
     ext_rows = rows if floor == NEG_INF else np.where(rows > floor, rows, NEG_INF)
-    usable = (ext_rows[:, :, :width] > NEG_INF).any(axis=1)
+    live = (ext_rows[:, :, :width] > NEG_INF).any(axis=2)
     table = _Transitions(constraint, symbols)
+    stride = width + 1
+    tree = _PrefixTree(n, stride)
 
-    # The beam: parallel arrays, grouped by expert, plus each entry's prefix
-    # as a tuple (its expert, then its printable columns, ordered as their
-    # symbol indices; ties compare prefixes of one expert only) and the beam
-    # index of that prefix minus its last column (-1 if not in the beam).
-    # It starts with the empty prefix.
-    prefixes: list[Prefix] = [(e,) for e in range(n)]
+    # The beam: parallel arrays, grouped by expert. An entry is a prefix
+    # tree id, with the id of its prefix minus the last column (``up``, -1
+    # for an empty prefix) and that column (``last``, -1 for none). ``pos``
+    # maps a tree id to its beam index, -1 if not in the beam; it is kept
+    # longer than the tree, so ``pos[-1]`` (an empty prefix's ``up``) is -1
+    # too. The beam starts with each expert's empty prefix.
+    ids = np.arange(n)
+    up, last = np.full(n, -1), np.full(n, -1)
+    pos = _grown(ids, n + 1, -1)
     expert = np.arange(n)
-    parent = np.full(n, -1)
     pb, pnb = np.zeros(n), np.full(n, NEG_INF)
     acc = np.full(n, constraint.initial.weight)
-    nid = np.full(n, table.intern(constraint.initial))
-    last = np.full(n, -1)
+    nid = np.full(n, table.intern([constraint.initial])[0])
 
     for t in range(num_frames):
-        cols = usable[t].nonzero()[0]
-        n_entries, k = len(prefixes), len(cols)
+        n_entries = len(ids)
         tot = np.logaddexp(pb, pnb)
-        # The n == 1 branches here, in the grouping and in the cut give the
-        # same results as the general code, which decoded 10-20% fewer lines
-        # per second on one-expert beam-64 searches (dm-b64, ce-b64).
+        # The n == 1 branches here, in the gather, in the grouping and in the
+        # cut give the same results as the general code, whose one-expert
+        # beam-64 searches took 1.2-1.3x as long (dm-b64, ce-b64).
         if n == 1:
-            # One expert: its row broadcasts over the entries.
-            blank, stay_cells, cells = blanks[t, 0], rows[t, 0][last], ext_rows[t, 0][cols]
+            blank, stay_cells = blanks[t, 0], rows[t, 0][last]
         else:
-            blank, stay_cells, cells = blanks[t, expert], rows[t, expert, last], ext_rows[t][:, cols][expert]
+            blank, stay_cells = blanks[t, expert], rows[t, expert, last]
         stay_pb = tot + blank
         # Same symbol again with no NaC in between: absorbed by the run.
         stay_pnb = pnb + stay_cells
-        ext = np.where(last[:, None] == cols, pb[:, None], tot[:, None]) + cells
-        child = table.children(nid, cols)
+
+        # Extensions: the row of every entry whose expert has a usable cell
+        # (so padding frames build and gather no row), as flat candidates
+        # (entry ``b``, column ``c``, row index ``idx``), kept where the
+        # expert's cell is usable.
+        b, idx = table.gather(nid, live[t, 0] if n == 1 else live[t, expert])
+        c = table.cols[idx]
+        cells = ext_rows[t, 0][c] if n == 1 else ext_rows[t, expert[b], c]
+        above = (cells > NEG_INF).nonzero()[0]
+        if above.size < cells.size:
+            b, c, idx, cells = b[above], c[above], idx[above], cells[above]
+        ext = np.where(last[b] == c, pb[b], tot[b]) + cells
         # Extending an entry's parent by the entry's last symbol reaches the
-        # entry itself: add that mass to it instead of a new candidate.
-        col_at = np.full(width + 1, -1)
-        col_at[cols] = np.arange(k)
-        into = ((parent >= 0) & (col_at[last] >= 0)).nonzero()[0]
-        if into.size:
-            src = (parent[into], col_at[last[into]])
-            stay_pnb[into] = np.logaddexp(stay_pnb[into], ext[src])
-            ext[src] = NEG_INF
-        ext[child < 0] = NEG_INF
-        ext_acc = acc[:, None] + table.weight[nid[:, None], cols]
+        # entry itself: add that mass to it instead of a new candidate. The
+        # candidates' keys ascend (entries in order, columns ascending in a
+        # row), so one sorted lookup finds each such extension. An entry
+        # whose parent is not in the beam (or that has none) looks up a
+        # negative key, which no candidate has; one whose expert has no
+        # usable cell finds nothing, as its parent gathered no row.
+        if b.size:
+            keys = b * stride + c
+            want = pos[up] * stride + last
+            at = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+            into = (keys[at] == want).nonzero()[0]
+            at = at[into]
+            stay_pnb[into] = np.logaddexp(stay_pnb[into], ext[at])
+            ext[at] = NEG_INF
 
         # Candidates: the stays, then the extensions entry by entry.
-        cand_pb = np.concatenate((stay_pb, np.full(n_entries * k, NEG_INF)))
-        cand_pnb = np.concatenate((stay_pnb, ext.ravel()))
-        cand_tot = np.concatenate((np.logaddexp(stay_pb, stay_pnb), ext.ravel()))
-        cand_acc = np.concatenate((acc, ext_acc.ravel()))
-        cand_node = np.concatenate((nid, child.ravel()))
+        cand_pb = np.concatenate((stay_pb, np.full(b.size, NEG_INF)))
+        cand_pnb = np.concatenate((stay_pnb, ext))
+        cand_tot = np.concatenate((np.logaddexp(stay_pb, stay_pnb), ext))
+        cand_acc = np.concatenate((acc, acc[b] + table.weight[idx]))
+        cand_node = np.concatenate((nid, table.child[idx]))
         keep = (cand_tot > NEG_INF).nonzero()[0]
-        prefix_of = _prefix_maker(prefixes, cols.tolist(), n_entries, k)
         if n > 1:
-            # Group the candidates by expert, which each takes from its entry
-            # (with k == 0 every candidate is a stay).
-            of = expert[np.where(keep < n_entries, keep, (keep - n_entries) // max(k, 1))]
+            # Group the candidates by expert, which each takes from its entry.
+            of = np.concatenate((expert, expert[b]))[keep]
             by_expert = np.argsort(of, kind="stable")
             keep, expert = keep[by_expert], of[by_expert]
 
         if beam_width is not None and keep.size > beam_width:
-            score = cand_tot[keep] + cand_acc[keep] + table.rank[cand_node[keep]]
+
+            def prefix_of(x: int) -> Prefix:
+                # Candidate ``x``: a stay, or an extension of entry ``b``.
+                if x < n_entries:
+                    return tree.prefix(int(ids[x]))
+                return tree.prefix(int(ids[b[x - n_entries]])) + (int(c[x - n_entries]),)
+
+            score = (cand_tot + cand_acc + table.rank[cand_node])[keep]
             finals = table.final[cand_node[keep]] > NEG_INF
             if n == 1:
                 keep = keep[_cut(score, finals, beam_width, lambda x: prefix_of(int(keep[x])))]
@@ -260,17 +356,24 @@ def prefix_beam_search_many(
                 ])
                 keep, expert = keep[chosen], expert[chosen]
 
-        prefixes = [prefix_of(x) for x in keep.tolist()]
-        at = {p: i for i, p in enumerate(prefixes)}
-        parent = np.array([at.get(p[:-1], -1) for p in prefixes], dtype=np.intp)
-        last = np.array([p[-1] if len(p) > 1 else -1 for p in prefixes], dtype=np.intp)
+        # The survivors: a stay keeps its id, an extension gets the id of its
+        # entry's prefix extended by its column.
+        pos[ids] = -1
+        up = np.concatenate((up, ids[b]))[keep]
+        last = np.concatenate((last, c))[keep]
+        ids = np.concatenate((ids, np.full(b.size, -1)))[keep]
+        fresh = (keep >= n_entries).nonzero()[0]
+        if fresh.size:
+            ids[fresh] = tree.ids(up[fresh] * stride + last[fresh])
+            pos = _grown(pos, tree.size + 1, -1)
+        pos[ids] = np.arange(ids.size)
         pb, pnb, acc, nid = cand_pb[keep], cand_pnb[keep], cand_acc[keep], cand_node[keep]
 
     # Each expert's result, from its entries in the final beam.
     mass = np.logaddexp(pb, pnb)
     bonus = acc + table.final[nid]
-    bounds = _bounds(expert, n) if n > 1 else [0, len(prefixes)]
-    return [_best(prefixes[lo:hi], mass[lo:hi], bonus[lo:hi], symbols) for lo, hi in zip(bounds, bounds[1:])]
+    bounds = _bounds(expert, n) if n > 1 else [0, len(ids)]
+    return [_best(tree, ids[lo:hi], mass[lo:hi], bonus[lo:hi], symbols) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _hypothesis(matrix: ConfidenceMatrix, separator: str | None, prefix: Prefix, mass: float, bonus: float) -> Hypothesis:
@@ -280,7 +383,7 @@ def _hypothesis(matrix: ConfidenceMatrix, separator: str | None, prefix: Prefix,
     return Hypothesis(text, mass + bonus, marginal_word_confidences(matrix, text, separator))
 
 
-def _best(prefixes: list[Prefix], mass: np.ndarray, bonus: np.ndarray, symbols: list[int]):
+def _best(tree: _PrefixTree, ids: np.ndarray, mass: np.ndarray, bonus: np.ndarray, symbols: list[int]):
     """``(prefix, mass, bonus)`` of one expert's best accepted beam entry,
     ties toward the smaller prefix, or :class:`NoAcceptedString`. A
     prefix that is not accepted has bonus -inf."""
@@ -288,8 +391,9 @@ def _best(prefixes: list[Prefix], mass: np.ndarray, bonus: np.ndarray, symbols: 
     top = score.max(initial=NEG_INF)
     if top == NEG_INF:
         return NoAcceptedString("beam exhausted with no accepted hypothesis")
-    i = min((score == top).nonzero()[0].tolist(), key=prefixes.__getitem__)
-    return tuple(symbols[c] for c in prefixes[i][1:]), float(mass[i]), float(bonus[i])
+    best = (score == top).nonzero()[0].tolist()
+    i = best[0] if len(best) == 1 else min(best, key=lambda x: tree.prefix(int(ids[x])))
+    return tuple(symbols[c] for c in tree.prefix(int(ids[i]))), float(mass[i]), float(bonus[i])
 
 
 def _cut(score: np.ndarray, finals: np.ndarray, beam_width: int, prefix_of) -> np.ndarray:
@@ -312,22 +416,10 @@ def _cut(score: np.ndarray, finals: np.ndarray, beam_width: int, prefix_of) -> n
     # any acceptable hypothesis at the last frame.
     if not finals[top].any() and finals.any():
         best = (finals & (score == score[finals].max())).nonzero()[0].tolist()
-        top = np.append(top, min(best, key=prefix_of))
+        top = np.append(top, best[0] if len(best) == 1 else min(best, key=prefix_of))
     return top
 
 
 def _bounds(expert: np.ndarray, n: int) -> list[int]:
     """Start of each expert's run in ``expert`` (non-decreasing), plus the end."""
     return np.searchsorted(expert, np.arange(n + 1)).tolist()
-
-
-def _prefix_maker(prefixes: list[Prefix], cols: list[int], n: int, k: int):
-    """Prefix of candidate ``x``: a stay (``x < n``) or an extension."""
-
-    def prefix_of(x: int) -> Prefix:
-        if x < n:
-            return prefixes[x]
-        b, j = divmod(x - n, k)
-        return prefixes[b] + (cols[j],)
-
-    return prefix_of

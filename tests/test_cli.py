@@ -393,6 +393,9 @@ def test_eval_reads_lines_as_text_mode_does(tmp_path, capsys):
         ("synth", "--fpc", 1),
         ("synth", "--noise", 1.5),
         ("synth", "--experts", 0),
+        ("synth", "--fpc", 0),
+        ("synth", "--noise", -0.1),
+        ("synth", "--noise", "nan"),
     ],
 )
 def test_bad_numbers_exit_2_with_one_line(workspace, capsys, argv):
@@ -407,9 +410,20 @@ def test_bad_numbers_exit_2_with_one_line(workspace, capsys, argv):
     assert run_cli(argv[0], *inputs[argv[0]], *argv[1:]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    # synth checks everything before it writes a file.
+    # synth checks everything before it writes a file, and names the option.
     assert not (workspace / "again").exists()
-    assert argv[1] != "--experts" or "--experts" in err
+    assert argv[0] != "synth" or argv[1] in err
+
+
+def test_synth_checks_its_numbers_before_reading_the_lines(tmp_path, capsys):
+    """With no lines to build, a bad number is still an error."""
+    lines = tmp_path / "lines.txt"
+    lines.write_text("", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("synth", "--lines", lines, "--out-dir", tmp_path / "out", "--fpc", 1) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --fpc") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_alphabet_json_separator_must_follow_the_file_rule(tmp_path, capsys):

@@ -329,6 +329,30 @@ def test_batched_search_matches_the_reference_per_expert(beam, seed, n, min_symb
     assert_each_expert_matches_reference(matrices, make, beam, min_symbol_prob)
 
 
+@given(
+    st.integers(0, 10_000),
+    st.integers(1, 6),
+    st.sampled_from([0.0, 0.05]),
+    st.sampled_from(["fsa", "lexicon"]),
+)
+@settings(max_examples=80, deadline=None)
+def test_long_peaky_matrices_match_the_reference_per_expert(seed, beam, min_symbol_prob, kind):
+    """8 to 30 frames of peaky rows under a narrow beam: a prefix leaves
+    the beam and comes back frames later, while its extensions are still
+    in it, which short matrices rarely show. One to three experts, of
+    unequal lengths."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.choice(np.arange(8, 31), size=int(rng.integers(1, 4)), replace=False)
+    matrices = [ConfidenceMatrix(rng.dirichlet(np.full(len(ALPHA), 0.3), size=int(t)), ALPHA) for t in lengths]
+    params = DecodeParams(
+        lm_weight=float(rng.choice([0.0, 1.0])),
+        word_bonus=float(rng.choice([0.0, 0.5])),
+        oov_policy=str(rng.choice(["reject", "pass-punct"])),
+    )
+    make = constraint_maker(kind, ALPHA, RULES, random_lexicon(rng), params)
+    assert_each_expert_matches_reference(matrices, make, beam, min_symbol_prob)
+
+
 @pytest.mark.parametrize("beam", DEGENERATE_BEAMS)
 @pytest.mark.parametrize("kind", ["fsa", "lexicon", "rules"])
 def test_a_failing_expert_leaves_the_others_alone(kind, beam):
