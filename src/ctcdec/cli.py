@@ -127,6 +127,8 @@ class SchemeDecoder:
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     manifest = load_manifest(args.manifest)
     rule_config = None
     if args.rules:

@@ -43,6 +43,8 @@ class CommitteeConfig:
             raise ValueError("committee needs at least one expert")
         if not 0.0 <= self.vote_lambda <= 1.0:
             raise ValueError("vote_lambda must be in [0, 1]")
+        if not 0.0 <= self.null_confidence <= 1.0:
+            raise ValueError(f"null_confidence must be in [0, 1], got {self.null_confidence}")
 
 
 @dataclass

@@ -64,43 +64,122 @@ def _text_to_indices(text: str, alphabet: Alphabet) -> list[int]:
     return indices
 
 
-class _Lattice:
-    """The text interleaved with optional NaCs, ``[NaC, c1, NaC, ..., cN,
-    NaC]``, over the frames of ``log_probs`` (a T x S log-probability array).
+class _Lattices:
+    """CTC lattices stacked for one dynamic program over padded arrays.
 
-    ``emit[t, s]`` is the log probability of state ``s``'s label at frame
-    ``t``; ``init`` holds the frame-0 scores (a path starts on the leading
-    NaC or on the first character).
+    Lattice ``i`` of ``pieces[i] = (matrix, text, start, end)`` is the text
+    interleaved with optional NaCs, ``[NaC, c1, NaC, ..., cN, NaC]``, over
+    frames ``[start, end)`` of the matrix. ``emit[t, i, s]`` (frames x
+    lattices x states) is the log probability of state ``s``'s label at
+    frame ``t``. The lattices are right-aligned, so each one ends at the
+    last frame. Padding states emit -inf. In the frames before its own
+    first frame a lattice emits 0 in its leading NaC state and -inf
+    elsewhere: from the start scores ``[0, -inf, ...]`` the step into its
+    first frame then starts a path on the leading NaC or the first
+    character, with the same arithmetic as frame 0 of a lattice alone.
     """
 
-    def __init__(self, log_probs: np.ndarray, text: str, alphabet: Alphabet):
-        nac = alphabet.nac_index
-        labels = np.empty(2 * len(text) + 1, dtype=np.intp)
-        labels[0::2] = nac
-        labels[1::2] = _text_to_indices(text, alphabet)
-        self.emit = log_probs[:, labels]
-        self.init = np.full(labels.shape[0], NEG_INF)
-        self.init[:2] = self.emit[0, :2]
+    def __init__(self, pieces: list[tuple[ConfidenceMatrix, str, int, int]]):
+        # Each distinct matrix's rows appear once in ``src``, from ``offsets[id(matrix)]``.
+        offsets: dict[int, int] = {}
+        arrays, labels, first, nac = [], [], [], []
+        for matrix, text, start, _ in pieces:
+            if id(matrix) not in offsets:
+                offsets[id(matrix)] = sum(a.shape[0] for a in arrays)
+                arrays.append(matrix.log_probs)
+            first.append(offsets[id(matrix)] + start)
+            nac.append(matrix.alphabet.nac_index)
+            lab = [nac[-1]] * (2 * len(text) + 1)
+            lab[1::2] = _text_to_indices(text, matrix.alphabet)
+            labels.append(lab)
+        self.texts = [text for _, text, _, _ in pieces]
+        self.frames = np.array([end - start for _, _, start, end in pieces])
+        self.states = np.array([len(lab) for lab in labels])
+        n_frames, width = int(self.frames.max()), int(self.states.max())
+        pad = np.arange(width) >= self.states[:, None]
+        cols = np.zeros(pad.shape, dtype=np.intp)
+        cols[~pad] = np.concatenate(labels)
+        # Row of ``src`` read by each lattice at each frame of the stack;
+        # the frames before a lattice's first read any row and are overwritten.
+        first = np.array(first)
+        rows = np.arange(n_frames)[:, None] + (first - n_frames + self.frames)
+        src = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+        self.emit = src[np.maximum(rows, 0)[:, :, None], cols]
+        self.emit[:, pad] = NEG_INF
+        self.emit[rows < first] = np.where(np.arange(width) == 0, 0.0, NEG_INF)
         # A jump from state s-2 is allowed into non-NaC states whose symbol
         # differs from the one two states back (repeats must pass through NaC).
-        self._jump_mask = np.full(labels.shape[0], NEG_INF)
-        self._jump_mask[2:][(labels[2:] != nac) & (labels[2:] != labels[:-2])] = 0.0
+        self.jump = np.full(pad.shape, NEG_INF)
+        self.jump[:, 2:][(cols[:, 2:] != np.array(nac)[:, None]) & (cols[:, 2:] != cols[:, :-2]) & ~pad[:, 2:]] = 0.0
 
-    def moves(self, prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Scores entering each state from ``prev`` by a stay, a step from
-        the state before, and a jump over a NaC, in that order."""
-        padded = np.concatenate(([NEG_INF, NEG_INF], prev))
-        return prev, padded[1:-1], padded[:-2] + self._jump_mask
+    def run(self, viterbi: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        """Every lattice's state scores at the last frame: log path sums
+        (the forward pass) or, with ``viterbi``, best-path log scores and
+        ``back[t, i, s]``, how many states the best path into ``s`` at
+        frame ``t`` moved."""
+        n_frames, n, width = self.emit.shape
+        # Two leading -inf columns: states s-1 and s-2 of the first states.
+        prev = np.full((n, width + 2), NEG_INF)
+        prev[:, 2] = 0.0
+        cur = np.full_like(prev, NEG_INF)
+        back = np.zeros(self.emit.shape, dtype=np.int8) if viterbi else None
+        for t in range(n_frames):
+            stay, step, jump = prev[:, 2:], prev[:, 1:-1], prev[:, :-2] + self.jump
+            if viterbi:
+                # First maximum: ties prefer staying, then a single step, then a jump.
+                best = np.maximum(stay, step)
+                back[t] = np.where(jump > best, 2, step > stay)
+                np.add(np.maximum(best, jump), self.emit[t], out=cur[:, 2:])
+            else:
+                np.add(np.logaddexp(np.logaddexp(stay, step), jump), self.emit[t], out=cur[:, 2:])
+            prev, cur = cur, prev
+        return prev[:, 2:], back
 
 
-def _forward(lattice: _Lattice) -> float:
-    alpha = lattice.init
-    for emit in lattice.emit[1:]:
-        stay, step, jump = lattice.moves(alpha)
-        alpha = np.logaddexp(np.logaddexp(stay, step), jump) + emit
-    if alpha.shape[0] == 1:
-        return float(alpha[0])
-    return float(np.logaddexp(alpha[-1], alpha[-2]))
+def _log_marginals(pieces: list[tuple[ConfidenceMatrix, str, int, int]]) -> list[float]:
+    """Log marginal probability of each lattice's text over its frames,
+    from one forward pass over all of them."""
+    lattices = _Lattices(pieces)
+    alpha, _ = lattices.run(viterbi=False)
+    rows = np.arange(len(pieces))
+    # A path ends on the trailing NaC or, when the text is not empty, on the last character.
+    out = alpha[rows, lattices.states - 1]
+    two = lattices.states > 1
+    out[two] = np.logaddexp(out[two], alpha[rows[two], lattices.states[two] - 2])
+    return out.tolist()
+
+
+def _align(pieces: list[tuple[ConfidenceMatrix, str, int, int]]) -> list[list[tuple[int, int]]]:
+    """Viterbi alignment of each lattice, from one pass over all of them:
+    per character of its text, the end-exclusive frame interval (counted
+    from the lattice's first frame) whose best path emits that character.
+    Raises :class:`LengthMismatch` for the first lattice with no valid
+    alignment."""
+    lattices = _Lattices(pieces)
+    score, back = lattices.run(viterbi=True)
+    rows = np.arange(len(pieces))
+    # A path ends on the trailing NaC or on the last character; ties go to the NaC.
+    end = lattices.states - 1
+    end -= (end > 0) & (score[rows, end - 1] > score[rows, end])
+    bad = (score[rows, end] == NEG_INF).nonzero()[0]
+    if bad.size:
+        i = int(bad[0])
+        raise LengthMismatch(f"no valid alignment of {lattices.texts[i]!r} in {int(lattices.frames[i])} frames")
+
+    states = np.empty((len(pieces), back.shape[0]), dtype=np.intp)
+    for t in range(back.shape[0] - 1, -1, -1):
+        states[:, t] = end
+        end = end - back[t, rows, end]
+    # States never decrease along a path, so each character's frames are
+    # one run of its (odd) state.
+    out = []
+    for path, n_states, n_frames in zip(states, lattices.states.tolist(), lattices.frames.tolist()):
+        path = path[path.shape[0] - n_frames :]
+        chars = np.arange(1, n_states - 1, 2)
+        starts = np.searchsorted(path, chars, side="left").tolist()
+        ends = np.searchsorted(path, chars, side="right").tolist()
+        out.append(list(zip(starts, ends)))
+    return out
 
 
 def string_log_score(matrix: ConfidenceMatrix, text: str) -> float:
@@ -109,7 +188,7 @@ def string_log_score(matrix: ConfidenceMatrix, text: str) -> float:
     text interleaved with optional NaCs. Returns -inf when no path exists
     (text too long for T, or repeated characters needing more frames).
     """
-    return _forward(_Lattice(matrix.log_probs, text, matrix.alphabet))
+    return _log_marginals([(matrix, text, 0, matrix.num_frames)])[0]
 
 
 def force_align(matrix: ConfidenceMatrix, text: str) -> list[tuple[int, int]]:
@@ -119,34 +198,7 @@ def force_align(matrix: ConfidenceMatrix, text: str) -> list[tuple[int, int]]:
     (the frames whose best path emits that character). Raises
     :class:`LengthMismatch` when no valid alignment exists.
     """
-    lattice = _Lattice(matrix.log_probs, text, matrix.alphabet)
-    n_frames = matrix.num_frames
-    score = lattice.init
-    # back[t, s]: how many states the best path into s at frame t moved.
-    back = np.zeros((n_frames, score.shape[0]), dtype=np.intp)
-    for t in range(1, n_frames):
-        moves = np.stack(lattice.moves(score))
-        # First maximum: ties prefer staying, then a single step, then a jump.
-        back[t] = moves.argmax(axis=0)
-        score = moves.max(axis=0) + lattice.emit[t]
-
-    # A path ends on the trailing NaC or on the last character; ties go to the NaC.
-    end = score.shape[0] - 1
-    if end > 0 and score[end - 1] > score[end]:
-        end -= 1
-    if score[end] == NEG_INF:
-        raise LengthMismatch(f"no valid alignment of {text!r} in {n_frames} frames")
-
-    states = np.empty(n_frames, dtype=np.intp)
-    for t in range(n_frames - 1, -1, -1):
-        states[t] = end
-        end -= back[t, end]
-    # States never decrease along a path, so each character's frames are
-    # one run of its (odd) state.
-    chars = np.arange(1, 2 * len(text), 2)
-    starts = np.searchsorted(states, chars, side="left")
-    ends = np.searchsorted(states, chars, side="right")
-    return [(int(s), int(e)) for s, e in zip(starts, ends)]
+    return _align([(matrix, text, 0, matrix.num_frames)])[0]
 
 
 def group_word_spans(
@@ -186,7 +238,22 @@ def marginal_word_confidences(
 ) -> tuple[float, ...]:
     """Per-word confidences: the CTC marginal of each word over the frame
     span it was decoded to, in [0, 1]."""
-    return tuple(
-        math.exp(_forward(_Lattice(matrix.log_probs[start:end], word, matrix.alphabet)))
-        for word, start, end in word_spans(matrix, text, separator)
-    )
+    return word_confidences_many([(matrix, text)], separator)[0]
+
+
+def word_confidences_many(
+    decoded: list[tuple[ConfidenceMatrix, str]], separator: str | None
+) -> list[tuple[float, ...]]:
+    """:func:`marginal_word_confidences` of each ``(matrix, text)``: one
+    Viterbi pass aligns every text, and one forward pass scores every word."""
+    aligned = [(matrix, text, 0, matrix.num_frames) for matrix, text in decoded if text]
+    spans = iter(_align(aligned) if aligned else ())
+    words = [
+        [(matrix, word, start, end) for word, start, end in group_word_spans(text, next(spans), separator)]
+        if text
+        else []
+        for matrix, text in decoded
+    ]
+    flat = [word for line in words for word in line]
+    scores = iter(_log_marginals(flat) if flat else ())
+    return [tuple(math.exp(next(scores)) for _ in line) for line in words]

@@ -19,7 +19,7 @@ from .errors import EmptyLexicon, NoAcceptedString
 from .expressions import ExpressionModel, _FsaConstraint
 from .lexicon import Lexicon
 from .matrix import ConfidenceMatrix
-from .search import Node, _hypothesis, prefix_beam_search, prefix_beam_search_many
+from .search import Node, _hypotheses, _hypothesis, prefix_beam_search, prefix_beam_search_many
 from .types import Hypothesis
 
 OOV_POLICIES = ("reject", "pass-punct")
@@ -260,10 +260,7 @@ def _decode_dictionary_many(
         beam_width=params.beam_width,
         min_symbol_prob=params.min_symbol_prob,
     )
-    return [
-        result if isinstance(result, NoAcceptedString) else _hypothesis(matrix, lexicon.separator, *result)
-        for matrix, result in zip(matrices, found)
-    ]
+    return _hypotheses(matrices, lexicon.separator, found)
 
 
 def _constraint(lexicon: Lexicon, alphabet, params: DecodeParams, expression_model):

@@ -57,7 +57,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ctc import NEG_INF, marginal_word_confidences
+from .ctc import NEG_INF, marginal_word_confidences, word_confidences_many
 from .errors import InvariantViolation, NoAcceptedString
 from .matrix import ConfidenceMatrix
 from .types import Hypothesis
@@ -381,6 +381,22 @@ def _hypothesis(matrix: ConfidenceMatrix, separator: str | None, prefix: Prefix,
     scored ``mass + bonus``, with word confidences split on ``separator``."""
     text = "".join(matrix.alphabet.symbols[i] for i in prefix)
     return Hypothesis(text, mass + bonus, marginal_word_confidences(matrix, text, separator))
+
+
+def _hypotheses(matrices: list[ConfidenceMatrix], separator: str | None, found: list) -> list[Hypothesis | NoAcceptedString]:
+    """:func:`_hypothesis` of each expert's search result, with the word
+    confidences of all experts from one lattice pass; a
+    :class:`NoAcceptedString` stays in its expert's place."""
+    texts = {
+        i: "".join(matrices[i].alphabet.symbols[c] for c in result[0])
+        for i, result in enumerate(found)
+        if not isinstance(result, NoAcceptedString)
+    }
+    confs = dict(zip(texts, word_confidences_many([(matrices[i], text) for i, text in texts.items()], separator)))
+    return [
+        Hypothesis(texts[i], result[1] + result[2], confs[i]) if i in texts else result
+        for i, result in enumerate(found)
+    ]
 
 
 def _best(tree: _PrefixTree, ids: np.ndarray, mass: np.ndarray, bonus: np.ndarray, symbols: list[int]):

@@ -3,6 +3,9 @@
 Everything here is deliberately naive: path enumeration instead of the
 forward DP, recursive edit distance instead of the tabulated one. Slow
 but obviously correct, so decoder outputs can be checked against them.
+The scalar references (the prefix search, and the CTC lattice stepped
+one lattice and one frame at a time) keep the arithmetic of the batched
+code, so its results must match them bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ctcdec import Alphabet, ConfidenceMatrix, ExpressionModel, NoAcceptedString
+from ctcdec import Alphabet, ConfidenceMatrix, ExpressionModel, LengthMismatch, NoAcceptedString
 from ctcdec.ctc import NEG_INF
 
 
@@ -304,3 +307,81 @@ def reference_prefix_beam_search(matrix: ConfidenceMatrix, constraint, beam_widt
     if best_prefix is None:
         raise NoAcceptedString("beam exhausted with no accepted hypothesis")
     return best_prefix, best_parts[0], best_parts[1]
+
+
+class _ReferenceLattice:
+    """The scalar CTC lattice of one text: ``[NaC, c1, NaC, ..., cN, NaC]``
+    over the frames of ``log_probs`` (a T x S log-probability array),
+    stepped one frame at a time on 1-D arrays."""
+
+    def __init__(self, log_probs: np.ndarray, text: str, alphabet: Alphabet):
+        nac = alphabet.nac_index
+        labels = np.empty(2 * len(text) + 1, dtype=np.intp)
+        labels[0::2] = nac
+        labels[1::2] = [alphabet.index_of[ch] for ch in text]
+        self.emit = log_probs[:, labels]
+        self.init = np.full(labels.shape[0], NEG_INF)
+        self.init[:2] = self.emit[0, :2]
+        self._jump_mask = np.full(labels.shape[0], NEG_INF)
+        self._jump_mask[2:][(labels[2:] != nac) & (labels[2:] != labels[:-2])] = 0.0
+
+    def moves(self, prev: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Scores entering each state by a stay, a step and a jump over a NaC."""
+        padded = np.concatenate(([NEG_INF, NEG_INF], prev))
+        return prev, padded[1:-1], padded[:-2] + self._jump_mask
+
+
+def reference_log_marginal(log_probs: np.ndarray, text: str, alphabet: Alphabet) -> float:
+    """The scalar forward pass: log marginal of ``text`` over ``log_probs``."""
+    lattice = _ReferenceLattice(log_probs, text, alphabet)
+    alpha = lattice.init
+    for emit in lattice.emit[1:]:
+        stay, step, jump = lattice.moves(alpha)
+        alpha = np.logaddexp(np.logaddexp(stay, step), jump) + emit
+    if alpha.shape[0] == 1:
+        return float(alpha[0])
+    return float(np.logaddexp(alpha[-1], alpha[-2]))
+
+
+def reference_force_align(matrix: ConfidenceMatrix, text: str) -> list[tuple[int, int]]:
+    """The scalar Viterbi alignment: per character of ``text``, its
+    end-exclusive frame interval; ``LengthMismatch`` when none exists."""
+    lattice = _ReferenceLattice(matrix.log_probs, text, matrix.alphabet)
+    n_frames = matrix.num_frames
+    score = lattice.init
+    back = np.zeros((n_frames, score.shape[0]), dtype=np.intp)
+    for t in range(1, n_frames):
+        moves = np.stack(lattice.moves(score))
+        back[t] = moves.argmax(axis=0)
+        score = moves.max(axis=0) + lattice.emit[t]
+    end = score.shape[0] - 1
+    if end > 0 and score[end - 1] > score[end]:
+        end -= 1
+    if score[end] == NEG_INF:
+        raise LengthMismatch(f"no valid alignment of {text!r} in {n_frames} frames")
+    states = np.empty(n_frames, dtype=np.intp)
+    for t in range(n_frames - 1, -1, -1):
+        states[t] = end
+        end -= back[t, end]
+    chars = np.arange(1, 2 * len(text), 2)
+    starts = np.searchsorted(states, chars, side="left")
+    ends = np.searchsorted(states, chars, side="right")
+    return [(int(s), int(e)) for s, e in zip(starts, ends)]
+
+
+def reference_word_confidences(
+    matrix: ConfidenceMatrix, text: str, separator: str | None
+) -> tuple[float, ...]:
+    """Per-word CTC marginals over the words' Viterbi spans, one scalar
+    forward pass per word."""
+    if not text:
+        return ()
+    spans = reference_force_align(matrix, text)
+    out = []
+    pos = 0
+    for word in text.split(separator) if separator is not None else [text]:
+        if word:
+            start, end = spans[pos][0], spans[pos + len(word) - 1][1]
+            out.append(math.exp(reference_log_marginal(matrix.log_probs[start:end], word, matrix.alphabet)))
+        pos += len(word) + 1
+    return tuple(out)

@@ -291,6 +291,10 @@ def test_per_line_errors_still_exit_zero(workspace):
         ("dec-dm", ("--min-symbol-prob", 2)),
         ("dec-ce", ("--min-symbol-prob", -0.1)),
         ("dec-ce", ("--min-symbol-prob", "nan")),
+        ("dec-e", ("--null-conf", 1.5, "--lambda", 0)),
+        ("dec-e", ("--null-conf", "nan")),
+        ("dec-bp", ("--jobs", 0)),
+        ("dec-dm", ("--jobs", -2)),
     ],
 )
 def test_bad_decode_numbers_exit_2_with_one_line(workspace, capsys, scheme, flags):
@@ -307,6 +311,7 @@ def test_bad_decode_numbers_exit_2_with_one_line(workspace, capsys, scheme, flag
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (workspace / "x.tsv").exists()
+    assert flags[0] != "--jobs" or err.startswith("error: --jobs")
 
 
 def _decode_inputs(workspace):

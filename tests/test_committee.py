@@ -133,6 +133,17 @@ class TestVote:
         with pytest.raises(ValueError):
             CommitteeConfig(n=2, vote_lambda=1.5)
 
+    @pytest.mark.parametrize("value", [1.5, -0.1, float("nan")])
+    def test_null_confidence_outside_unit_interval_is_rejected(self, value):
+        """With ``null_confidence`` above 1 and ``vote_lambda`` 0, NULL
+        would win every slot and the output would be silently empty."""
+        with pytest.raises(ValueError, match="null_confidence"):
+            CommitteeConfig(n=2, vote_lambda=0.0, null_confidence=value)
+
+    @pytest.mark.parametrize("value", [0.0, 1.0])
+    def test_null_confidence_bounds_are_accepted(self, value):
+        assert CommitteeConfig(n=2, null_confidence=value).null_confidence == value
+
 
 class TestCombine:
     def test_committee_of_one_returns_input_verbatim(self):

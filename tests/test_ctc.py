@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,15 +8,24 @@ from hypothesis import given, settings, strategies as st
 from ctcdec import Alphabet, ConfidenceMatrix, InvalidSymbol, LengthMismatch, detect_boundaries
 from ctcdec.ctc import (
     NEG_INF,
+    _align,
     collapse,
     force_align,
     marginal_word_confidences,
     path_log_score,
     string_log_score,
+    word_confidences_many,
     word_spans,
 )
 
-from oracles import enumerate_string_probs, random_matrix, reference_collapse
+from oracles import (
+    enumerate_string_probs,
+    random_matrix,
+    reference_collapse,
+    reference_force_align,
+    reference_log_marginal,
+    reference_word_confidences,
+)
 
 AB2 = Alphabet.with_nac("ab")
 NAC = AB2.nac_index
@@ -205,3 +215,125 @@ class TestAlignment:
 def test_force_align_of_empty_text_has_no_spans():
     m = random_matrix(np.random.default_rng(3), AB2, 4)
     assert force_align(m, "") == []
+
+
+# A lattice case: (seed, frames, row kind, text) over the alphabet "ab ".
+# Row kinds: 0 random, 1 uniform (exact ties everywhere), 2 sparse (zero
+# cells, so some texts have no path).
+LATTICE = st.tuples(
+    st.integers(0, 10_000), st.integers(1, 10), st.integers(0, 2), st.text("ab ", max_size=6)
+)
+SEP3 = Alphabet.with_nac("ab ", separator=" ")
+
+
+def _case_matrix(seed: int, n_frames: int, kind: int) -> ConfidenceMatrix:
+    rng = np.random.default_rng(seed)
+    if kind == 1:
+        return ConfidenceMatrix(np.full((n_frames, len(SEP3)), 1.0 / len(SEP3)), SEP3)
+    rows = rng.dirichlet(np.full(len(SEP3), 1.0 if kind == 0 else 0.3), size=n_frames)
+    if kind == 2:
+        rows[rows < 0.1] = 0.0
+        rows /= rows.sum(axis=1, keepdims=True)
+    return ConfidenceMatrix(rows, SEP3)
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the message of the :class:`LengthMismatch` it raises."""
+    try:
+        return fn(*args)
+    except LengthMismatch as exc:
+        return f"LengthMismatch: {exc}"
+
+
+def _hex(values):
+    return [v.hex() for v in values]
+
+
+class TestBatchedLatticesMatchTheScalarReference:
+    """One pass over several lattices gives, bit for bit, what the scalar
+    one-lattice loops give for each lattice alone."""
+
+    @given(st.lists(LATTICE, min_size=1, max_size=5))
+    @settings(max_examples=150, deadline=None)
+    def test_spans_scores_and_confidences(self, cases):
+        decoded = [(_case_matrix(seed, n, kind), text) for seed, n, kind, text in cases]
+        for matrix, text in decoded:
+            assert string_log_score(matrix, text).hex() == reference_log_marginal(
+                matrix.log_probs, text, SEP3
+            ).hex()
+            assert _outcome(force_align, matrix, text) == _outcome(reference_force_align, matrix, text)
+
+        # The batched alignment fails as the first lattice without a path does.
+        expected = [_outcome(reference_force_align, m, text) for m, text in decoded]
+        failed = [e for e in expected if isinstance(e, str)]
+        pieces = [(m, text, 0, m.num_frames) for m, text in decoded]
+        assert _outcome(_align, pieces) == (failed[0] if failed else expected)
+
+        # Empty texts are not aligned, so only the others can fail here.
+        expected = [_outcome(reference_word_confidences, m, text, " ") for m, text in decoded]
+        failed = [e for e in expected if isinstance(e, str)]
+        got = _outcome(word_confidences_many, decoded, " ")
+        if failed:
+            assert got == failed[0]
+        else:
+            assert [_hex(c) for c in got] == [_hex(c) for c in expected]
+
+    @pytest.mark.parametrize("text", ["aa", "a a", "aba", "ab  ba", "a"])
+    def test_repeats_ties_and_single_frame_words(self, text):
+        """Uniform rows tie every move; with just enough frames, repeated
+        letters need their NaC and every word gets a single frame."""
+        needed = len(text) + sum(x == y for x, y in zip(text, text[1:]))
+        decoded = [
+            (_case_matrix(0, n, kind), text)
+            for n in (needed, needed + 1, needed + 4)
+            for kind in (0, 1)
+        ]
+        got = word_confidences_many(decoded, " ")
+        assert [_hex(c) for c in got] == [_hex(reference_word_confidences(m, t, " ")) for m, t in decoded]
+        assert [_align([(m, t, 0, m.num_frames)])[0] for m, t in decoded] == [
+            reference_force_align(m, t) for m, t in decoded
+        ]
+
+    def test_one_lattice_length_mismatch_message(self):
+        m = ConfidenceMatrix([[0.5, 0.5]] * 2, Alphabet.with_nac("a"))
+        with pytest.raises(LengthMismatch) as exc:
+            force_align(m, "aa")
+        assert str(exc.value) == "no valid alignment of 'aa' in 2 frames"
+
+
+class TestAgainstPathEnumeration:
+    """Word confidences and alignments checked against every path of tiny
+    matrices (T <= 6, three symbols)."""
+
+    ALPHABET = Alphabet.with_nac("a ", separator=" ")
+
+    @given(st.integers(0, 10_000), st.integers(1, 6), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_confidences_are_span_marginals_and_alignments_best_paths(self, seed, n_frames, sparse):
+        alphabet = self.ALPHABET
+        rng = np.random.default_rng(seed)
+        rows = rng.dirichlet(np.full(len(alphabet), 0.3 if sparse else 1.0), size=n_frames)
+        if sparse:
+            rows[rows < 0.1] = 0.0
+            rows /= rows.sum(axis=1, keepdims=True)
+        m = ConfidenceMatrix(rows, alphabet)
+        paths = list(itertools.product(range(len(alphabet)), repeat=n_frames))
+        best: dict[str, float] = {}
+        for path in paths:
+            text = collapse(path, alphabet)
+            best[text] = max(best.get(text, NEG_INF), path_log_score(m, path))
+        for text, top in best.items():
+            if top == NEG_INF or not text:
+                continue
+            # The alignment's path: each character over its span, NaC elsewhere.
+            path = [alphabet.nac_index] * n_frames
+            for ch, (start, end) in zip(text, force_align(m, text)):
+                path[start:end] = [alphabet.index(ch)] * (end - start)
+            assert collapse(path, alphabet) == text
+            assert path_log_score(m, path) == pytest.approx(top, rel=1e-12, abs=1e-12)
+            spans = word_spans(m, text, " ")
+            confs = marginal_word_confidences(m, text, " ")
+            assert len(confs) == len(spans)
+            for (word, start, end), conf in zip(spans, confs):
+                span = ConfidenceMatrix(m.probs[start:end], alphabet)
+                assert conf == pytest.approx(enumerate_string_probs(span)[word], rel=1e-9)
