@@ -111,17 +111,12 @@ def _relativize(p: str, base: Path) -> str:
 def decode_record(record: LineRecord, decode_fn: DecodeFn, experts: int | None = None) -> str:
     """Decode one manifest record to its output text.
 
-    Loads the record's matrices (the first ``experts`` of them when set),
-    checks they share an alphabet, and applies ``decode_fn``. Raises
-    toolkit errors through to the caller.
+    Loads the record's matrices (the first ``experts`` of them when set)
+    and applies ``decode_fn``, which checks that experts share an
+    alphabet. Raises toolkit errors through to the caller.
     """
     paths = record.matrix_paths[:experts] if experts else record.matrix_paths
-    matrices = [load_matrix(p) for p in paths]
-    first = matrices[0].alphabet.symbols
-    for m in matrices[1:]:
-        if m.alphabet.symbols != first:
-            raise ParseError(2, f"expert matrices for {record.line_id!r} use different alphabets")
-    return decode_fn(matrices).text
+    return decode_fn([load_matrix(p) for p in paths]).text
 
 
 def _worker(args: tuple[LineRecord, DecodeFn, int | None]) -> tuple[str, str]:

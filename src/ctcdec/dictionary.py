@@ -45,8 +45,10 @@ class DecodeParams:
     min_symbol_prob: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.lm_weight < 0:
-            raise ValueError("lm_weight must be >= 0")
+        if not 0 <= self.lm_weight < math.inf:
+            raise ValueError("lm_weight must be finite and >= 0")
+        if not math.isfinite(self.word_bonus):
+            raise ValueError("word_bonus must be finite")
         if self.beam_width is not None and self.beam_width < 1:
             raise ValueError("beam_width must be >= 1 or None")
         if self.oov_policy not in OOV_POLICIES:

@@ -22,32 +22,35 @@ with every symbol that its constraint state has a successor for and whose
 probability clears ``min_symbol_prob``; an extension that lands on a
 prefix already in the beam merges into that entry. Constraint states are
 interned to integer ids on first sight, and a state's transitions are
-stored as one flat row (its successor columns, ascending, with their
-target ids and arc weights) the first time the state is expanded, so
-``successors`` runs once per state per search. A frame gathers the rows
-of its entries into one candidate list, ordered by entry and then column.
+stored as one flat row (its successors' cell offsets, ascending, with
+their target ids and arc weights) the first time the state is expanded,
+so ``successors`` runs once per state per search. A frame gathers each
+entry's stay and then its row into one candidate list.
 
 A beam entry is an id in a per-search prefix tree: a prefix is its parent
-prefix's id plus its last column, and each such pair has one id. The
-frame loop therefore holds no prefix tuples. An entry's parent is found
-through its tree parent's position in the beam, and the extension that
-reaches it by one sorted lookup in the candidate list. Prefixes are
+prefix's id plus the cell of its last symbol, and each such pair has one
+id. The frame loop therefore holds no prefix tuples. An entry's parent is
+found through its tree parent's position in the beam, and the extension
+that reaches it by one sorted lookup in the candidate list. Prefixes are
 spelled out, by walking up the tree, only where exact score ties must be
 broken: toward the lexicographically smallest prefix, at the beam edge,
 between anchor candidates and in the result.
 
-The matrices of a committee's experts are searched together
-(:func:`prefix_beam_search_many`): frames are stacked T x expert x
-symbol, every beam entry belongs to one expert (whose own empty prefix
-is its tree root), and the beam cut, its tie rule and the anchor apply
-per expert, so each expert's result is that of its search alone. The
-experts share the call's transition table. A shorter matrix is padded
-with frames where NaC has probability 1, which is exact: such a frame
-moves ``pb + pnb`` into ``pb``, allows no extension and changes no score
-or beam. So every expert runs to the last frame, and each one's result is
-read from the final beam. On a frame where an expert has no usable cell,
-as on all of its padding, its entries only stay: they gather no row and
-expand no state.
+One search covers the matrices of a committee's experts
+(:func:`prefix_beam_search_many`; one matrix is the one-expert case). A
+frame is one flat row of cells, one block per expert: its NaC column
+(the expert's ``home`` cell), then its printable columns. A beam entry
+carries the cell of its last symbol (``last``; for an empty prefix its
+``home``, never read, as its pnb is -inf), and a row's symbols are
+offsets from ``home``, so every read is one 1-D index. The beam is
+grouped by expert, and the cut, its tie rule and the anchor apply to each
+expert's run of candidates, so each expert gets the result of its search
+alone. The experts share the call's transition table. A shorter matrix
+is padded with frames where NaC has probability 1, which is exact: such a
+frame moves ``pb + pnb`` into ``pb``, allows no extension and changes no
+score or beam, so every result is read from the final beam. On a frame
+where an expert has no usable cell, as on all of its padding, its entries
+only stay: they gather no row and expand no state.
 """
 
 from __future__ import annotations
@@ -85,23 +88,24 @@ class _Transitions:
     """A constraint's transitions over interned state ids, as flat rows.
 
     ``rank`` and ``final`` are indexed by id, ``final`` -inf where the
-    state does not accept. Only a state the search expands has a row: its
-    printable columns with a successor, ascending, are ``cols[start[id] :
-    start[id] + length[id]]``, and ``child`` and ``weight`` hold the
-    target id and the arc weight at the same positions. ``start`` is -1
-    until the row is filled.
+    state does not accept. Only a state the search expands has a row: the
+    symbols with a successor, as cell offsets from the NaC cell (1 + the
+    printable column), ascending, are ``offset[start[id] : start[id] +
+    length[id]]``, and ``child`` and ``weight`` hold the target id and the
+    arc weight in the same slots. ``start`` is -1 until the row is filled.
+    Slot 0 is the stay: offset 0, the NaC cell itself.
     """
 
     def __init__(self, constraint, symbols: list[int]):
         self._successors = constraint.successors
-        self._col = {s: c for c, s in enumerate(symbols)}
+        self._offset = {s: c for c, s in enumerate(symbols, 1)}
         self._ids: dict = {}
         self._states: list = []
         self.rank, self.final = np.zeros(0), np.zeros(0)
         self.start, self.length = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-        self._size = 0
-        self.cols, self.child = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-        self.weight = np.zeros(0)
+        self._size = 1
+        self.offset, self.child = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
+        self.weight = np.zeros(1)
 
     def intern(self, nodes: list[Node]) -> list[int]:
         """The id of each node's state; a new state gets the next id."""
@@ -121,29 +125,33 @@ class _Transitions:
             self.final[end - len(new) : end] = [NEG_INF if node.final is None else node.final for node in new]
         return ids
 
-    def gather(self, ids: np.ndarray, grow) -> tuple[np.ndarray, np.ndarray]:
-        """The rows of the states ``ids`` where ``grow`` (a mask, or one
-        bool for all) as one flat list, state by state and column by
-        column: each item's position in ``ids`` and its index into
-        ``cols``/``child``/``weight``. Rows not filled yet are filled
-        first."""
+    def gather(self, ids: np.ndarray, grow: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For each of the states ``ids``, its stay and, where ``grow``,
+        its row, as one flat list, state by state and offset by offset:
+        each item's position in ``ids`` and its slot, and where each
+        state's items start (its stay), plus the end. Rows not filled yet
+        are filled first."""
         start = self.start[ids]
         unfilled = ids[grow & (start < 0)]
         if unfilled.size:
             self._fill(list(dict.fromkeys(unfilled.tolist())))
             start = self.start[ids]
-        lengths = self.length[ids] * grow
-        at = np.repeat(np.arange(ids.size), lengths)
-        return at, np.arange(at.size) + np.repeat(start - (np.cumsum(lengths) - lengths), lengths)
+        lengths = self.length[ids] * grow + 1
+        items = np.zeros(ids.size + 1, dtype=np.intp)
+        np.cumsum(lengths, out=items[1:])
+        stays = items[:-1]
+        slot = np.arange(items[-1]) + np.repeat(start - 1 - stays, lengths)
+        slot[stays] = 0
+        return np.repeat(np.arange(ids.size), lengths), slot, items
 
     def _fill(self, ids: list[int]) -> None:
-        # Symbol order is column order, so each row's columns ascend.
+        # Symbol order is cell order, so each row's offsets ascend.
         rows = [sorted(self._successors(self._states[i]).items()) for i in ids]
         arcs = [arc for row in rows for arc in row]
         nodes = [node for _, node in arcs]
         size, end = self._size, self._size + len(arcs)
-        self.cols, self.child, self.weight = (_grown(a, end) for a in (self.cols, self.child, self.weight))
-        self.cols[size:end] = [self._col[s] for s, _ in arcs]
+        self.offset, self.child, self.weight = (_grown(a, end) for a in (self.offset, self.child, self.weight))
+        self.offset[size:end] = [self._offset[s] for s, _ in arcs]
         self.child[size:end] = self.intern(nodes)
         self.weight[size:end] = [node.weight for node in nodes]
         lengths = [len(row) for row in rows]
@@ -163,15 +171,15 @@ def _grown(a: np.ndarray, size: int, fill=0) -> np.ndarray:
 class _PrefixTree:
     """The prefixes of one search as integer ids.
 
-    A non-empty prefix is keyed ``up * stride + col``: the id of the
-    prefix without its last column, and that column. Ids ``0 .. n-1`` are
-    the empty prefixes of the ``n`` experts, keyed ``-1 .. -n``. A key has
-    one id, so a prefix keeps its id however often it leaves the beam and
-    comes back.
+    A non-empty prefix is keyed ``up * span + cell``: the id of the prefix
+    without its last symbol, and that symbol's cell (below ``span``). Ids
+    ``0 .. n-1`` are the empty prefixes of the ``n`` experts, keyed ``-1
+    .. -n``. A key has one id, so a prefix keeps its id however often it
+    leaves the beam and comes back.
     """
 
-    def __init__(self, n: int, stride: int):
-        self.stride = stride
+    def __init__(self, n: int, span: int):
+        self.span = span
         self.size = n
         self._key = np.arange(-1, -n - 1, -1)
         self._id = dict(zip(self._key.tolist(), range(n)))
@@ -186,14 +194,15 @@ class _PrefixTree:
         return ids
 
     def prefix(self, i: int) -> Prefix:
-        """The columns of prefix ``i``, walking up to its root."""
-        cols = []
+        """The cells of prefix ``i``, walking up to its root. Within one
+        expert, cells order as their symbols do."""
+        cells = []
         key = int(self._key[i])
         while key >= 0:
-            i, c = divmod(key, self.stride)
-            cols.append(c)
+            i, c = divmod(key, self.span)
+            cells.append(c)
             key = int(self._key[i])
-        return tuple(reversed(cols))
+        return tuple(reversed(cells))
 
 
 def prefix_beam_search(
@@ -249,131 +258,114 @@ def prefix_beam_search_many(
             )
     n = len(matrices)
     symbols = list(alphabet.printable_indices)
-    width = len(symbols)
-    # Frames stacked T x expert x column: the printable columns plus a -inf
-    # column, read through index -1 (no last symbol). A shorter expert's
-    # frames are padded with NaC at probability 1.
+    # Each expert's block of cells; a shorter expert is padded with NaC at 1.
+    block = [alphabet.nac_index, *symbols]
+    stride = len(block)
     num_frames = max(m.num_frames for m in matrices)
-    rows = np.full((num_frames, n, width + 1), NEG_INF)
-    blanks = np.zeros((num_frames, n))
+    frames = np.full((num_frames, n, stride), NEG_INF)
+    frames[:, :, 0] = 0.0
     for e, m in enumerate(matrices):
-        rows[: m.num_frames, e, :width] = m.log_probs[:, symbols]
-        blanks[: m.num_frames, e] = m.log_probs[:, alphabet.nac_index]
+        frames[: m.num_frames, e] = m.log_probs[:, block]
     # The cells each expert may extend with (-inf below its floor), and
     # whether an expert has any such cell in a frame (never on padding).
     floor = math.log(min_symbol_prob) if min_symbol_prob > 0.0 else NEG_INF
-    ext_rows = rows if floor == NEG_INF else np.where(rows > floor, rows, NEG_INF)
-    live = (ext_rows[:, :, :width] > NEG_INF).any(axis=2)
+    usable = frames if floor == NEG_INF else np.where(frames > floor, frames, NEG_INF)
+    live = (usable[:, :, 1:] > NEG_INF).any(axis=2)
+    span = n * stride
+    frames, usable = frames.reshape(num_frames, span), usable.reshape(num_frames, span)
+    # Each expert's NaC cell, and the end of the last block.
+    edges = np.arange(0, span + 1, stride)
     table = _Transitions(constraint, symbols)
-    stride = width + 1
-    tree = _PrefixTree(n, stride)
+    tree = _PrefixTree(n, span)
 
     # The beam: parallel arrays, grouped by expert. An entry is a prefix
-    # tree id, with the id of its prefix minus the last column (``up``, -1
-    # for an empty prefix) and that column (``last``, -1 for none). ``pos``
-    # maps a tree id to its beam index, -1 if not in the beam; it is kept
-    # longer than the tree, so ``pos[-1]`` (an empty prefix's ``up``) is -1
-    # too. The beam starts with each expert's empty prefix.
+    # tree id, with the id of its prefix minus the last symbol (``up``, -1
+    # for an empty prefix) and that symbol's cell (``last``, ``home`` for an
+    # empty prefix). ``pos`` maps a tree id to its beam index, -1 if not in
+    # the beam; it is kept longer than the tree, so ``pos[-1]`` (an empty
+    # prefix's ``up``) is -1 too. The beam starts with each expert's empty
+    # prefix.
     ids = np.arange(n)
-    up, last = np.full(n, -1), np.full(n, -1)
+    up = np.full(n, -1)
+    last = edges[:-1]
     pos = _grown(ids, n + 1, -1)
-    expert = np.arange(n)
     pb, pnb = np.zeros(n), np.full(n, NEG_INF)
     acc = np.full(n, constraint.initial.weight)
     nid = np.full(n, table.intern([constraint.initial])[0])
 
     for t in range(num_frames):
-        n_entries = len(ids)
+        frame = frames[t]
+        expert = last // stride
+        home = expert * stride
         tot = np.logaddexp(pb, pnb)
-        # The n == 1 branches here, in the gather, in the grouping and in the
-        # cut give the same results as the general code, whose one-expert
-        # beam-64 searches took 1.2-1.3x as long (dm-b64, ce-b64).
-        if n == 1:
-            blank, stay_cells = blanks[t, 0], rows[t, 0][last]
-        else:
-            blank, stay_cells = blanks[t, expert], rows[t, expert, last]
-        stay_pb = tot + blank
+        stay_pb = tot + frame[home]
         # Same symbol again with no NaC in between: absorbed by the run.
-        stay_pnb = pnb + stay_cells
+        stay_pnb = pnb + frame[last]
 
-        # Extensions: the row of every entry whose expert has a usable cell
-        # (so padding frames build and gather no row), as flat candidates
-        # (entry ``b``, column ``c``, row index ``idx``), kept where the
-        # expert's cell is usable.
-        b, idx = table.gather(nid, live[t, 0] if n == 1 else live[t, expert])
-        c = table.cols[idx]
-        cells = ext_rows[t, 0][c] if n == 1 else ext_rows[t, expert[b], c]
-        above = (cells > NEG_INF).nonzero()[0]
-        if above.size < cells.size:
-            b, c, idx, cells = b[above], c[above], idx[above], cells[above]
-        ext = np.where(last[b] == c, pb[b], tot[b]) + cells
-        # Extending an entry's parent by the entry's last symbol reaches the
-        # entry itself: add that mass to it instead of a new candidate. The
-        # candidates' keys ascend (entries in order, columns ascending in a
-        # row), so one sorted lookup finds each such extension. An entry
-        # whose parent is not in the beam (or that has none) looks up a
-        # negative key, which no candidate has; one whose expert has no
-        # usable cell finds nothing, as its parent gathered no row.
-        if b.size:
-            keys = b * stride + c
-            want = pos[up] * stride + last
-            at = np.minimum(np.searchsorted(keys, want), keys.size - 1)
-            into = (keys[at] == want).nonzero()[0]
-            at = at[into]
-            stay_pnb[into] = np.logaddexp(stay_pnb[into], ext[at])
-            ext[at] = NEG_INF
-
-        # Candidates: the stays, then the extensions entry by entry.
-        cand_pb = np.concatenate((stay_pb, np.full(b.size, NEG_INF)))
-        cand_pnb = np.concatenate((stay_pnb, ext))
-        cand_tot = np.concatenate((np.logaddexp(stay_pb, stay_pnb), ext))
-        cand_acc = np.concatenate((acc, acc[b] + table.weight[idx]))
-        cand_node = np.concatenate((nid, table.child[idx]))
-        keep = (cand_tot > NEG_INF).nonzero()[0]
-        if n > 1:
-            # Group the candidates by expert, which each takes from its entry.
-            of = np.concatenate((expert, expert[b]))[keep]
-            by_expert = np.argsort(of, kind="stable")
-            keep, expert = keep[by_expert], of[by_expert]
-
+        # Candidates: each entry's stay (its NaC cell) and, where its expert
+        # has a usable cell (so padding frames build and gather no row), its
+        # extensions, as flat items (entry ``b``, ``cell``, table ``slot``)
+        # grouped by expert like the beam. ``cand`` is each extension's mass;
+        # the stays' slots get theirs once the merges below are in.
+        b, slot, items = table.gather(nid, live[t][expert])
+        stays = items[:-1]
+        cell = home[b] + table.offset[slot]
+        logp = usable[t][cell]
+        cand = tot[b] + logp
+        # The items' keys ascend (entries in order, cells ascending), so
+        # sorted lookups find given extensions. An entry's own last symbol,
+        # with no NaC in between, extends only its pb. Extending an entry's
+        # parent by the entry's last symbol reaches the entry itself: that
+        # mass joins it instead of a new candidate. An entry whose parent is
+        # not in the beam (or that has none) looks up a negative key; an
+        # empty prefix's own lookup finds its stay, overwritten below.
+        keys = b * span + cell
+        same, at = _lookup(keys, np.arange(ids.size) * span + last)
+        cand[at] = pb[same] + logp[at]
+        into, at = _lookup(keys, pos[up] * span + last)
+        stay_pnb[into] = np.logaddexp(stay_pnb[into], cand[at])
+        cand[at] = NEG_INF
+        cand[stays] = np.logaddexp(stay_pb, stay_pnb)
+        cand_acc = acc[b] + table.weight[slot]
+        cand_acc[stays] = acc
+        cand_node = table.child[slot]
+        cand_node[stays] = nid
+        keep = (cand > NEG_INF).nonzero()[0]
         if beam_width is not None and keep.size > beam_width:
 
             def prefix_of(x: int) -> Prefix:
-                # Candidate ``x``: a stay, or an extension of entry ``b``.
-                if x < n_entries:
-                    return tree.prefix(int(ids[x]))
-                return tree.prefix(int(ids[b[x - n_entries]])) + (int(c[x - n_entries]),)
+                # Candidate ``x``: entry ``b[x]``'s prefix, extended unless a stay.
+                prefix = tree.prefix(int(ids[b[x]]))
+                return prefix + (int(cell[x]),) if slot[x] else prefix
 
-            score = (cand_tot + cand_acc + table.rank[cand_node])[keep]
-            finals = table.final[cand_node[keep]] > NEG_INF
-            if n == 1:
-                keep = keep[_cut(score, finals, beam_width, lambda x: prefix_of(int(keep[x])))]
-            else:
-                bounds = _bounds(expert, n)
-                chosen = np.concatenate([
-                    lo + _cut(score[lo:hi], finals[lo:hi], beam_width, lambda x, lo=lo: prefix_of(int(keep[lo + x])))
-                    for lo, hi in zip(bounds, bounds[1:])
-                ])
-                keep, expert = keep[chosen], expert[chosen]
+            # Each expert's candidates are a run of ``keep``, from its first stay.
+            bounds = keep.searchsorted(items[last.searchsorted(edges)]).tolist()
+            score = cand + cand_acc + table.rank[cand_node]
+            finals = table.final[cand_node] > NEG_INF
+            keep = np.concatenate([
+                _cut(keep[lo:hi], score, finals, beam_width, prefix_of) for lo, hi in zip(bounds, bounds[1:])
+            ])
 
-        # The survivors: a stay keeps its id, an extension gets the id of its
-        # entry's prefix extended by its column.
+        # The survivors take their entry's fields; an extension (``fresh``)
+        # then takes its own, with its entry as ``up`` and a new tree id.
         pos[ids] = -1
-        up = np.concatenate((up, ids[b]))[keep]
-        last = np.concatenate((last, c))[keep]
-        ids = np.concatenate((ids, np.full(b.size, -1)))[keep]
-        fresh = (keep >= n_entries).nonzero()[0]
+        entry = b[keep]
+        fresh = slot[keep].nonzero()[0]
+        x = keep[fresh]
+        fresh_up = ids[entry[fresh]]
+        pb, pnb, up, last, ids = (a[entry] for a in (stay_pb, stay_pnb, up, last, ids))
+        pb[fresh], pnb[fresh], up[fresh], last[fresh] = NEG_INF, cand[x], fresh_up, cell[x]
+        acc, nid = cand_acc[keep], cand_node[keep]
         if fresh.size:
-            ids[fresh] = tree.ids(up[fresh] * stride + last[fresh])
+            ids[fresh] = tree.ids(fresh_up * span + cell[x])
             pos = _grown(pos, tree.size + 1, -1)
         pos[ids] = np.arange(ids.size)
-        pb, pnb, acc, nid = cand_pb[keep], cand_pnb[keep], cand_acc[keep], cand_node[keep]
 
     # Each expert's result, from its entries in the final beam.
     mass = np.logaddexp(pb, pnb)
     bonus = acc + table.final[nid]
-    bounds = _bounds(expert, n) if n > 1 else [0, len(ids)]
-    return [_best(tree, ids[lo:hi], mass[lo:hi], bonus[lo:hi], symbols) for lo, hi in zip(bounds, bounds[1:])]
+    first = last.searchsorted(edges).tolist()
+    return [_best(tree, ids[lo:hi], mass[lo:hi], bonus[lo:hi], block * n) for lo, hi in zip(first, first[1:])]
 
 
 def _hypothesis(matrix: ConfidenceMatrix, separator: str | None, prefix: Prefix, mass: float, bonus: float) -> Hypothesis:
@@ -399,43 +391,50 @@ def _hypotheses(matrices: list[ConfidenceMatrix], separator: str | None, found: 
     ]
 
 
-def _best(tree: _PrefixTree, ids: np.ndarray, mass: np.ndarray, bonus: np.ndarray, symbols: list[int]):
+def _best(tree: _PrefixTree, ids: np.ndarray, mass: np.ndarray, bonus: np.ndarray, cell_symbol: list[int]):
     """``(prefix, mass, bonus)`` of one expert's best accepted beam entry,
     ties toward the smaller prefix, or :class:`NoAcceptedString`. A
-    prefix that is not accepted has bonus -inf."""
+    prefix that is not accepted has bonus -inf; ``cell_symbol`` is the
+    alphabet index of each cell."""
     score = mass + bonus
     top = score.max(initial=NEG_INF)
     if top == NEG_INF:
         return NoAcceptedString("beam exhausted with no accepted hypothesis")
     best = (score == top).nonzero()[0].tolist()
     i = best[0] if len(best) == 1 else min(best, key=lambda x: tree.prefix(int(ids[x])))
-    return tuple(symbols[c] for c in tree.prefix(int(ids[i]))), float(mass[i]), float(bonus[i])
+    return tuple(cell_symbol[c] for c in tree.prefix(int(ids[i]))), float(mass[i]), float(bonus[i])
 
 
-def _cut(score: np.ndarray, finals: np.ndarray, beam_width: int, prefix_of) -> np.ndarray:
-    """Positions of one expert's candidates that survive the beam.
+def _lookup(keys: np.ndarray, want: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where in ``want``, and where in the sorted ``keys``, their shared values are."""
+    at = np.minimum(keys.searchsorted(want), keys.size - 1)
+    found = (keys[at] == want).nonzero()[0]
+    return found, at[found]
+
+
+def _cut(run: np.ndarray, score: np.ndarray, finals: np.ndarray, beam_width: int, prefix_of) -> np.ndarray:
+    """The candidates of one expert's ``run`` that survive the beam.
 
     The ``beam_width`` best by score, ties broken toward the smaller
-    ``prefix_of(position)``, plus an anchor when none of them is final.
+    ``prefix_of(candidate)``, plus an anchor when none of them is final.
     """
-    if score.size <= beam_width:
-        return np.arange(score.size)
+    if run.size <= beam_width:
+        return run
+    score, finals = score[run], finals[run]
     # Everything scoring at least the beam_width-th best score; only when
     # exact ties cross that edge does the prefix order decide.
     cut = score.size - beam_width
-    top = (score >= np.partition(score, cut)[cut]).nonzero()[0]
+    edge = score.copy()
+    edge.partition(cut)
+    top = (score >= edge[cut]).nonzero()[0]
     if top.size > beam_width:
         s = score.tolist()
-        top = np.array(sorted(top.tolist(), key=lambda x: (-s[x], prefix_of(x)))[:beam_width])
+        top = np.array(sorted(top.tolist(), key=lambda x: (-s[x], prefix_of(int(run[x]))))[:beam_width])
     # Keep the best already-accepted prefix alive as an anchor, so a narrow
     # beam full of unfinishable prefixes cannot strand the search without
     # any acceptable hypothesis at the last frame.
-    if not finals[top].any() and finals.any():
-        best = (finals & (score == score[finals].max())).nonzero()[0].tolist()
-        top = np.append(top, best[0] if len(best) == 1 else min(best, key=prefix_of))
-    return top
+    if finals[top].any() or not finals.any():
+        return run[top]
+    best = run[finals & (score == score[finals].max())].tolist()
+    return np.concatenate((run[top], [best[0] if len(best) == 1 else min(best, key=prefix_of)]))
 
-
-def _bounds(expert: np.ndarray, n: int) -> list[int]:
-    """Start of each expert's run in ``expert`` (non-decreasing), plus the end."""
-    return np.searchsorted(expert, np.arange(n + 1)).tolist()

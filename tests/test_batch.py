@@ -4,9 +4,13 @@ import pytest
 
 from ctcdec import (
     Alphabet,
+    CommitteeConfig,
+    DecodeParams,
+    Lexicon,
     LineRecord,
     Manifest,
     ParseError,
+    committee_decode,
     decode_best_path,
     generate_synthetic,
     load_manifest,
@@ -147,11 +151,18 @@ class TestRunBatch:
         assert serial == parallel
 
     def test_mismatched_expert_alphabets_error(self, tmp_path):
+        """The committee's search refuses experts with different alphabets,
+        and the batch records that line's error."""
         a = write_line(tmp_path, "a", "ab")
         other = Alphabet.with_nac("xy")
         m = generate_synthetic("xy", other, 3, 0.0)
         b = tmp_path / "b.ctcmat"
         store_matrix(m, b)
         record = LineRecord("l0", (a, str(b)))
-        results = run_batch(Manifest((record,)), bp_decoder, tmp_path / "out.tsv")
-        assert results[0][1] == "ERROR:ParseError"
+        lexicon = Lexicon({"ab": 1}, separator=" ")
+
+        def committee(matrices):
+            return committee_decode(matrices, lexicon, DecodeParams(), CommitteeConfig(n=2))
+
+        results = run_batch(Manifest((record,)), committee, tmp_path / "out.tsv")
+        assert results[0][1] == "ERROR:InvariantViolation"

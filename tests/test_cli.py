@@ -295,6 +295,10 @@ def test_per_line_errors_still_exit_zero(workspace):
         ("dec-e", ("--null-conf", "nan")),
         ("dec-bp", ("--jobs", 0)),
         ("dec-dm", ("--jobs", -2)),
+        ("dec-dm", ("--alpha", "nan")),
+        ("dec-dm", ("--beta", "nan")),
+        ("dec-dm", ("--alpha", "inf")),
+        ("dec-dm", ("--beta", "inf")),
     ],
 )
 def test_bad_decode_numbers_exit_2_with_one_line(workspace, capsys, scheme, flags):

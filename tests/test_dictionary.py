@@ -310,6 +310,16 @@ def test_params_validation():
             DecodeParams(min_symbol_prob=value)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_params_reject_non_finite_weights(value):
+    """A NaN or infinite alpha or beta would reach the search's scores;
+    they are refused up front, like the other bad numbers."""
+    with pytest.raises(ValueError, match="lm_weight"):
+        DecodeParams(lm_weight=value)
+    with pytest.raises(ValueError, match="word_bonus"):
+        DecodeParams(word_bonus=value)
+
+
 @given(
     st.dictionaries(
         st.text("abc", min_size=1, max_size=5), st.integers(1, 1000), min_size=1, max_size=12

@@ -382,6 +382,47 @@ def test_batched_experts_tie_exactly(scheme, beam):
         assert_each_expert_matches_reference(matrices, wide_constraint(scheme, params), beam)
 
 
+DEFAULT = default_alphabet()
+DEFAULT_RULES = compile_rules(default_rule_config(DEFAULT), DEFAULT)
+DEFAULT_LEXICON = Lexicon({"the": 5, "cat": 3, "a": 8, "sat": 2, "on": 4, "mat": 1, "at": 2}, separator=" ")
+
+
+def tying_matrix(rng: np.random.Generator, alphabet, frames: int) -> ConfidenceMatrix:
+    """Peaky Dirichlet rows, a random share of them uniform or drawn from
+    three weights, so that prefixes tie exactly."""
+    probs = rng.dirichlet(np.full(len(alphabet), 0.3), size=frames)
+    weights = np.ones((frames, len(alphabet)))
+    if rng.random() < 0.5:
+        weights = rng.choice([1.0, 2.0, 4.0], size=weights.shape)
+    ties = rng.random(frames) < rng.choice([0.0, 0.5, 1.0])
+    probs[ties] = (weights / weights.sum(axis=1, keepdims=True))[ties]
+    return ConfidenceMatrix(probs, alphabet)
+
+
+@given(
+    st.integers(0, 10_000),
+    st.integers(2, 5),
+    st.sampled_from([1, 2, 8, 64]),
+    st.sampled_from([0.0, 0.01]),
+    st.sampled_from(["fsa", "lexicon"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_each_expert_gets_its_solo_result_exactly(seed, n, beam, min_symbol_prob, kind):
+    """An expert's result does not depend on the other experts of the call
+    or on its place among them: repr for repr, it is the result of its
+    search alone and of the search with the experts permuted. 84 symbols,
+    1 to 24 frames per expert."""
+    rng = np.random.default_rng(seed)
+    matrices = [tying_matrix(rng, DEFAULT, int(rng.integers(1, 25))) for _ in range(n)]
+    make = constraint_maker(kind, DEFAULT, DEFAULT_RULES, DEFAULT_LEXICON, DecodeParams())
+    got = [repr(r) for r in prefix_beam_search_many(matrices, make(), beam, min_symbol_prob)]
+    for m, result in zip(matrices, got):
+        assert result == repr(prefix_beam_search_many([m], make(), beam, min_symbol_prob)[0])
+    order = rng.permutation(n)
+    permuted = prefix_beam_search_many([matrices[e] for e in order], make(), beam, min_symbol_prob)
+    assert [repr(r) for r in permuted] == [got[e] for e in order]
+
+
 def test_experts_must_share_an_alphabet():
     other = Alphabet.with_nac("aB.'x ", separator=" ")
     rng = np.random.default_rng(0)
