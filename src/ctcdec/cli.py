@@ -126,6 +126,17 @@ class SchemeDecoder:
         return state
 
 
+#: ``DecodeParams`` and ``CommitteeConfig`` fields by their decode option.
+_DECODE_OPTIONS = {
+    "lm_weight": "--alpha",
+    "word_bonus": "--beta",
+    "beam_width": "--beam",
+    "min_symbol_prob": "--min-symbol-prob",
+    "vote_lambda": "--lambda",
+    "null_confidence": "--null-conf",
+}
+
+
 def _cmd_decode(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
@@ -140,20 +151,27 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         lexicon = load_lexicon(args.lexicon)
         if len(lexicon) == 0:
             raise EmptyLexicon(f"lexicon {args.lexicon!r} has no words")
-    params = DecodeParams(
-        lm_weight=args.alpha,
-        word_bonus=args.beta,
-        beam_width=args.beam,
-        oov_policy=args.oov,
-        min_symbol_prob=args.min_symbol_prob,
-    )
     # The single-matrix schemes decode (and load) each line's first matrix.
-    experts, committee = 1, None
+    experts = 1
     if args.scheme == "dec-e":
         experts = args.experts or manifest.expert_count
-        if experts > manifest.expert_count:
-            raise ValueError(f"--experts {experts} but the manifest lists only {manifest.expert_count} matrices per line")
-        committee = CommitteeConfig(n=experts, vote_lambda=args.vote_lambda, null_confidence=args.null_conf)
+        if not 1 <= experts <= manifest.expert_count:
+            raise ValueError(f"--experts must be in [1, {manifest.expert_count}], the manifest's matrices per line; got {experts}")
+    try:
+        params = DecodeParams(
+            lm_weight=args.alpha,
+            word_bonus=args.beta,
+            beam_width=args.beam,
+            oov_policy=args.oov,
+            min_symbol_prob=args.min_symbol_prob,
+        )
+        committee = None
+        if args.scheme == "dec-e":
+            committee = CommitteeConfig(n=experts, vote_lambda=args.vote_lambda, null_confidence=args.null_conf)
+    except ValueError as exc:
+        # The library names its fields; say which option was out of range.
+        field, _, rest = str(exc).partition(" ")
+        raise ValueError(f"{_DECODE_OPTIONS.get(field, field)} {rest}") from None
     decoder = SchemeDecoder(
         args.scheme,
         rule_config=rule_config,

@@ -52,8 +52,17 @@ def edit_alignment(
         prev = dist[-1]
         left = prev[0] + cost
         row = [left]
+        # min(diag + (ref != tok), up + cost, left + 1), without the
+        # min() call, which dominates this loop's cost.
         for diag, up, tok in zip(prev, prev[1:], hypothesis):
-            left = min(diag + (0 if ref == tok else 1), up + cost, left + 1)
+            left += 1
+            if ref != tok:
+                diag += 1
+            if diag < left:
+                left = diag
+            up += cost
+            if up < left:
+                left = up
             row.append(left)
         dist.append(row)
 

@@ -16,6 +16,8 @@ little-endian float32 values in row-major order.
 
 from __future__ import annotations
 
+import io
+from contextlib import suppress
 from pathlib import Path
 
 import numpy as np
@@ -123,20 +125,37 @@ def load_matrix(path: str | Path, alphabet: Alphabet | None = None) -> Confidenc
             rows = np.frombuffer(payload, dtype="<f4").reshape(n_frames, n_symbols)
             return ConfidenceMatrix.from_rows(rows.astype(np.float64), alphabet)
 
-        # Values are collected as read, never preallocated from the header's
-        # T, so a huge T fails where the file ends rather than in numpy.
-        values: list[float] = []
-        for lineno in range(4, 4 + n_frames):
-            raw = fh.readline()
-            if not raw:
-                raise ParseError(lineno, f"expected {n_frames} rows, file ends at row {lineno - 4}")
-            parts = _decode(raw, lineno).split("\t")
-            if len(parts) != n_symbols:
-                raise ParseError(lineno, f"expected {n_symbols} values, got {len(parts)}")
-            try:
-                values.extend(map(float, parts))
-            except ValueError as exc:
-                raise ParseError(lineno, str(exc)) from None
-        if fh.readline().strip():
-            raise ParseError(4 + n_frames, "trailing content after the last row")
-        return ConfidenceMatrix.from_rows(np.reshape(values, (n_frames, n_symbols)), alphabet)
+        return ConfidenceMatrix.from_rows(_parse_text_rows(fh.read(), n_frames, n_symbols), alphabet)
+
+
+def _parse_text_rows(payload: bytes, n_frames: int, n_symbols: int) -> np.ndarray:
+    """The T x S values after the ``T=`` line; only whitespace may follow
+    the last row. The header's T only limits the split (no file has more
+    lines than bytes), so a huge T fails where the file ends. Well-formed
+    rows are parsed in one numpy call, whose bytes-to-float64 cast
+    accepts a subset of what ``float`` does, with the same values;
+    anything else (a bad row, invalid UTF-8, a non-ASCII digit) goes row
+    by row, which names the line."""
+    rows = payload.split(b"\n", min(n_frames, len(payload)))
+    trailing = rows.pop() if len(rows) > n_frames else b""
+    tabs = {row.count(b"\t") for row in rows}
+    if len(rows) == n_frames and tabs == {n_symbols - 1} and not trailing.strip():
+        with suppress(ValueError):
+            return np.array(b"\t".join(rows).split(b"\t"), dtype=np.float64).reshape(n_frames, n_symbols)
+    lines = io.BytesIO(payload)
+    values: list[float] = []
+    for lineno in range(4, 4 + n_frames):
+        raw = lines.readline()
+        if not raw:
+            raise ParseError(lineno, f"expected {n_frames} rows, file ends at row {lineno - 4}")
+        parts = _decode(raw, lineno).split("\t")
+        if len(parts) != n_symbols:
+            raise ParseError(lineno, f"expected {n_symbols} values, got {len(parts)}")
+        try:
+            values.extend(map(float, parts))
+        except ValueError as exc:
+            raise ParseError(lineno, str(exc)) from None
+    for lineno, raw in enumerate(lines, start=4 + n_frames):
+        if raw.strip():
+            raise ParseError(lineno, "trailing content after the last row")
+    return np.reshape(values, (n_frames, n_symbols))

@@ -5,19 +5,25 @@ forward DP, recursive edit distance instead of the tabulated one. Slow
 but obviously correct, so decoder outputs can be checked against them.
 The scalar references (the prefix search, and the CTC lattice stepped
 one lattice and one frame at a time) keep the arithmetic of the batched
-code, so its results must match them bit for bit.
+code, so its results must match them bit for bit. So do the plain
+references for the text-matrix parse (one ``float`` per value, row by
+row) and the edit alignment (a ``min()`` per cell).
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
-from ctcdec import Alphabet, ConfidenceMatrix, ExpressionModel, LengthMismatch, NoAcceptedString
+from ctcdec import Alphabet, ConfidenceMatrix, ExpressionModel, LengthMismatch, NoAcceptedString, ParseError
+from ctcdec.alphabet import file_alphabet
 from ctcdec.ctc import NEG_INF
+from ctcdec.matio import TEXT_MAGIC, _decode, _parse_frame_count
 
 
 def enumerate_string_probs(matrix: ConfidenceMatrix) -> dict[str, float]:
@@ -385,3 +391,65 @@ def reference_word_confidences(
             out.append(math.exp(reference_log_marginal(matrix.log_probs[start:end], word, matrix.alphabet)))
         pos += len(word) + 1
     return tuple(out)
+
+
+def reference_edit_alignment(reference, hypothesis, deletion_costs) -> tuple[int, list[tuple[str, int, int]]]:
+    """``evaluate.edit_alignment`` with a ``min()`` per DP cell."""
+    n, m = len(reference), len(hypothesis)
+    dist = [list(range(m + 1))]
+    for ref, cost in zip(reference, deletion_costs):
+        prev = dist[-1]
+        left = prev[0] + cost
+        row = [left]
+        for diag, up, tok in zip(prev, prev[1:], hypothesis):
+            left = min(diag + (0 if ref == tok else 1), up + cost, left + 1)
+            row.append(left)
+        dist.append(row)
+    ops: list[tuple[str, int, int]] = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        here = dist[i][j]
+        sub = i > 0 and j > 0 and reference[i - 1] != hypothesis[j - 1]
+        if i > 0 and j > 0 and here == dist[i - 1][j - 1] + sub:
+            ops.append(("sub" if sub else "match", i - 1, j - 1))
+            i, j = i - 1, j - 1
+        elif i > 0 and here == dist[i - 1][j] + deletion_costs[i - 1]:
+            ops.append(("del", i - 1, j))
+            i -= 1
+        else:
+            ops.append(("ins", i, j - 1))
+            j -= 1
+    ops.reverse()
+    return dist[n][m], ops
+
+
+def reference_load_text_matrix(path: str | Path) -> ConfidenceMatrix:
+    """A text matrix read row by row, one ``float`` per value: the parse
+    ``load_matrix``'s one-call path must agree with, value for value and
+    error for error. Only whitespace may follow the last row."""
+    with open(path, "rb") as fh:
+        magic = fh.readline().decode("utf-8", errors="replace").rstrip("\n")
+        if magic != TEXT_MAGIC:
+            raise ParseError(1, f"bad magic {magic!r}")
+        try:
+            alphabet = file_alphabet(_decode(fh.readline(), 2).split("\t"))
+        except ValueError as exc:
+            raise ParseError(2, str(exc)) from None
+        n_frames = _parse_frame_count(_decode(fh.readline(), 3), 3)
+        lines = io.BytesIO(fh.read())
+    values: list[float] = []
+    for lineno in range(4, 4 + n_frames):
+        raw = lines.readline()
+        if not raw:
+            raise ParseError(lineno, f"expected {n_frames} rows, file ends at row {lineno - 4}")
+        parts = _decode(raw, lineno).split("\t")
+        if len(parts) != len(alphabet):
+            raise ParseError(lineno, f"expected {len(alphabet)} values, got {len(parts)}")
+        try:
+            values.extend(float(part) for part in parts)
+        except ValueError as exc:
+            raise ParseError(lineno, str(exc)) from None
+    for lineno, raw in enumerate(lines, start=4 + n_frames):
+        if raw.strip():
+            raise ParseError(lineno, "trailing content after the last row")
+    return ConfidenceMatrix.from_rows(np.reshape(values, (n_frames, len(alphabet))), alphabet)

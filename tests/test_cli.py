@@ -299,6 +299,10 @@ def test_per_line_errors_still_exit_zero(workspace):
         ("dec-dm", ("--beta", "nan")),
         ("dec-dm", ("--alpha", "inf")),
         ("dec-dm", ("--beta", "inf")),
+        ("dec-e", ("--lambda", -1)),
+        ("dec-e", ("--null-conf", 2)),
+        ("dec-bp", ("--beam", -3)),
+        ("dec-e", ("--experts", 99)),
     ],
 )
 def test_bad_decode_numbers_exit_2_with_one_line(workspace, capsys, scheme, flags):
@@ -315,7 +319,7 @@ def test_bad_decode_numbers_exit_2_with_one_line(workspace, capsys, scheme, flag
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (workspace / "x.tsv").exists()
-    assert flags[0] != "--jobs" or err.startswith("error: --jobs")
+    assert err.startswith(f"error: {flags[0]} ")
 
 
 def _decode_inputs(workspace):

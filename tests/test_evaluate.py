@@ -11,6 +11,7 @@ from ctcdec import (
     evaluate,
     rank_experts,
 )
+from ctcdec.evaluate import edit_alignment
 
 ALPHA = default_alphabet()
 
@@ -53,6 +54,19 @@ class TestEditDistance:
         from oracles import recursive_edit_distance
 
         assert edit_distance(a, b)[0] == recursive_edit_distance(a, b)
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_alignment_matches_the_min_reference(self, data):
+        """Same cost and ops as the ``min()``-per-cell DP, with the NULL
+        (``None``) tokens and free deletions of the committee's word
+        alignment and deletions costing up to 2."""
+        from oracles import reference_edit_alignment
+
+        words = st.lists(st.sampled_from(["a", "b", "c", None]), max_size=8)
+        ref, hyp = data.draw(words), data.draw(words)
+        costs = data.draw(st.lists(st.sampled_from([0, 1, 2]), min_size=len(ref), max_size=len(ref)))
+        assert edit_alignment(ref, hyp, costs) == reference_edit_alignment(ref, hyp, costs)
 
     @given(tokens, tokens)
     def test_symmetry(self, a, b):

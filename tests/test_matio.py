@@ -3,10 +3,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ctcdec import (
     Alphabet,
+    ConfidenceMatrix,
     CtcDecError,
     InvariantViolation,
     NAC_CHAR,
@@ -15,7 +16,7 @@ from ctcdec import (
     store_matrix,
 )
 
-from oracles import random_matrix
+from oracles import random_matrix, reference_load_text_matrix
 
 DATA = Path(__file__).parent / "data"
 AB = Alphabet.with_nac("ab ", separator=" ")
@@ -216,6 +217,101 @@ def test_mutated_bytes_raise_only_ctcdec_errors(tmp_path_factory, binary, edits)
             load_matrix(path)
         except CtcDecError:
             pass
+
+
+@pytest.mark.parametrize(
+    "rest, line",
+    [
+        ("\ngarbage\n", 6),
+        ("\n0.5\t0.5\n", 6),
+        (" \r\n\t\n\n0", 8),
+    ],
+)
+def test_content_after_blank_lines_is_trailing_content(tmp_path, rest, line):
+    path = tmp_path / "bad.ctcmat"
+    path.write_bytes(b"CTCMAT v1\na\t<NaC>\nT=1\n0.5\t0.5\n" + rest.encode())
+    with pytest.raises(ParseError, match="trailing content") as err:
+        load_matrix(path)
+    assert err.value.line == line
+
+
+def test_whitespace_after_the_last_row_is_allowed(tmp_path):
+    path = tmp_path / "ok.ctcmat"
+    path.write_bytes(b"CTCMAT v1\na\t<NaC>\nT=1\n0.5\t0.5\n\n \r\n\t\x0b\x0c\n")
+    assert np.array_equal(load_matrix(path).probs, [[0.5, 0.5]])
+
+
+def _outcome(load, path):
+    """A loader's result: the matrix's float64 bits, or the error's type,
+    line and message."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            probs = load(path).probs
+        except CtcDecError as exc:
+            return type(exc), getattr(exc, "line", None), str(exc)
+    return probs.shape, probs.view(np.uint64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=_edits)
+def test_mutated_text_parses_as_the_row_by_row_reference(tmp_path_factory, edits):
+    path = tmp_path_factory.mktemp("fuzz") / "m.ctcmat"
+    store_matrix(random_matrix(np.random.default_rng(0), AB, 3), path)
+    data = bytearray(path.read_bytes())
+    for pos, removed, inserted in edits:
+        pos %= len(data) + 1
+        data[pos : pos + removed] = inserted
+    # The reference reads text files only.
+    assume(not data.startswith(b"CTCMAT b1\n"))
+    path.write_bytes(bytes(data))
+    assert _outcome(load_matrix, path) == _outcome(reference_load_text_matrix, path)
+
+
+@pytest.mark.parametrize(
+    "frames, rows",
+    [
+        ("2", "0.5\t0.5\r\n0.25\t0.75\r\n"),  # CRLF rows
+        ("2", "0.5\t0.5\n0.25\t0.75"),  # no final newline
+        ("1", "1_0e-1\t0.9"),
+        ("1", "inf\t0"),
+        ("1", "nan\t1"),
+        ("1", "\u0661\t0"),  # ARABIC-INDIC DIGIT ONE: float() reads it, numpy does not
+        ("1", "\u00a00.5\t0.5"),  # leading NBSP: likewise
+        ("2", "0.5\t0.5\n\n0.5\t0.5\n"),  # an empty row
+        ("1000000000000000", "0.5\t0.5\n"),  # a huge T
+        ("1" + "0" * 30, "0.5\t0.5\n"),  # a T beyond any split limit
+        ("1", "0.5\t0.5\x00"),
+        ("1", " 0.5 \t\x0b0.5\x0c"),
+    ],
+)
+def test_fixed_text_cases_parse_as_the_reference(tmp_path, frames, rows):
+    path = tmp_path / "m.ctcmat"
+    path.write_bytes(f"CTCMAT v1\na\t<NaC>\nT={frames}\n{rows}".encode())
+    assert _outcome(load_matrix, path) == _outcome(reference_load_text_matrix, path)
+
+
+def test_unicode_digits_and_nbsp_still_load(tmp_path):
+    path = tmp_path / "m.ctcmat"
+    path.write_bytes("CTCMAT v1\na\t<NaC>\nT=2\n\u0661\t0\n\u00a00.5\t0.5\n".encode())
+    assert np.array_equal(load_matrix(path).probs, [[1.0, 0.0], [0.5, 0.5]])
+
+
+_free_entry = st.one_of(
+    st.floats(min_value=0.0, max_value=0.3),
+    st.floats(min_value=0.0, max_value=np.finfo(np.float64).tiny, exclude_max=True),  # subnormals
+    st.sampled_from([5e-324, 2.225073858507201e-308, 0.1 + 0.2 - 0.1]),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(_free_entry, min_size=len(AB) - 1, max_size=len(AB) - 1), min_size=1, max_size=4))
+def test_text_round_trip_keeps_subnormals_and_17_digit_values(tmp_path_factory, free):
+    probs = np.array([row + [1.0 - sum(row)] for row in free])
+    path = tmp_path_factory.mktemp("trip") / "m.ctcmat"
+    store_matrix(ConfidenceMatrix(probs, AB), path)
+    again = load_matrix(path).probs
+    assert again.view(np.uint64).tolist() == probs.view(np.uint64).tolist()
 
 
 @pytest.mark.parametrize(
