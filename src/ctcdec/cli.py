@@ -120,11 +120,6 @@ class SchemeDecoder:
             matrices, self.lexicon, self.params, self.committee, self._model(alphabet)
         )
 
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state["_model_cache"] = {}
-        return state
-
 
 #: ``DecodeParams`` and ``CommitteeConfig`` fields by their decode option.
 _DECODE_OPTIONS = {
@@ -209,7 +204,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         if len(hyp_lines) != len(ref_lines):
             raise ValueError(f"cannot pair {len(hyp_lines)} hypotheses with {len(ref_lines)} references")
         pairs = [(h[1], r[1]) for h, r in zip(hyp_lines, ref_lines)]
-    report = evaluate([p[0] for p in pairs], [p[1] for p in pairs], alphabet)
+    # A line the decoder failed on (``ERROR:<code>``) scores as an empty hypothesis.
+    failed = sum(text.startswith("ERROR:") for text, _ in pairs)
+    hyps = ["" if text.startswith("ERROR:") else text for text, _ in pairs]
+    report = evaluate(hyps, [p[1] for p in pairs], alphabet)
     cops, wops = report.char_ops, report.word_ops
     print(f"{'lines':<12}{len(report.lines)}")
     print(f"{'ref chars':<12}{sum(s.char_ref_len for s in report.lines)}")
@@ -227,6 +225,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     print(f"word_substitutions={wops.substitutions}")
     print(f"word_deletions={wops.deletions}")
     print(f"word_insertions={wops.insertions}")
+    print(f"failed={failed}")
     return 0
 
 

@@ -68,12 +68,6 @@ class _Slot:
             entry.count += 1
             entry.conf_sum += confidence
 
-    def copied(self) -> "_Slot":
-        return _Slot(
-            ref=self.ref,
-            entries={w: _Entry(e.count, e.conf_sum, e.first_rank) for w, e in self.entries.items()},
-        )
-
 
 @dataclass
 class WordTransitionNetwork:
@@ -133,7 +127,8 @@ def word_alignment(
 
 
 def align_into_wtn(wtn: WordTransitionNetwork, hyp: Hypothesis) -> WordTransitionNetwork:
-    """Align a hypothesis into the network, returning a new network.
+    """Align a hypothesis into the network, extending it in place, and
+    return the network.
 
     Insertions create new slots holding NULL for all prior hypotheses;
     deletions contribute NULL to existing slots.
@@ -144,20 +139,16 @@ def align_into_wtn(wtn: WordTransitionNetwork, hyp: Hypothesis) -> WordTransitio
 
     slots: list[_Slot] = []
     for kind, ref_idx, word_idx in ops:
-        if kind in ("match", "sub"):
-            slot = wtn.slots[ref_idx].copied()
-            slot.add(words[word_idx], confs[word_idx], rank)
-        elif kind == "del":
-            slot = wtn.slots[ref_idx].copied()
-            slot.add(NULL_WORD, 0.0, rank)
-        else:  # ins: fresh slot, everyone before gets NULL
-            slot = _Slot(ref=NULL_WORD)
-            slot.entries[NULL_WORD] = _Entry(count=rank, conf_sum=0.0, first_rank=0)
-            slot.add(words[word_idx], confs[word_idx], rank)
+        if kind == "ins":  # fresh slot, everyone before gets NULL
+            slot = _Slot(ref=NULL_WORD, entries={NULL_WORD: _Entry(count=rank)})
+        else:
+            slot = wtn.slots[ref_idx]
+        word, conf = (NULL_WORD, 0.0) if kind == "del" else (words[word_idx], confs[word_idx])
+        slot.add(word, conf, rank)
         slots.append(slot)
-    return WordTransitionNetwork(
-        slots=slots, num_hypotheses=rank + 1, separator=wtn.separator
-    )
+    wtn.slots = slots
+    wtn.num_hypotheses = rank + 1
+    return wtn
 
 
 def vote(wtn: WordTransitionNetwork, config: CommitteeConfig) -> Hypothesis:

@@ -219,20 +219,6 @@ def group_word_spans(
     return out
 
 
-def word_spans(
-    matrix: ConfidenceMatrix, text: str, separator: str | None
-) -> list[tuple[str, int, int]]:
-    """Per-word frame spans of a decoded text, from its Viterbi alignment.
-
-    Words are the separator-split tokens of ``text``; each span runs from
-    the first frame of the word's first character to the last frame of its
-    last character (end-exclusive).
-    """
-    if not text:
-        return []
-    return group_word_spans(text, force_align(matrix, text), separator)
-
-
 def marginal_word_confidences(
     matrix: ConfidenceMatrix, text: str, separator: str | None
 ) -> tuple[float, ...]:

@@ -108,11 +108,7 @@ def strip_attached(token: str, attach_chars: frozenset[str]) -> str:
     return token[start:end]
 
 
-def build_lexicon(
-    corpus: Iterable[str],
-    alphabet: Alphabet,
-    attach_chars: frozenset[str] | None = None,
-) -> Lexicon:
+def build_lexicon(corpus: Iterable[str], alphabet: Alphabet) -> Lexicon:
     """Count word occurrences in normalized transcripts.
 
     Transcripts are tokenized on the alphabet's separator symbol and
@@ -121,8 +117,7 @@ def build_lexicon(
     normalized; an out-of-alphabet character raises
     :class:`InvalidSymbol`.
     """
-    attach = DEFAULT_ATTACH_CHARS if attach_chars is None else frozenset(attach_chars)
-    attach = attach & alphabet.printable_symbols
+    attach = DEFAULT_ATTACH_CHARS & alphabet.printable_symbols
     counts: Counter[str] = Counter()
     for line in corpus:
         for ch in line:
@@ -144,11 +139,7 @@ def save_lexicon(lexicon: Lexicon, path: str | Path) -> None:
             fh.write(f"{count}\t{word}\n")
 
 
-def load_lexicon(
-    path: str | Path,
-    separator: str | None = " ",
-    attach_chars: frozenset[str] = DEFAULT_ATTACH_CHARS,
-) -> Lexicon:
+def load_lexicon(path: str | Path, separator: str | None = " ") -> Lexicon:
     """Read ``<count>\\t<word>`` lines."""
     counts: dict[str, int] = {}
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
@@ -164,4 +155,4 @@ def load_lexicon(
         if separator is not None and separator in word:
             raise ParseError(lineno, f"word {word!r} contains the separator {separator!r}")
         counts[word] = counts.get(word, 0) + count
-    return Lexicon(counts, separator=separator, attach_chars=attach_chars)
+    return Lexicon(counts, separator=separator)

@@ -140,8 +140,11 @@ def _parse_text_rows(payload: bytes, n_frames: int, n_symbols: int) -> np.ndarra
     trailing = rows.pop() if len(rows) > n_frames else b""
     tabs = {row.count(b"\t") for row in rows}
     if len(rows) == n_frames and tabs == {n_symbols - 1} and not trailing.strip():
+        fields = b"\t".join(rows)
+        del rows  # one copy of the values at a time: the rows, the joined bytes, the fields
+        fields = fields.split(b"\t")
         with suppress(ValueError):
-            return np.array(b"\t".join(rows).split(b"\t"), dtype=np.float64).reshape(n_frames, n_symbols)
+            return np.array(fields, dtype=np.float64).reshape(n_frames, n_symbols)
     lines = io.BytesIO(payload)
     values: list[float] = []
     for lineno in range(4, 4 + n_frames):

@@ -102,6 +102,31 @@ def reference_collapse(path, alphabet: Alphabet) -> str:
     )
 
 
+def reference_best_path_confidences(matrix: ConfidenceMatrix) -> tuple[float, ...]:
+    """Best-path word confidences, one frame at a time: per word, the
+    minimum of the per-frame maximum confidence over the frames from its
+    first character to its last, NaC frames between them included."""
+    alphabet = matrix.alphabet
+    out: list[float] = []
+    word_min = None  # None: not inside a word
+    gap: list[float] = []  # NaC frames since the word's last character
+    for row in matrix.probs.tolist():
+        top = max(row)
+        label = row.index(top)
+        if label == alphabet.nac_index:
+            gap.append(top)
+        elif alphabet.symbols[label] == alphabet.separator:
+            if word_min is not None:
+                out.append(word_min)
+            word_min, gap = None, []
+        else:
+            word_min = top if word_min is None else min([word_min, top, *gap])
+            gap = []
+    if word_min is not None:
+        out.append(word_min)
+    return tuple(out)
+
+
 def dm_valid_texts(
     scores: dict[str, float],
     lexicon,

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctcdec import Alphabet, ConfidenceMatrix, decode_best_path
-from ctcdec.ctc import path_log_score
+from ctcdec.ctc import collapse, path_log_score
 
-from oracles import random_matrix
+from oracles import random_matrix, reference_best_path_confidences
 
 AB2 = Alphabet.with_nac("ab")
 
@@ -79,3 +79,31 @@ def test_word_confidence_is_min_frame_max():
     hyp = decode_best_path(m)
     assert hyp.text == "a"
     assert hyp.word_confidences == (pytest.approx(0.6),)
+
+
+@given(
+    st.lists(st.sampled_from("aab  -"), min_size=1, max_size=40),
+    st.integers(0, 10_000),
+    st.sampled_from([" ", None]),
+)
+@settings(max_examples=200, deadline=None)
+def test_decode_matches_the_path_helpers_and_the_scalar_reference(path, seed, separator):
+    """Text, score and confidences from the one run split equal what
+    ``collapse``, ``path_log_score`` and a frame-by-frame reference make of
+    the argmax path. The path ('-' is NaC) has repeated letters, NaC gaps
+    inside words and separator runs; some rows tie their maximum with a
+    lower symbol."""
+    ab = Alphabet.with_nac("ab ", separator=separator)
+    rng = np.random.default_rng(seed)
+    rows = rng.random((len(path), len(ab))) * 0.5
+    for row, ch in zip(rows, path):
+        label = ab.nac_index if ch == "-" else ab.index(ch)
+        row[label] += 1.0
+        if label and rng.random() < 0.2:
+            row[rng.integers(label)] = row[label]
+    m = ConfidenceMatrix(rows / rows.sum(axis=1, keepdims=True), ab)
+    labels = np.argmax(m.probs, axis=1)
+    hyp = decode_best_path(m)
+    assert hyp.text == collapse(labels, ab)
+    assert hyp.score == path_log_score(m, labels)
+    assert hyp.word_confidences == reference_best_path_confidences(m)

@@ -171,6 +171,29 @@ def test_eval_pairs_by_order_for_bare_files(tmp_path, capsys):
     assert "wer=0.5" in out
 
 
+@pytest.mark.parametrize("symbols", [None, ["t", "h", "e", "c", "a", " ", "<NaC>"]])
+def test_eval_scores_a_failed_line_as_empty(tmp_path, capsys, symbols):
+    """An ``ERROR:<code>`` line is an empty hypothesis, also where the
+    alphabet lacks the characters of ``ERROR``."""
+    hyp = tmp_path / "hyp.tsv"
+    hyp.write_text("l0\tthe cat\nl1\tERROR:NoAcceptedString\n", encoding="utf-8")
+    ref = tmp_path / "ref.tsv"
+    ref.write_text("l0\tthe cat\nl1\tthe hat\n", encoding="utf-8")
+    argv = ["eval", "--hyp", hyp, "--ref", ref]
+    if symbols is not None:
+        alphabet = tmp_path / "alphabet.json"
+        alphabet.write_text(json.dumps({"symbols": symbols}), encoding="utf-8")
+        argv += ["--alphabet", alphabet]
+    capsys.readouterr()
+    assert run_cli(*argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "cer=0.5" in out
+    assert "char_deletions=7" in out
+    assert "char_insertions=0" in out
+    assert "wer=0.5" in out
+    assert out[-1] == "failed=1"
+
+
 def test_bad_alphabet_file_fails_cleanly(tmp_path):
     bad = tmp_path / "alphabet.json"
     bad.write_text(json.dumps({"symbols": ["a", "b"]}), encoding="utf-8")  # no NaC

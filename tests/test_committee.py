@@ -79,6 +79,12 @@ class TestAlignment:
         cost, _ = word_alignment(list(ref), list(words))
         assert cost == recursive_edit_distance(ref, words)
 
+    def test_extends_the_network_in_place(self):
+        wtn = WordTransitionNetwork.from_hypothesis(hyp("a c"), " ")
+        assert align_into_wtn(wtn, hyp("a b c")) is wtn
+        assert wtn.num_hypotheses == 2
+        assert slot_words(wtn) == [{"a": 2}, {"NULL": 1, "b": 1}, {"c": 2}]
+
     def test_empty_hypothesis_fills_nulls(self):
         wtn = WordTransitionNetwork.from_hypothesis(hyp("a b"), " ")
         wtn = align_into_wtn(wtn, hyp(""))

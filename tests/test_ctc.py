@@ -11,11 +11,11 @@ from ctcdec.ctc import (
     _align,
     collapse,
     force_align,
+    group_word_spans,
     marginal_word_confidences,
     path_log_score,
     string_log_score,
     word_confidences_many,
-    word_spans,
 )
 
 from oracles import (
@@ -199,7 +199,7 @@ class TestAlignment:
     def test_word_spans_and_confidences(self):
         ab = Alphabet.with_nac("ab ", separator=" ")
         m = random_matrix(np.random.default_rng(9), ab, 10)
-        spans = word_spans(m, "a b", " ")
+        spans = group_word_spans("a b", force_align(m, "a b"), " ")
         assert [w for w, _, _ in spans] == ["a", "b"]
         confs = marginal_word_confidences(m, "a b", " ")
         assert len(confs) == 2
@@ -208,7 +208,7 @@ class TestAlignment:
     def test_empty_text(self):
         ab = Alphabet.with_nac("a")
         m = ConfidenceMatrix([[0.5, 0.5]], ab)
-        assert word_spans(m, "", " ") == []
+        assert group_word_spans("", force_align(m, ""), " ") == []
         assert marginal_word_confidences(m, "", " ") == ()
 
 
@@ -331,7 +331,7 @@ class TestAgainstPathEnumeration:
                 path[start:end] = [alphabet.index(ch)] * (end - start)
             assert collapse(path, alphabet) == text
             assert path_log_score(m, path) == pytest.approx(top, rel=1e-12, abs=1e-12)
-            spans = word_spans(m, text, " ")
+            spans = group_word_spans(text, force_align(m, text), " ")
             confs = marginal_word_confidences(m, text, " ")
             assert len(confs) == len(spans)
             for (word, start, end), conf in zip(spans, confs):
