@@ -7,16 +7,20 @@ A manifest is a JSON file listing one record per text line::
          "ref": "refs/l001.txt"}
     ]}
 
-Every record carries the same number of per-expert matrix paths, assumed
-rank-ordered (best expert first). Per-line failures are recorded in the
-output as ``<line-id>\\tERROR:<code>`` without aborting the batch;
-manifest-level problems raise.
+Every record carries the same number (at least one) of per-expert matrix
+paths, assumed rank-ordered (best expert first). Line ids are unique and
+hold no tab or line break, since an id heads its line of the output. A
+line whose input fails (a toolkit error or an ``OSError``) is recorded in
+the output as ``<line-id>\\tERROR:<class name>`` without aborting the
+batch; manifest-level problems and program faults raise.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -41,15 +45,19 @@ class Manifest:
     records: tuple[LineRecord, ...]
 
     def __post_init__(self) -> None:
-        ids = [r.line_id for r in self.records]
-        if len(set(ids)) != len(ids):
-            dupe = next(i for i in ids if ids.count(i) > 1)
-            raise ParseError(0, f"duplicate line id {dupe!r}")
-        if any(not rec.matrix_paths for rec in self.records):
-            raise ParseError(0, "every record needs at least one matrix path")
-        counts = {len(r.matrix_paths) for r in self.records}
-        if len(counts) > 1:
-            raise ParseError(0, f"records disagree on expert count: {sorted(counts)}")
+        seen: set[str] = set()
+        count = self.expert_count
+        for rec in self.records:
+            line_id, n = rec.line_id, len(rec.matrix_paths)
+            if line_id in seen:
+                raise ParseError(0, f"record {line_id!r}: duplicate line id")
+            if "\t" in line_id or "\r" in line_id or "\n" in line_id:
+                raise ParseError(0, f"record {line_id!r}: a line id must not contain a tab or a line break")
+            if not n:
+                raise ParseError(0, f"record {line_id!r} needs at least one matrix path")
+            if n != count:
+                raise ParseError(0, f"record {line_id!r} has {n} matrices, the first record {count}")
+            seen.add(line_id)
 
     @property
     def expert_count(self) -> int:
@@ -68,12 +76,10 @@ def load_manifest(path: str | Path) -> Manifest:
     for i, entry in enumerate(doc["lines"]):
         if not isinstance(entry, dict) or "id" not in entry or "matrices" not in entry:
             raise ParseError(0, f"record {i} needs 'id' and 'matrices'")
-        paths = entry["matrices"]
-        if not isinstance(paths, list) or not paths:
-            raise ParseError(0, f"record {entry['id']!r} needs a non-empty 'matrices' array")
-        ref = entry.get("ref")
-        if not all(isinstance(p, str) for p in paths) or not isinstance(ref, (str, type(None))):
-            raise ParseError(0, f"record {entry['id']!r}: matrix paths and 'ref' must be strings")
+        paths, ref = entry["matrices"], entry.get("ref")
+        strings = isinstance(paths, list) and all(isinstance(p, str) for p in paths)
+        if not strings or not isinstance(ref, (str, type(None))):
+            raise ParseError(0, f"record {entry['id']!r}: 'matrices' must be an array of strings and 'ref' a string")
         records.append(
             LineRecord(
                 line_id=str(entry["id"]),
@@ -123,9 +129,7 @@ def _worker(args: tuple[LineRecord, DecodeFn, int | None]) -> tuple[str, str]:
     record, decode_fn, experts = args
     try:
         return record.line_id, decode_record(record, decode_fn, experts)
-    except CtcDecError as exc:
-        return record.line_id, f"ERROR:{exc.code}"
-    except Exception as exc:  # deliberate: one bad line must not kill the batch
+    except (CtcDecError, OSError) as exc:
         return record.line_id, f"ERROR:{type(exc).__name__}"
 
 
@@ -139,16 +143,22 @@ def run_batch(
     """Decode every manifest record, writing ``<line-id>\\t<text>`` lines.
 
     Output order equals manifest order regardless of ``jobs``. Failed
-    lines are written as ``<line-id>\\tERROR:<code>``. Returns the
-    (id, text-or-error) pairs.
+    lines are written as ``<line-id>\\tERROR:<code>``. Lines go to
+    ``<out_path>.tmp`` as they are decoded, renamed to ``out_path`` after
+    the last, so an exception leaves the finished lines in the ``.tmp``
+    file and no ``out_path``. Returns the (id, text-or-error) pairs.
     """
     tasks = [(rec, decode_fn, experts) for rec in manifest.records]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_worker, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
-    else:
-        results = [_worker(t) for t in tasks]
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for line_id, text in results:
+    tmp_path = f"{out_path}.tmp"
+    results: list[tuple[str, str]] = []
+    with open(tmp_path, "w", encoding="utf-8") as fh, ExitStack() as stack:
+        if jobs > 1 and len(tasks) > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
+            lines = pool.map(_worker, tasks, chunksize=max(1, len(tasks) // (4 * jobs)))
+        else:
+            lines = map(_worker, tasks)
+        for line_id, text in lines:
             fh.write(f"{line_id}\t{text}\n")
+            results.append((line_id, text))
+    os.replace(tmp_path, out_path)
     return results

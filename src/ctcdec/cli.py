@@ -149,8 +149,9 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     # The single-matrix schemes decode (and load) each line's first matrix.
     experts = 1
     if args.scheme == "dec-e":
-        experts = args.experts or manifest.expert_count
-        if not 1 <= experts <= manifest.expert_count:
+        # A manifest with no lines has no expert count; any committee decodes it.
+        experts = (manifest.expert_count or 1) if args.experts is None else args.experts
+        if manifest.records and not 1 <= experts <= manifest.expert_count:
             raise ValueError(f"--experts must be in [1, {manifest.expert_count}], the manifest's matrices per line; got {experts}")
     try:
         params = DecodeParams(
@@ -320,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=0.0, help="word insertion bonus")
     p.add_argument("--oov", choices=("reject", "pass-punct"), default="reject")
     p.add_argument("--min-symbol-prob", type=float, default=0.0)
-    p.add_argument("--experts", type=int, default=0, help="committee size (default: all manifest experts)")
+    p.add_argument("--experts", type=int, help="committee size (default: all manifest experts)")
     p.add_argument("--lambda", dest="vote_lambda", type=float, default=0.5)
     p.add_argument("--null-conf", type=float, default=0.7)
     p.add_argument("--jobs", type=int, default=1)

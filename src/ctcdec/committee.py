@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
+from .ctc import split_words
 from .dictionary import DecodeParams, _decode_dictionary_many
 from .errors import LengthMismatch, NoAcceptedString
 from .evaluate import edit_alignment
@@ -95,10 +96,7 @@ class WordTransitionNetwork:
 
 
 def _tokenize(hyp: Hypothesis, separator: str | None) -> tuple[list[str], list[float]]:
-    if not hyp.text:
-        return [], []
-    words = hyp.text.split(separator) if separator is not None else [hyp.text]
-    words = [w for w in words if w]
+    words = split_words(hyp.text, separator)
     if hyp.word_confidences is not None:
         confs = list(hyp.word_confidences)
         if len(confs) != len(words):
@@ -152,11 +150,8 @@ def align_into_wtn(wtn: WordTransitionNetwork, hyp: Hypothesis) -> WordTransitio
 
 
 def vote(wtn: WordTransitionNetwork, config: CommitteeConfig) -> Hypothesis:
-    """Per-slot weighted vote over counts and mean confidences."""
-    if config.n != wtn.num_hypotheses:
-        raise LengthMismatch(
-            f"config expects {config.n} experts, network holds {wtn.num_hypotheses}"
-        )
+    """Per-slot weighted vote over counts and mean confidences; a count is
+    a share of the network's hypotheses."""
     lam = config.vote_lambda
     words: list[str] = []
     scores: list[float] = []
@@ -169,7 +164,7 @@ def vote(wtn: WordTransitionNetwork, config: CommitteeConfig) -> Hypothesis:
                 mean_conf = config.null_confidence
             else:
                 mean_conf = entry.conf_sum / entry.count
-            score = lam * (entry.count / config.n) + (1.0 - lam) * mean_conf
+            score = lam * (entry.count / wtn.num_hypotheses) + (1.0 - lam) * mean_conf
             if score > best_score or (score == best_score and entry.first_rank < best_rank):
                 best_word, best_score, best_rank = word, score, entry.first_rank
         if best_word is not NULL_WORD:

@@ -55,6 +55,7 @@ def path_log_score(matrix: ConfidenceMatrix, path: Path) -> float:
 
 
 def _text_to_indices(text: str, alphabet: Alphabet) -> list[int]:
+    """Alphabet indices of ``text``, the one printable-text check (:class:`InvalidSymbol`)."""
     indices = []
     for ch in text:
         idx = alphabet.index_of.get(ch)
@@ -201,21 +202,28 @@ def force_align(matrix: ConfidenceMatrix, text: str) -> list[tuple[int, int]]:
     return _align([(matrix, text, 0, matrix.num_frames)])[0]
 
 
+def split_words(text: str, separator: str | None) -> list[str]:
+    """The words of ``text``, as confidences, the committee vote, WER and
+    lexicons count them: its non-empty ``separator``-split tokens, or the
+    text itself, if not empty, when ``separator`` is None."""
+    return [word for word in (text.split(separator) if separator is not None else [text]) if word]
+
+
 def group_word_spans(
     text: str, char_spans: list[tuple[int, int]], separator: str | None
 ) -> list[tuple[str, int, int]]:
     """Group per-character frame spans of ``text`` into per-word spans.
 
-    Words are the separator-split tokens of ``text`` (the whole text when
-    ``separator`` is None); each span runs from the start of the word's
-    first character to the end of its last.
+    Words are :func:`split_words` of ``text``; each span runs from the
+    start of the word's first character to the end of its last.
     """
     out: list[tuple[str, int, int]] = []
     pos = 0
-    for word in text.split(separator) if separator is not None else [text]:
-        if word:
-            out.append((word, char_spans[pos][0], char_spans[pos + len(word) - 1][1]))
-        pos += len(word) + 1
+    for word in split_words(text, separator):
+        # Only separators lie between two words, so the next match is the word.
+        pos = text.index(word, pos)
+        out.append((word, char_spans[pos][0], char_spans[pos + len(word) - 1][1]))
+        pos += len(word)
     return out
 
 

@@ -1,7 +1,7 @@
 """Exception types shared across the toolkit.
 
-Every error carries a stable ``code`` (the class name) that batch runs use
-to tag failed lines without aborting the whole batch.
+A batch run tags a line that fails with one of these as ``ERROR:<class
+name>`` without aborting the whole batch.
 """
 
 from __future__ import annotations
@@ -9,10 +9,6 @@ from __future__ import annotations
 
 class CtcDecError(Exception):
     """Base class for all toolkit errors."""
-
-    @property
-    def code(self) -> str:
-        return type(self).__name__
 
 
 class UnmappableCharacter(CtcDecError):

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .alphabet import Alphabet, normalize_transcript
+from .ctc import split_words
 from .errors import LengthMismatch
 from .types import Hypothesis
 
@@ -147,11 +148,6 @@ class EvalReport:
         return total
 
 
-def _words(text: str, separator: str | None) -> list[str]:
-    tokens = text.split(separator) if separator is not None else text.split()
-    return [t for t in tokens if t]
-
-
 def evaluate(
     hyps: Sequence[Hypothesis | str],
     refs: Sequence[str],
@@ -161,7 +157,8 @@ def evaluate(
 
     Both sides are normalized through the alphabet's mapping first, so
     scoring is invariant under transcript normalization. Case- and
-    punctuation-sensitive.
+    punctuation-sensitive. Words are :func:`split_words` on the alphabet's
+    separator, so without one a line is one word.
     """
     if len(hyps) != len(refs):
         raise LengthMismatch(f"{len(hyps)} hypotheses vs {len(refs)} references")
@@ -171,8 +168,8 @@ def evaluate(
         hyp_text = normalize_transcript(hyp_text, alphabet)
         ref_text = normalize_transcript(ref, alphabet)
         char_dist, char_ops = edit_distance(ref_text, hyp_text)
-        ref_words = _words(ref_text, alphabet.separator)
-        hyp_words = _words(hyp_text, alphabet.separator)
+        ref_words = split_words(ref_text, alphabet.separator)
+        hyp_words = split_words(hyp_text, alphabet.separator)
         word_dist, word_ops = edit_distance(ref_words, hyp_words)
         lines.append(
             LineScore(

@@ -9,7 +9,8 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .alphabet import Alphabet, default_alphabet
-from .errors import InvalidSymbol, ParseError
+from .ctc import _text_to_indices, split_words
+from .errors import ParseError
 from .expressions import CLASS_ATTACH, default_rule_config
 from .matio import read_text
 
@@ -111,7 +112,7 @@ def strip_attached(token: str, attach_chars: frozenset[str]) -> str:
 def build_lexicon(corpus: Iterable[str], alphabet: Alphabet) -> Lexicon:
     """Count word occurrences in normalized transcripts.
 
-    Transcripts are tokenized on the alphabet's separator symbol and
+    Transcripts are split into words (:func:`split_words`) and
     attaching punctuation is stripped from token edges; empty cores (pure
     punctuation tokens) are dropped. Transcripts must already be
     normalized; an out-of-alphabet character raises
@@ -120,11 +121,8 @@ def build_lexicon(corpus: Iterable[str], alphabet: Alphabet) -> Lexicon:
     attach = DEFAULT_ATTACH_CHARS & alphabet.printable_symbols
     counts: Counter[str] = Counter()
     for line in corpus:
-        for ch in line:
-            if ch not in alphabet.printable_symbols:
-                raise InvalidSymbol(f"corpus character {ch!r} is not a printable alphabet symbol")
-        tokens = line.split(alphabet.separator) if alphabet.separator else [line]
-        for token in tokens:
+        _text_to_indices(line, alphabet)
+        for token in split_words(line, alphabet.separator):
             core = strip_attached(token, attach)
             if core:
                 counts[core] += 1

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .alphabet import Alphabet
-from .errors import InvalidSymbol
+from .ctc import _text_to_indices
 from .matrix import ConfidenceMatrix
 
 _BETA_CONCENTRATION = 4.0
@@ -46,15 +46,8 @@ def generate_synthetic(
     if not 0.0 <= noise < 1.0:
         raise ValueError("noise must be in [0, 1)")
     nac = alphabet.nac_index
-    labels: list[int] = []
-    for ch in text:
-        idx = alphabet.index_of.get(ch)
-        if idx is None or idx == nac:
-            raise InvalidSymbol(f"symbol {ch!r} is not a printable alphabet symbol")
-        labels.extend([idx] * (frames_per_char - 1))
-        labels.append(nac)
-    if not labels:
-        labels = [nac]
+    char_frames = [idx for ch in _text_to_indices(text, alphabet) for idx in [ch] * (frames_per_char - 1) + [nac]]
+    labels = char_frames or [nac]
 
     n_frames = len(labels)
     n_symbols = len(alphabet)

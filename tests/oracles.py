@@ -400,6 +400,22 @@ def reference_force_align(matrix: ConfidenceMatrix, text: str) -> list[tuple[int
     return [(int(s), int(e)) for s, e in zip(starts, ends)]
 
 
+def reference_group_word_spans(
+    text: str, char_spans: list[tuple[int, int]], separator: str | None
+) -> list[tuple[str, int, int]]:
+    """``ctc.group_word_spans`` as a walk over character positions: each
+    separator-split token (the whole text without a separator) moves the
+    position past itself and one separator, and the non-empty ones are
+    the words."""
+    out = []
+    pos = 0
+    for word in text.split(separator) if separator is not None else [text]:
+        if word:
+            out.append((word, char_spans[pos][0], char_spans[pos + len(word) - 1][1]))
+        pos += len(word) + 1
+    return out
+
+
 def reference_word_confidences(
     matrix: ConfidenceMatrix, text: str, separator: str | None
 ) -> tuple[float, ...]:
@@ -407,15 +423,10 @@ def reference_word_confidences(
     forward pass per word."""
     if not text:
         return ()
-    spans = reference_force_align(matrix, text)
-    out = []
-    pos = 0
-    for word in text.split(separator) if separator is not None else [text]:
-        if word:
-            start, end = spans[pos][0], spans[pos + len(word) - 1][1]
-            out.append(math.exp(reference_log_marginal(matrix.log_probs[start:end], word, matrix.alphabet)))
-        pos += len(word) + 1
-    return tuple(out)
+    return tuple(
+        math.exp(reference_log_marginal(matrix.log_probs[start:end], word, matrix.alphabet))
+        for word, start, end in reference_group_word_spans(text, reference_force_align(matrix, text), separator)
+    )
 
 
 def reference_edit_alignment(reference, hypothesis, deletion_costs) -> tuple[int, list[tuple[str, int, int]]]:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -60,6 +61,37 @@ class TestManifest:
     def test_empty_matrix_list_rejected(self):
         with pytest.raises(ParseError):
             Manifest((LineRecord("l1", ()),))
+
+    @pytest.mark.parametrize(
+        "records, name",
+        [
+            ((("l1", 1), ("l1", 1)), "l1"),
+            ((("l1", 1), ("l2", 0)), "l2"),
+            ((("l1", 1), ("l2", 1), ("l3", 2)), "l3"),
+            ((("l1", 1), ("a\tb", 1)), "a\tb"),
+            ((("a\rb", 1),), "a\rb"),
+            ((("l1", 1), ("a\nb", 1)), "a\nb"),
+        ],
+        ids=["duplicate", "no-matrices", "expert-count", "tab", "carriage-return", "newline"],
+    )
+    def test_each_record_rule_names_the_record(self, tmp_path, records, name):
+        p = write_line(tmp_path, "x", "ab")
+        with pytest.raises(ParseError, match=re.escape(f"record {name!r}")):
+            Manifest(tuple(LineRecord(line_id, (p,) * n) for line_id, n in records))
+
+    def test_an_id_with_a_tab_is_rejected_on_load(self, tmp_path):
+        """Such an id would write an output line that ``ctcdec eval`` splits
+        in the wrong place."""
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"lines": [{"id": "a\tb", "matrices": ["x.ctcmat"]}]}), encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(repr("a\tb"))):
+            load_manifest(path)
+
+    def test_an_empty_matrix_array_is_rejected_on_load(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"lines": [{"id": "l1", "matrices": []}]}), encoding="utf-8")
+        with pytest.raises(ParseError, match="record 'l1'"):
+            load_manifest(path)
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "manifest.json"
@@ -166,3 +198,42 @@ class TestRunBatch:
 
         results = run_batch(Manifest((record,)), committee, tmp_path / "out.tsv")
         assert results[0][1] == "ERROR:InvariantViolation"
+
+
+def fail_on_third(matrices):
+    """Best path, except a program fault on the matrix of line ``l2``."""
+    if matrices[0].num_frames == 9:
+        raise TypeError("a decoder bug")
+    return decode_best_path(matrices[0])
+
+
+class TestStreamedOutput:
+    def test_a_missing_output_directory_fails_before_decoding(self, tmp_path):
+        calls = []
+        record = LineRecord("l0", (write_line(tmp_path, "l0", "ab"),))
+        with pytest.raises(FileNotFoundError):
+            run_batch(Manifest((record,)), calls.append, tmp_path / "nodir" / "out.tsv")
+        assert calls == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_program_fault_keeps_the_finished_lines(self, tmp_path, jobs):
+        """A fault that user input cannot cause is not an ``ERROR:`` line:
+        it stops the batch, the lines before it stay in ``<out>.tmp``, and
+        no ``<out>`` is written."""
+        records = tuple(
+            LineRecord(f"l{i}", (write_line(tmp_path, f"l{i}", text),))
+            for i, text in enumerate(["ab", "ba", "aba", "b"])
+        )
+        out = tmp_path / "out.tsv"
+        with pytest.raises(TypeError, match="a decoder bug"):
+            run_batch(Manifest(records), fail_on_third, out, jobs=jobs)
+        assert (tmp_path / "out.tsv.tmp").read_text(encoding="utf-8") == "l0\tab\nl1\tba\n"
+        assert not out.exists()
+
+    def test_the_finished_file_replaces_the_temporary_one(self, tmp_path):
+        out = tmp_path / "out.tsv"
+        out.write_text("stale\n", encoding="utf-8")
+        record = LineRecord("l0", (write_line(tmp_path, "l0", "ab"),))
+        run_batch(Manifest((record,)), bp_decoder, out)
+        assert out.read_text(encoding="utf-8") == "l0\tab\n"
+        assert not (tmp_path / "out.tsv.tmp").exists()

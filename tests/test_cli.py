@@ -326,6 +326,7 @@ def test_per_line_errors_still_exit_zero(workspace):
         ("dec-e", ("--null-conf", 2)),
         ("dec-bp", ("--beam", -3)),
         ("dec-e", ("--experts", 99)),
+        ("dec-e", ("--experts", 0)),
     ],
 )
 def test_bad_decode_numbers_exit_2_with_one_line(workspace, capsys, scheme, flags):
@@ -587,4 +588,28 @@ def test_empty_lexicon_exits_1_with_one_line(workspace, capsys, scheme):
     assert run_cli("decode", "--manifest", manifest, "--scheme", scheme, "--lexicon", lex_path, "--out", out) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "empty.tsv" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scheme", ["dec-bp", "dec-ce", "dec-dm", "dec-e"])
+def test_a_manifest_with_no_lines_writes_an_empty_file(workspace, scheme):
+    lex_path = workspace / "words.tsv"
+    run_cli("lexicon", "build", "--corpus", workspace / "corpus", "--out", lex_path)
+    manifest = workspace / "empty.json"
+    manifest.write_text('{"lines": []}', encoding="utf-8")
+    out = workspace / "out.tsv"
+    assert run_cli("decode", "--manifest", manifest, "--scheme", scheme, "--lexicon", lex_path, "--out", out) == 0
+    assert out.read_text(encoding="utf-8") == ""
+
+
+def test_a_line_id_with_a_tab_exits_1_naming_the_record(workspace, capsys):
+    manifest, _ = _decode_inputs(workspace)
+    doc = json.loads(manifest.read_text(encoding="utf-8"))
+    doc["lines"][1]["id"] = "a\tb"
+    manifest.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    out = workspace / "x.tsv"
+    assert run_cli("decode", "--manifest", manifest, "--scheme", "dec-bp", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "record 'a\\tb'" in err and err.count("\n") == 1
     assert not out.exists()

@@ -120,13 +120,6 @@ class TestVote:
         drop = vote(wtn, CommitteeConfig(n=2, vote_lambda=0.0, null_confidence=0.9))
         assert drop.text == ""
 
-    def test_expert_count_must_match(self):
-        from ctcdec import LengthMismatch
-
-        wtn = WordTransitionNetwork.from_hypothesis(hyp("a"), " ")
-        with pytest.raises(LengthMismatch):
-            vote(wtn, CommitteeConfig(n=3))
-
     def test_confidence_count_must_match_words(self):
         from ctcdec import LengthMismatch
 

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ctcdec import Alphabet, ConfidenceMatrix, InvalidSymbol, LengthMismatch, detect_boundaries
+from ctcdec import Alphabet, ConfidenceMatrix, Hypothesis, InvalidSymbol, LengthMismatch, detect_boundaries, evaluate
+from ctcdec.committee import _tokenize
 from ctcdec.ctc import (
     NEG_INF,
     _align,
@@ -14,6 +15,7 @@ from ctcdec.ctc import (
     group_word_spans,
     marginal_word_confidences,
     path_log_score,
+    split_words,
     string_log_score,
     word_confidences_many,
 )
@@ -23,6 +25,7 @@ from oracles import (
     random_matrix,
     reference_collapse,
     reference_force_align,
+    reference_group_word_spans,
     reference_log_marginal,
     reference_word_confidences,
 )
@@ -337,3 +340,25 @@ class TestAgainstPathEnumeration:
             for (word, start, end), conf in zip(spans, confs):
                 span = ConfidenceMatrix(m.probs[start:end], alphabet)
                 assert conf == pytest.approx(enumerate_string_probs(span)[word], rel=1e-9)
+
+
+class TestWordRule:
+    """``split_words`` is the one word rule: word spans (and so word
+    confidences), the committee's tokens and WER all count its words."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="ab ", max_size=12), st.sampled_from([" ", None]))
+    @example("", " ")
+    @example("", None)
+    @example(" ", " ")
+    @example("  a  bb ", " ")
+    @example(" ab  a", None)
+    def test_spans_tokens_and_wer_agree_with_the_position_walk(self, text, separator):
+        # Distinct, non-touching spans, so a word off by one character shows.
+        char_spans = [(3 * i, 3 * i + 2) for i in range(len(text))]
+        words = split_words(text, separator)
+        assert group_word_spans(text, char_spans, separator) == reference_group_word_spans(text, char_spans, separator)
+        assert [word for word, _, _ in group_word_spans(text, char_spans, separator)] == words
+        assert _tokenize(Hypothesis(text, 0.0), separator)[0] == words
+        alphabet = Alphabet.with_nac("ab ", separator=separator)
+        assert evaluate([text], [text], alphabet).lines[0].word_ref_len == len(words)

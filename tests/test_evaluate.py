@@ -172,3 +172,14 @@ class TestRanking:
     def test_empty_reports_rejected(self):
         with pytest.raises(ValueError):
             rank_experts([])
+
+
+def test_a_separator_free_line_is_one_word():
+    """Without a separator symbol WER counts the line as one word, as the
+    word confidences and the committee vote do, even where the line holds
+    a whitespace symbol."""
+    alphabet = Alphabet.with_nac("ab\t")
+    report = evaluate(["a\tb"], ["a\ta"], alphabet)
+    assert report.lines[0].word_ref_len == 1
+    assert report.lines[0].word_distance == 1
+    assert report.wer == 1.0
