@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ctc import group_word_spans
-from .matrix import ConfidenceMatrix
+from .matrix import ConfidenceMatrix, runs
 from .types import Hypothesis
 
 
@@ -23,8 +23,7 @@ def decode_best_path(matrix: ConfidenceMatrix) -> Hypothesis:
     labels = np.argmax(matrix.probs, axis=1)
     frame_max = matrix.probs[np.arange(matrix.num_frames), labels]
     # Maximal runs of identical labels; non-NaC runs emit one character each.
-    starts = np.flatnonzero(np.diff(labels, prepend=-1))
-    ends = np.append(starts[1:], len(labels))
+    starts, ends = runs(labels)
     emits = labels[starts] != matrix.alphabet.nac_index
     symbols = matrix.alphabet.symbols
     text = "".join([symbols[i] for i in labels[starts[emits]].tolist()])

@@ -59,8 +59,7 @@ def load_alphabet_arg(spec: str) -> Alphabet:
     if spec == "default":
         return default_alphabet()
     try:
-        with open(spec, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = json.loads(read_text(spec))
         shape = isinstance(doc, dict) and (type(doc.get("symbols")), type(doc.get("normalization", {})))
         if shape != (list, dict):
             raise ValueError('expected {"symbols": [...], "normalization": {...}}')
@@ -135,6 +134,9 @@ _DECODE_OPTIONS = {
 def _cmd_decode(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
+    # The output is renamed into place after the last line: check the target first.
+    if Path(args.out).is_dir():
+        raise IsADirectoryError(f"--out {args.out!r} is a directory")
     manifest = load_manifest(args.manifest)
     rule_config = None
     if args.rules:
@@ -182,7 +184,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _read_lines_file(path: str) -> list[tuple[str, str]]:
-    """Read ``id<TAB>text`` or bare-text lines."""
+    """Read ``id<TAB>text`` or bare-text lines; a bare line's id is its 0-based position."""
     content = read_text(path)
     out = []
     for i, line in enumerate(content.removesuffix("\n").split("\n") if content else ()):
@@ -194,21 +196,29 @@ def _read_lines_file(path: str) -> list[tuple[str, str]]:
     return out
 
 
+def _lines_by_id(path: str) -> dict[str, tuple[int, str]]:
+    """A lines file's ``id -> (line number, text)``; a repeated id is a :class:`ParseError`."""
+    lines: dict[str, tuple[int, str]] = {}
+    for lineno, (line_id, text) in enumerate(_read_lines_file(path), start=1):
+        if line_id in lines:
+            raise ParseError(lineno, f"id {line_id!r} of {path} repeats line {lines[line_id][0]}")
+        lines[line_id] = (lineno, text)
+    return lines
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     alphabet = load_alphabet_arg(args.alphabet)
-    hyp_lines = _read_lines_file(args.hyp)
-    ref_lines = _read_lines_file(args.ref)
-    ref_by_id = dict(ref_lines)
-    if len(ref_by_id) == len(ref_lines) and all(h[0] in ref_by_id for h in hyp_lines):
-        pairs = [(text, ref_by_id[line_id]) for line_id, text in hyp_lines]
-    else:
-        if len(hyp_lines) != len(ref_lines):
-            raise ValueError(f"cannot pair {len(hyp_lines)} hypotheses with {len(ref_lines)} references")
-        pairs = [(h[1], r[1]) for h, r in zip(hyp_lines, ref_lines)]
+    hyp_lines, ref_lines = _lines_by_id(args.hyp), _lines_by_id(args.ref)
+    # Lines pair by id only, so both files must hold the same ids.
+    sides = ((args.hyp, hyp_lines, args.ref, ref_lines), (args.ref, ref_lines, args.hyp, hyp_lines))
+    for path, lines, other_path, other in sides:
+        for line_id, (lineno, _) in lines.items():
+            if line_id not in other:
+                raise ParseError(lineno, f"id {line_id!r} of {path} is not in {other_path}")
     # A line the decoder failed on (``ERROR:<code>``) scores as an empty hypothesis.
-    failed = sum(text.startswith("ERROR:") for text, _ in pairs)
-    hyps = ["" if text.startswith("ERROR:") else text for text, _ in pairs]
-    report = evaluate(hyps, [p[1] for p in pairs], alphabet)
+    failed = sum(text.startswith("ERROR:") for _, text in hyp_lines.values())
+    hyps = ["" if text.startswith("ERROR:") else text for _, text in hyp_lines.values()]
+    report = evaluate(hyps, [ref_lines[line_id][1] for line_id in hyp_lines], alphabet)
     cops, wops = report.char_ops, report.word_ops
     print(f"{'lines':<12}{len(report.lines)}")
     print(f"{'ref chars':<12}{sum(s.char_ref_len for s in report.lines)}")
@@ -216,7 +226,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     print(f"{'ref words':<12}{sum(s.word_ref_len for s in report.lines)}")
     print(f"{'WER':<12}{report.wer:.6f}  (sub {wops.substitutions}  del {wops.deletions}  ins {wops.insertions})")
     if args.per_line:
-        for (_, ref), (line_id, _), score in zip(pairs, hyp_lines, report.lines):
+        for line_id, score in zip(hyp_lines, report.lines):
             print(f"line {line_id}: char {score.char_distance}/{score.char_ref_len}  word {score.word_distance}/{score.word_ref_len}")
     print(f"cer={report.cer}")
     print(f"wer={report.wer}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .alphabet import Alphabet
 from .errors import InvalidSymbol, LengthMismatch
-from .matrix import ConfidenceMatrix
+from .matrix import ConfidenceMatrix, runs
 
 NEG_INF = float("-inf")
 
@@ -25,17 +25,13 @@ Path = Sequence[int]
 
 def collapse(path: Path, alphabet: Alphabet) -> str:
     """Collapse a path to a string: merge runs, then delete NaC."""
+    labels = np.asarray(path)
     size = len(alphabet)
-    merged: list[int] = []
-    prev = -1
-    for idx in path:
-        if not 0 <= idx < size:
-            raise InvalidSymbol(f"label {idx} out of range for alphabet of size {size}")
-        if idx != prev:
-            merged.append(idx)
-            prev = idx
+    bad = labels[(labels < 0) | (labels >= size)]
+    if bad.size:
+        raise InvalidSymbol(f"label {bad[0]} out of range for alphabet of size {size}")
     nac = alphabet.nac_index
-    return "".join(alphabet.symbols[i] for i in merged if i != nac)
+    return "".join(alphabet.symbols[i] for i in labels[runs(labels)[0]].tolist() if i != nac)
 
 
 def path_log_score(matrix: ConfidenceMatrix, path: Path) -> float:

@@ -40,14 +40,10 @@ class ExperimentConfig:
     noise: float = 0.25
     seed: int = 0
     beam_width: int = 8
-    lm_weight: float = 1.0
-    word_bonus: float = 0.0
     # Pure frequency voting: the robust setting for equal-quality experts
     # (confidence voting lets a confidently wrong expert override the
     # committee at n=2). Confidence voting is exercised in unit tests.
     vote_lambda: float = 1.0
-    null_confidence: float = 0.7
-    min_symbol_prob: float = 1e-3
     committee_sizes: tuple[int, ...] = (2, 5)
 
 
@@ -60,8 +56,7 @@ class TrialResult:
 
     @property
     def ordering_holds(self) -> bool:
-        sizes = sorted(self.wer_committee)
-        chain = [self.wer_committee[n] for n in sorted(sizes, reverse=True)]
+        chain = [self.wer_committee[n] for n in sorted(self.wer_committee, reverse=True)]
         chain.append(self.wer_dictionary_best)
         committees_ok = all(a <= b for a, b in zip(chain, chain[1:]))
         return committees_ok and self.wer_dictionary_mean <= self.wer_best_path_mean
@@ -127,12 +122,8 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
     vocab = _make_vocabulary(rng, config.vocab_size)
     refs = _sample_lines(rng, vocab, config.lines_per_trial, config.words_per_line)
     lexicon = Lexicon(vocab, separator=" ")
-    params = DecodeParams(
-        lm_weight=config.lm_weight,
-        word_bonus=config.word_bonus,
-        beam_width=config.beam_width,
-        min_symbol_prob=config.min_symbol_prob,
-    )
+    # Alpha, beta and the NULL confidence are the DecodeParams and CommitteeConfig defaults.
+    params = DecodeParams(beam_width=config.beam_width, min_symbol_prob=1e-3)
 
     # Each line's expert matrices, decoded in one search per line.
     lines = [
@@ -170,11 +161,7 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
     committee_wer: dict[int, float] = {}
     for n in config.committee_sizes:
         top = ranking[:n]
-        cfg = CommitteeConfig(
-            n=len(top),
-            vote_lambda=config.vote_lambda,
-            null_confidence=config.null_confidence,
-        )
+        cfg = CommitteeConfig(n=len(top), vote_lambda=config.vote_lambda)
         combined = [
             combine_hypotheses([dm_hyps_per_expert[e][i] for e in top], cfg, " ")
             for i in range(len(refs))

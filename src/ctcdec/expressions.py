@@ -8,6 +8,7 @@ capitalization can be required. No dictionary is involved.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
@@ -113,7 +114,7 @@ class RuleConfig:
     digits_form_numbers: bool = True
 
 
-def default_rule_config(alphabet: Alphabet, line_start_capital: str = "lenient") -> RuleConfig:
+def default_rule_config(alphabet: Alphabet) -> RuleConfig:
     """Classify the alphabet's printable symbols with the stock policy.
 
     Apostrophe and hyphen act as in-word connectors (contractions,
@@ -136,10 +137,7 @@ def default_rule_config(alphabet: Alphabet, line_start_capital: str = "lenient")
             classes[CLASS_STANDALONE].add(sym)
         else:
             classes[CLASS_ATTACH].add(sym)
-    return RuleConfig(
-        classes={name: frozenset(syms) for name, syms in classes.items()},
-        line_start_capital=line_start_capital,
-    )
+    return RuleConfig(classes={name: frozenset(syms) for name, syms in classes.items()})
 
 
 def compile_rules(config: RuleConfig, alphabet: Alphabet) -> ExpressionModel:
@@ -240,17 +238,13 @@ def compile_rules(config: RuleConfig, alphabet: Alphabet) -> ExpressionModel:
     return model
 
 
-def _unescape_symbols(listed: str) -> str:
-    out = []
-    i = 0
-    while i < len(listed):
-        if listed[i] == "\\" and i + 1 < len(listed) and listed[i + 1] in ("s", "\\"):
-            out.append(" " if listed[i + 1] == "s" else "\\")
-            i += 2
-        else:
-            out.append(listed[i])
-            i += 1
-    return "".join(out)
+#: Each ``rule`` directive names the :class:`RuleConfig` field it sets
+#: and maps the spellings of its value to the field's values.
+_RULES = {
+    "line_start_capital": {mode: mode for mode in _MODES},
+    "attach_punctuation": {"on": True, "off": False},
+    "digits_form_numbers": {"on": True, "off": False},
+}
 
 
 def parse_rules(text: str) -> RuleConfig:
@@ -263,40 +257,26 @@ def parse_rules(text: str) -> RuleConfig:
     digits_form_numbers on|off`` set the named rules.
     """
     classes: dict[str, set[str]] = {}
-    line_start = "lenient"
-    attach = True
-    numbers = True
+    rules = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         if parts[0] == "class" and len(parts) == 3:
-            name, syms = parts[1], _unescape_symbols(parts[2])
-            classes.setdefault(name, set()).update(syms)
+            # The inverse of format_rules' escaping.
+            syms = re.sub(r"\\([s\\])", lambda m: " " if m[1] == "s" else "\\", parts[2])
+            classes.setdefault(parts[1], set()).update(syms)
         elif parts[0] == "rule" and len(parts) == 3:
             name, value = parts[1], parts[2]
-            if name == "line_start_capital":
-                if value not in _MODES:
-                    raise InvalidRule(f"line {lineno}: line_start_capital must be strict or lenient")
-                line_start = value
-            elif name in ("attach_punctuation", "digits_form_numbers"):
-                if value not in ("on", "off"):
-                    raise InvalidRule(f"line {lineno}: rule {name} takes on or off")
-                if name == "attach_punctuation":
-                    attach = value == "on"
-                else:
-                    numbers = value == "on"
-            else:
+            if name not in _RULES:
                 raise InvalidRule(f"line {lineno}: unknown rule {name!r}")
+            if value not in _RULES[name]:
+                raise InvalidRule(f"line {lineno}: rule {name} takes {' or '.join(_RULES[name])}")
+            rules[name] = _RULES[name][value]
         else:
             raise InvalidRule(f"line {lineno}: cannot parse {raw!r}")
-    return RuleConfig(
-        classes={name: frozenset(syms) for name, syms in classes.items()},
-        line_start_capital=line_start,
-        attach_punctuation=attach,
-        digits_form_numbers=numbers,
-    )
+    return RuleConfig(classes={name: frozenset(syms) for name, syms in classes.items()}, **rules)
 
 
 def format_rules(config: RuleConfig) -> str:
@@ -307,9 +287,9 @@ def format_rules(config: RuleConfig) -> str:
         if syms:
             listed = "".join(sorted(syms)).replace("\\", "\\\\").replace(" ", "\\s")
             lines.append(f"class {name} {listed}")
-    lines.append(f"rule line_start_capital {config.line_start_capital}")
-    lines.append(f"rule attach_punctuation {'on' if config.attach_punctuation else 'off'}")
-    lines.append(f"rule digits_form_numbers {'on' if config.digits_form_numbers else 'off'}")
+    for name, spellings in _RULES.items():
+        value = getattr(config, name)
+        lines.append(f"rule {name} {next((s for s, v in spellings.items() if v == value), value)}")
     return "\n".join(lines) + "\n"
 
 

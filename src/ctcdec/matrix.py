@@ -99,6 +99,17 @@ class ConfidenceMatrix:
         return cls(arr, alphabet)
 
 
+def runs(values) -> tuple[np.ndarray, np.ndarray]:
+    """Every maximal run of equal values in a 1-D sequence, as index
+    arrays ``(starts, ends)``: run ``k`` is ``values[starts[k]:ends[k]]``."""
+    values = np.asarray(values)
+    change = values[1:] != values[:-1]
+    edge = [values.size > 0]
+    starts = np.flatnonzero(np.concatenate((edge, change)))
+    ends = np.flatnonzero(np.concatenate((change, edge))) + 1
+    return starts, ends
+
+
 def detect_boundaries(
     matrix: ConfidenceMatrix, threshold: float = 0.5
 ) -> list[tuple[int, int]]:
@@ -110,14 +121,6 @@ def detect_boundaries(
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     mask = matrix.probs[:, matrix.alphabet.nac_index] >= threshold
-    intervals: list[tuple[int, int]] = []
-    start = None
-    for t, hit in enumerate(mask):
-        if hit and start is None:
-            start = t
-        elif not hit and start is not None:
-            intervals.append((start, t))
-            start = None
-    if start is not None:
-        intervals.append((start, matrix.num_frames))
-    return intervals
+    starts, ends = runs(mask)
+    hit = mask[starts]
+    return list(zip(starts[hit].tolist(), ends[hit].tolist()))

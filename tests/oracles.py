@@ -102,6 +102,34 @@ def reference_collapse(path, alphabet: Alphabet) -> str:
     )
 
 
+def reference_runs(values) -> list[tuple[int, int]]:
+    """Maximal runs of equal values as ``(start, end)`` pairs, one value
+    at a time."""
+    out: list[tuple[int, int]] = []
+    for t, value in enumerate(values):
+        if out and values[out[-1][0]] == value:
+            out[-1] = (out[-1][0], t + 1)
+        else:
+            out.append((t, t + 1))
+    return out
+
+
+def reference_detect_boundaries(matrix: ConfidenceMatrix, threshold: float) -> list[tuple[int, int]]:
+    """NaC intervals at or above ``threshold``, one frame at a time."""
+    mask = matrix.probs[:, matrix.alphabet.nac_index] >= threshold
+    intervals: list[tuple[int, int]] = []
+    start = None
+    for t, hit in enumerate(mask):
+        if hit and start is None:
+            start = t
+        elif not hit and start is not None:
+            intervals.append((start, t))
+            start = None
+    if start is not None:
+        intervals.append((start, matrix.num_frames))
+    return intervals
+
+
 def reference_best_path_confidences(matrix: ConfidenceMatrix) -> tuple[float, ...]:
     """Best-path word confidences, one frame at a time: per word, the
     minimum of the per-frame maximum confidence over the frames from its

@@ -1,8 +1,12 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
 
 from ctcdec.cli import main
+from test_matio import _edits
 
 
 def run_cli(*argv) -> int:
@@ -416,8 +420,8 @@ def test_eval_reads_lines_as_text_mode_does(tmp_path, capsys):
     ref = tmp_path / "ref.txt"
     ref.write_bytes(b"the cat\nthe hat\n")
     capsys.readouterr()
-    assert run_cli("eval", "--hyp", hyp, "--ref", ref) == 2
-    assert "cannot pair 3 hypotheses with 2 references" in capsys.readouterr().err
+    assert run_cli("eval", "--hyp", hyp, "--ref", ref) == 1
+    assert f"error: line 3: id '2' of {hyp} is not in {ref}" in capsys.readouterr().err
     hyp.write_bytes(b"the cat\r\nthe hat")
     assert run_cli("eval", "--hyp", hyp, "--ref", ref) == 0
     assert "cer=0.0" in capsys.readouterr().out
@@ -613,3 +617,70 @@ def test_a_line_id_with_a_tab_exits_1_naming_the_record(workspace, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "record 'a\\tb'" in err and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "hyp_text, ref_text, error",
+    [
+        ("l0\tthe cat\nl1\ta hat\nl0\tthe cat\n", "l0\tthe cat\nl1\ta hat\n", "line 3: id 'l0' of {hyp} repeats line 1"),
+        ("l0\tthe cat\nl1\ta hat\n", "l0\tthe cat\nl0\tthe cat\n", "line 2: id 'l0' of {ref} repeats line 1"),
+        ("zzz\tthe cat\nyyy\ta hat\n", "l0\tthe cat\nl1\ta hat\n", "line 1: id 'zzz' of {hyp} is not in {ref}"),
+        ("l0\tthe cat\n", "l0\tthe cat\nl1\ta hat\n", "line 2: id 'l1' of {ref} is not in {hyp}"),
+        ("the cat\na hat\nthe cat\n", "the cat\na hat\n", "line 3: id '2' of {hyp} is not in {ref}"),
+    ],
+    ids=["duplicate-hyp-id", "duplicate-ref-id", "hyp-id-not-in-refs", "ref-id-not-in-hyps", "bare-3-vs-2"],
+)
+def test_eval_pairs_lines_by_id_only(tmp_path, capsys, hyp_text, ref_text, error):
+    """Each id must be on one line of each file; a file that breaks this
+    exits 1 naming the line and the id, and nothing is scored."""
+    hyp, ref = tmp_path / "hyp.tsv", tmp_path / "ref.tsv"
+    hyp.write_text(hyp_text, encoding="utf-8")
+    ref.write_text(ref_text, encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("eval", "--hyp", hyp, "--ref", ref) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {error.format(hyp=hyp, ref=ref)}\n"
+
+
+def test_decode_to_a_directory_fails_before_the_first_line(workspace, capsys, monkeypatch):
+    manifest, _ = _decode_inputs(workspace)
+    out = workspace / "outdir"
+    out.mkdir()
+    monkeypatch.setattr("ctcdec.cli.decode_best_path", lambda matrix: pytest.fail("decoded a line"))
+    capsys.readouterr()
+    assert run_cli("decode", "--manifest", manifest, "--scheme", "dec-bp", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "is a directory" in err and err.count("\n") == 1
+    assert not (workspace / "outdir.tmp").exists()
+    assert not any(out.iterdir())
+
+
+def test_alphabet_json_not_utf8_names_its_line(tmp_path, capsys):
+    alphabet_json = tmp_path / "alphabet.json"
+    alphabet_json.write_bytes(b'{"symbols":\n ["a", "\xff", "<NaC>"]}\n')
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text("a\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("eval", "--hyp", hyp, "--ref", hyp, "--alphabet", alphabet_json) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: invalid UTF-8") and err.count("\n") == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(hyp_edits=_edits, ref_edits=_edits)
+def test_eval_of_mutated_files_exits_0_or_1_with_one_error_line(tmp_path_factory, hyp_edits, ref_edits):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    paths = []
+    for name, edits in (("hyp.tsv", hyp_edits), ("ref.tsv", ref_edits)):
+        data = bytearray(b"l0000\tthe cat sat\nl0001\ta hat\nl0002\tERROR:NoAcceptedString\n")
+        for pos, removed, inserted in edits:
+            pos %= len(data) + 1
+            data[pos : pos + removed] = inserted
+        (tmp / name).write_bytes(bytes(data))
+        paths.append(tmp / name)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = run_cli("eval", "--hyp", paths[0], "--ref", paths[1])
+    err = err.getvalue()
+    assert code in (0, 1)
+    assert err == "" if code == 0 else err.startswith("error: ") and err.count("\n") == 1

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ctcdec import Alphabet, ConfidenceMatrix, Hypothesis, InvalidSymbol, LengthMismatch, detect_boundaries, evaluate
 from ctcdec.committee import _tokenize
+from ctcdec.matrix import runs
 from ctcdec.ctc import (
     NEG_INF,
     _align,
@@ -24,9 +25,11 @@ from oracles import (
     enumerate_string_probs,
     random_matrix,
     reference_collapse,
+    reference_detect_boundaries,
     reference_force_align,
     reference_group_word_spans,
     reference_log_marginal,
+    reference_runs,
     reference_word_confidences,
 )
 
@@ -144,6 +147,33 @@ class TestStringScore:
             assert math.exp(string_log_score(m, text)) == pytest.approx(p, rel=1e-9)
 
 
+class TestRuns:
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ([], []),
+            ([4], [(0, 1)]),
+            ([2, 2, 2, 2], [(0, 4)]),
+            ([0, 1, 0, 1, 0], [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]),
+            ([True], [(0, 1)]),
+            ([False, False, False], [(0, 3)]),
+            ([True, False, True, False], [(0, 1), (1, 2), (2, 3), (3, 4)]),
+            ([True, True, False, True], [(0, 2), (2, 3), (3, 4)]),
+        ],
+    )
+    def test_examples_match_the_loop_reference(self, values, expected):
+        assert reference_runs(values) == expected
+        for array in (values, np.array(values)):
+            starts, ends = runs(array)
+            assert starts.dtype == ends.dtype == np.intp
+            assert list(zip(starts.tolist(), ends.tolist())) == expected
+
+    @given(st.lists(st.integers(-2, 2), max_size=30) | st.lists(st.booleans(), max_size=30))
+    def test_random_values_match_the_loop_reference(self, values):
+        starts, ends = runs(np.array(values))
+        assert list(zip(starts.tolist(), ends.tolist())) == reference_runs(values)
+
+
 class TestBoundaries:
     def test_threshold_intervals(self):
         ab = Alphabet.with_nac("a")
@@ -181,6 +211,12 @@ class TestBoundaries:
             covered.update(range(start, end))
         hits = {t for t in range(n_frames) if m.probs[t, ab.nac_index] >= 0.5}
         assert covered == hits
+
+    @given(st.integers(0, 10_000), st.integers(1, 12), st.sampled_from([0.05, 0.3, 0.5, 0.9]))
+    @settings(max_examples=50)
+    def test_matches_the_frame_loop_reference(self, seed, n_frames, threshold):
+        m = random_matrix(np.random.default_rng(seed), Alphabet.with_nac("ab"), n_frames)
+        assert detect_boundaries(m, threshold) == reference_detect_boundaries(m, threshold)
 
 
 class TestAlignment:

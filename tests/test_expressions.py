@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -67,7 +69,7 @@ class TestCompile:
         assert not DEFAULT_MODEL.accepts(", and")
 
     def test_strict_capitalization_rejects_lowercase_start(self):
-        strict = compile_rules(default_rule_config(ALPHA, "strict"), ALPHA)
+        strict = compile_rules(replace(default_rule_config(ALPHA), line_start_capital="strict"), ALPHA)
         assert not strict.accepts("hello")
         assert strict.accepts("Hello")
         assert strict.accepts('"Hello there"')
@@ -153,9 +155,23 @@ class TestCompile:
 
 class TestRuleFile:
     def test_round_trip(self):
-        config = default_rule_config(ALPHA, "strict")
+        config = replace(default_rule_config(ALPHA), line_start_capital="strict")
         parsed = parse_rules(format_rules(config))
         assert parsed == config
+
+    @pytest.mark.parametrize(
+        "line_start, attach, numbers", itertools.product(("lenient", "strict"), (True, False), (True, False))
+    )
+    def test_every_switch_combination_round_trips(self, line_start, attach, numbers):
+        config = replace(
+            default_rule_config(ALPHA),
+            line_start_capital=line_start,
+            attach_punctuation=attach,
+            digits_form_numbers=numbers,
+        )
+        text = format_rules(config)
+        assert parse_rules(text) == config
+        assert compile_rules(parse_rules(text), ALPHA) == compile_rules(config, ALPHA)
 
     def test_space_escape(self):
         config = parse_rules("class separator \\s\nclass lowercase ab\n")
@@ -183,6 +199,23 @@ class TestRuleFile:
             parse_rules("rule attach_punctuation sometimes\n")
         with pytest.raises(InvalidRule):
             parse_rules("rule unknown_rule on\n")
+
+    @pytest.mark.parametrize(
+        "directive, reason",
+        [
+            ("wibble lowercase ab", "cannot parse"),
+            ("class lowercase", "cannot parse"),
+            ("rule attach_punctuation", "cannot parse"),
+            ("rule unknown_rule on", "unknown rule 'unknown_rule'"),
+            ("rule line_start_capital maybe", "rule line_start_capital takes lenient or strict"),
+            ("rule attach_punctuation sometimes", "rule attach_punctuation takes on or off"),
+            ("rule digits_form_numbers true", "rule digits_form_numbers takes on or off"),
+        ],
+    )
+    def test_bad_directive_names_its_line(self, directive, reason):
+        text = "# rules\nclass lowercase ab\n\nrule attach_punctuation off\n" + directive + "\n"
+        with pytest.raises(InvalidRule, match=f"^line 5: {reason}"):
+            parse_rules(text)
 
 
 class TestDecode:
