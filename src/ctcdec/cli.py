@@ -68,7 +68,7 @@ def load_alphabet_arg(spec: str) -> Alphabet:
             raise ValueError(f"separator {doc['separator']!r} must be {alphabet.separator!r}, as in matrix files")
         return alphabet
     except ValueError as exc:
-        raise ParseError(0, f"bad alphabet file {spec!r}: {exc}") from None
+        raise ParseError(getattr(exc, "lineno", 0), f"bad alphabet file {spec!r}: {exc}") from None
 
 
 class SchemeDecoder:

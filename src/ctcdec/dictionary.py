@@ -89,9 +89,9 @@ class _LexiconConstraint:
         self.pass_punct = params.oov_policy == "pass-punct"
         self.index = {alphabet.symbols[i]: i for i in alphabet.printable_indices}
         self.separator = self.index.get(lexicon.separator)
-        self.attach = [
+        self.attach = frozenset(
             i for ch, i in self.index.items() if ch in lexicon.attach_chars and i != self.separator
-        ]
+        )
         self.root_children = self._indexed(0)
         self.initial = self._node(((_START, 0, 0.0),), 0.0)
 
@@ -135,6 +135,47 @@ class _LexiconConstraint:
         return Node(analyses, rank, final, weight)
 
     def successors(self, state) -> dict[int, Node]:
+        if len(state) > 1:
+            return self._merged(state)
+        # One analysis, as in almost every state: each successor's Node is
+        # built here, with what ``_row_node`` would make of it. Its analysis
+        # has prior 0.0, so its rank and final are 0.0 plus a word prior, in
+        # ``prior``'s arithmetic (the sum turns a prior of -0.0 into 0.0).
+        ((phase, node, prior),) = state
+        done = self.completed(node) if phase == _WORD else None
+        # What every attach symbol reaches, unless the symbol also extends
+        # the word, is one shared node; the separator follows a complete
+        # word, closing punctuation, or (pass-punct) opening punctuation.
+        if phase == _WORD:
+            attached = None if done is None else (_POST, prior + done)
+        else:
+            attached = (_POST if phase == _POST else _PRE, prior)
+        out = {}
+        if attached:
+            ph, weight = attached
+            shared = Node(((ph, 0, 0.0),), 0.0, 0.0 if ph == _POST or self.pass_punct else None, weight)
+            out = dict.fromkeys(self.attach, shared)
+            if self.separator is not None and (ph == _POST or (phase == _PRE and self.pass_punct)):
+                out[self.separator] = Node(((_BETWEEN, 0, 0.0),), 0.0, None, weight)
+        if phase != _POST:
+            index, attach = self.index, self.attach if attached else ()
+            word_count, best_count = self.word_count, self.best_count
+            lm_weight, log_total, word_bonus = self.lm_weight, self.log_total, self.word_bonus
+            for ch, child in self.children[node if phase == _WORD else 0].items():
+                c = index.get(ch)
+                if c is None:
+                    continue
+                if c in attach:
+                    # Extending the word or attaching: merge the two analyses.
+                    out[c] = self._row_node({(_WORD, child): prior, (ph, 0): weight})
+                    continue
+                rank = 0.0 + (lm_weight * (math.log(best_count[child]) - log_total) + word_bonus)
+                n = word_count[child]
+                final = 0.0 + (lm_weight * (math.log(n) - log_total) + word_bonus) if n else None
+                out[c] = Node(((_WORD, child, 0.0),), rank, final, prior)
+        return out
+
+    def _merged(self, state) -> dict[int, Node]:
         # Per symbol index, the best prior of each (phase, node) it reaches;
         # what attaching punctuation reaches is the same for every attach
         # symbol, so it is collected once.
@@ -187,9 +228,6 @@ class _LexiconConstraint:
     def _row_node(self, row: dict[tuple[int, int], float]) -> Node:
         """The Node of one successor: priors relative to the best, which
         becomes the arc weight."""
-        if len(row) == 1:
-            ((phase, node), top), = row.items()
-            return self._node(((phase, node, top - top),), top)
         top = max(row.values())
         return self._node(tuple(sorted((ph, nd, pr - top) for (ph, nd), pr in row.items())), top)
 

@@ -250,22 +250,23 @@ _RULES = {
 def parse_rules(text: str) -> RuleConfig:
     """Parse the rule file format.
 
-    One directive per line; ``#`` starts a comment. ``class <name>
+    One directive per line; a ``#`` starts a comment. ``class <name>
     <symbols>`` lists a class's symbols with ``\\s`` escaping the space
-    symbol and ``\\\\`` a backslash. ``rule line_start_capital
-    strict|lenient``, ``rule attach_punctuation on|off`` and ``rule
-    digits_form_numbers on|off`` set the named rules.
+    symbol, ``\\#`` a ``#`` and ``\\\\`` a backslash. ``rule
+    line_start_capital strict|lenient``, ``rule attach_punctuation
+    on|off`` and ``rule digits_form_numbers on|off`` set the named rules.
     """
     classes: dict[str, set[str]] = {}
     rules = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        # Up to the first ``#`` that is not escaped.
+        line = re.match(r"(?:[^\\#]|\\.)*\\?", raw)[0].strip()
         if not line:
             continue
         parts = line.split()
         if parts[0] == "class" and len(parts) == 3:
             # The inverse of format_rules' escaping.
-            syms = re.sub(r"\\([s\\])", lambda m: " " if m[1] == "s" else "\\", parts[2])
+            syms = re.sub(r"\\([s#\\])", lambda m: " " if m[1] == "s" else m[1], parts[2])
             classes.setdefault(parts[1], set()).update(syms)
         elif parts[0] == "rule" and len(parts) == 3:
             name, value = parts[1], parts[2]
@@ -285,7 +286,7 @@ def format_rules(config: RuleConfig) -> str:
     for name in KNOWN_CLASSES:
         syms = config.classes.get(name)
         if syms:
-            listed = "".join(sorted(syms)).replace("\\", "\\\\").replace(" ", "\\s")
+            listed = "".join(sorted(syms)).replace("\\", "\\\\").replace(" ", "\\s").replace("#", "\\#")
             lines.append(f"class {name} {listed}")
     for name, spellings in _RULES.items():
         value = getattr(config, name)

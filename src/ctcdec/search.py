@@ -99,31 +99,16 @@ class _Transitions:
     def __init__(self, constraint, symbols: list[int]):
         self._successors = constraint.successors
         self._offset = {s: c for c, s in enumerate(symbols, 1)}
-        self._ids: dict = {}
-        self._states: list = []
-        self.rank, self.final = np.zeros(0), np.zeros(0)
-        self.start, self.length = np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+        # The initial state is id 0.
+        initial = constraint.initial
+        self._ids = {initial.state: 0}
+        self._states = [initial.state]
+        self.rank = np.array([initial.rank])
+        self.final = np.array([NEG_INF if initial.final is None else initial.final])
+        self.start, self.length = np.full(1, -1, dtype=np.intp), np.zeros(1, dtype=np.intp)
         self._size = 1
         self.offset, self.child = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
         self.weight = np.zeros(1)
-
-    def intern(self, nodes: list[Node]) -> list[int]:
-        """The id of each node's state; a new state gets the next id."""
-        ids, new = [], []
-        for node in nodes:
-            i = self._ids.get(node.state)
-            if i is None:
-                i = self._ids[node.state] = len(self._states)
-                self._states.append(node.state)
-                new.append(node)
-            ids.append(i)
-        if new:
-            end = len(self._states)
-            self.rank, self.final, self.length = (_grown(a, end) for a in (self.rank, self.final, self.length))
-            self.start = _grown(self.start, end, -1)
-            self.rank[end - len(new) : end] = [node.rank for node in new]
-            self.final[end - len(new) : end] = [NEG_INF if node.final is None else node.final for node in new]
-        return ids
 
     def gather(self, ids: np.ndarray, grow: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """For each of the states ``ids``, its stay and, where ``grow``,
@@ -145,18 +130,41 @@ class _Transitions:
         return np.repeat(np.arange(ids.size), lengths), slot, items
 
     def _fill(self, ids: list[int]) -> None:
-        # Symbol order is cell order, so each row's offsets ascend.
-        rows = [sorted(self._successors(self._states[i]).items()) for i in ids]
-        arcs = [arc for row in rows for arc in row]
-        nodes = [node for _, node in arcs]
-        size, end = self._size, self._size + len(arcs)
+        # Each row is walked once, in symbol order (cell order, so its
+        # offsets ascend), and each target gets its id on the way, a new
+        # state the next one. Consecutive symbols that carry one Node (a
+        # word's attach arcs, an FSA row's symbols of one class) share its
+        # id without a lookup.
+        known, states, offset, size = self._ids, self._states, self._offset, self._size
+        offsets, children, weights, starts, lengths, new, last = [], [], [], [], [], [], None
+        for i in ids:
+            row = self._successors(states[i])
+            starts.append(size + len(offsets))
+            lengths.append(len(row))
+            for s in sorted(row):
+                node = row[s]
+                if node is not last:
+                    last = node
+                    j = known.setdefault(node.state, len(states))
+                    if j == len(states):
+                        states.append(node.state)
+                        new.append(node)
+                offsets.append(offset[s])
+                children.append(j)
+                weights.append(node.weight)
+        if new:
+            end = len(states)
+            self.rank, self.final, self.length = (_grown(a, end) for a in (self.rank, self.final, self.length))
+            self.start = _grown(self.start, end, -1)
+            self.rank[end - len(new) : end] = [node.rank for node in new]
+            self.final[end - len(new) : end] = [NEG_INF if node.final is None else node.final for node in new]
+        end = size + len(offsets)
         self.offset, self.child, self.weight = (_grown(a, end) for a in (self.offset, self.child, self.weight))
-        self.offset[size:end] = [self._offset[s] for s, _ in arcs]
-        self.child[size:end] = self.intern(nodes)
-        self.weight[size:end] = [node.weight for node in nodes]
-        lengths = [len(row) for row in rows]
+        self.offset[size:end] = offsets
+        self.child[size:end] = children
+        self.weight[size:end] = weights
+        self.start[ids] = starts
         self.length[ids] = lengths
-        self.start[ids] = size + np.cumsum(lengths) - lengths
         self._size = end
 
 
@@ -291,7 +299,7 @@ def prefix_beam_search_many(
     pos = _grown(ids, n + 1, -1)
     pb, pnb = np.zeros(n), np.full(n, NEG_INF)
     acc = np.full(n, constraint.initial.weight)
-    nid = np.full(n, table.intern([constraint.initial])[0])
+    nid = np.zeros(n, dtype=np.intp)
 
     for t in range(num_frames):
         frame = frames[t]

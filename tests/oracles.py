@@ -276,6 +276,55 @@ def trie_node_priors(lexicon, lm_weight: float, word_bonus: float):
     return best, completed
 
 
+def reference_lexicon_successors(constraint, state) -> dict:
+    """``_LexiconConstraint.successors`` as one loop over the analyses of
+    any state: each symbol's analyses merged in a dict, then made a Node
+    through ``_row_node``. The one-analysis rows built directly must equal
+    these bit for bit."""
+    from ctcdec.dictionary import _BETWEEN, _POST, _PRE, _START, _WORD
+
+    rows: dict[int, dict[tuple[int, int], float]] = {}
+    attached: dict[tuple[int, int], float] = {}
+
+    def add(row: dict, phase: int, node: int, prior: float) -> None:
+        if prior > row.get((phase, node), float("-inf")):
+            row[phase, node] = prior
+
+    for phase, node, prior in state:
+        done = constraint.completed(node) if phase == _WORD else None
+        if constraint.separator is not None:
+            if done is not None:
+                add(rows.setdefault(constraint.separator, {}), _BETWEEN, 0, prior + done)
+            elif phase == _POST or (phase == _PRE and constraint.pass_punct):
+                add(rows.setdefault(constraint.separator, {}), _BETWEEN, 0, prior)
+        if phase in (_START, _BETWEEN, _PRE):
+            add(attached, _PRE, 0, prior)
+            word_children = constraint.root_children
+        elif phase == _POST:
+            add(attached, _POST, 0, prior)
+            continue
+        else:
+            if done is not None:
+                add(attached, _POST, 0, prior + done)
+            word_children = constraint._indexed(node)
+        # A symbol may extend the current word even when it is also
+        # attaching punctuation (words can contain such characters).
+        for c, child in word_children:
+            add(rows.setdefault(c, {}), _WORD, child, prior)
+
+    if attached:
+        for c in constraint.attach:
+            if c in rows:
+                for (phase, node), prior in attached.items():
+                    add(rows[c], phase, node, prior)
+    out = {c: constraint._row_node(row) for c, row in rows.items()}
+    if attached:
+        shared = constraint._row_node(attached)
+        for c in constraint.attach:
+            out.setdefault(c, shared)
+    return out
+
+
 def logadd(a: float, b: float) -> float:
     """log(exp(a) + exp(b)) without leaving the log domain."""
     if a < b:

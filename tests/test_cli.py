@@ -1,11 +1,15 @@
+import builtins
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
+from ctcdec import errors
+from ctcdec.alphabet import default_alphabet
 from ctcdec.cli import main
+from ctcdec.expressions import default_rule_config, format_rules
 from test_matio import _edits
 
 
@@ -372,6 +376,18 @@ def test_rules_file_not_utf8_exits_1_with_one_line(workspace, capsys):
     assert err.startswith("error: line 2: invalid UTF-8") and err.count("\n") == 1
 
 
+def test_alphabet_json_syntax_error_names_its_line(tmp_path, capsys):
+    alphabet_json = tmp_path / "alphabet.json"
+    alphabet_json.write_text('{"symbols": ["a", "<NaC>"]\n "normalization": {}}\n', encoding="utf-8")
+    hyp = tmp_path / "hyp.txt"
+    hyp.write_text("a\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("eval", "--hyp", hyp, "--ref", hyp, "--alphabet", alphabet_json) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: bad alphabet file") and "Expecting ',' delimiter" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("missing", ["manifest", "lexicon"])
 def test_missing_input_file_exits_1_with_one_line(workspace, capsys, missing):
     manifest, lex_path = _decode_inputs(workspace)
@@ -684,3 +700,46 @@ def test_eval_of_mutated_files_exits_0_or_1_with_one_error_line(tmp_path_factory
     err = err.getvalue()
     assert code in (0, 1)
     assert err == "" if code == 0 else err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def dm_inputs(tmp_path_factory):
+    """A two-line manifest, its lexicon TSV and the stock rules as a file's bytes."""
+    root = tmp_path_factory.mktemp("dm")
+    (root / "lines.txt").write_text("the cat\nthe hat\n", encoding="utf-8")
+    (root / "corpus.txt").write_text("the cat sat\nthe hat\n", encoding="utf-8")
+    assert run_cli("synth", "--lines", root / "lines.txt", "--out-dir", root / "synth", "--noise", 0.1) == 0
+    assert run_cli("lexicon", "build", "--corpus", root / "corpus.txt", "--out", root / "words.tsv") == 0
+    rules = format_rules(default_rule_config(default_alphabet())).encode()
+    return root / "synth" / "manifest.json", (root / "words.tsv").read_bytes(), rules
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutate_rules=st.booleans(), edits=_edits)
+def test_decode_with_mutated_lexicon_or_rules_exits_0_or_1(tmp_path_factory, dm_inputs, mutate_rules, edits):
+    manifest, lexicon, rules = dm_inputs
+    data = bytearray(rules if mutate_rules else lexicon)
+    for pos, removed, inserted in edits:
+        pos %= len(data) + 1
+        data[pos : pos + removed] = inserted
+    tmp = tmp_path_factory.mktemp("fuzz")
+    (tmp / "words.tsv").write_bytes(lexicon if mutate_rules else bytes(data))
+    (tmp / "stock.rules").write_bytes(bytes(data) if mutate_rules else rules)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = run_cli(
+            "decode", "--manifest", manifest, "--scheme", "dec-dm", "--beam", 8,
+            "--lexicon", tmp / "words.tsv", "--rules", tmp / "stock.rules", "--out", tmp / "hyp.tsv",
+        )
+    err = err.getvalue()
+    assert code in (0, 1)
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return
+    assert err == ""
+    for line in (tmp / "hyp.tsv").read_text(encoding="utf-8").splitlines():
+        _, text = line.split("\t", 1)
+        if text.startswith("ERROR:"):
+            name = text.removeprefix("ERROR:")
+            cls = getattr(errors, name, None) or getattr(builtins, name, None)
+            assert cls is not None and issubclass(cls, (errors.CtcDecError, OSError)), text

@@ -16,7 +16,7 @@ from ctcdec import (
     decode_dictionary,
     string_log_score,
 )
-from ctcdec.dictionary import _LexiconConstraint
+from ctcdec.dictionary import OOV_POLICIES, _LexiconConstraint
 from ctcdec.lexicon import strip_attached
 
 from oracles import (
@@ -25,6 +25,7 @@ from oracles import (
     dm_valid_texts,
     enumerate_string_probs,
     random_matrix,
+    reference_lexicon_successors,
     trie_node_priors,
 )
 
@@ -339,3 +340,44 @@ def test_node_priors_equal_the_best_word_prior_bit_for_bit(counts, lm_weight, wo
     for node in best:
         assert constraint.lookahead(node) == best[node]
         assert constraint.completed(node) == completed[node]
+
+
+def _hexed(value):
+    """``value`` with every float as its hex spelling, so that -0.0 != 0.0."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(_hexed(v) for v in value)
+    if isinstance(value, dict):
+        return {k: _hexed(v) for k, v in value.items()}
+    return value
+
+
+@given(
+    st.dictionaries(st.text("ab.'", min_size=1, max_size=4), st.integers(1, 50), min_size=1, max_size=8),
+    st.sampled_from(OOV_POLICIES),
+    st.sampled_from([" ", None]),
+    st.sampled_from([0.0, 0.7, 1.0, 3.0]),
+    st.one_of(st.just(-0.0), st.floats(-5.0, 5.0, allow_nan=False)),
+)
+@settings(max_examples=200, deadline=None)
+def test_each_row_equals_the_analysis_merge_bit_for_bit(counts, oov_policy, separator, lm_weight, word_bonus):
+    """Every state reachable in at most 4 symbols gets the row of the
+    reference loop: the same symbols, and Nodes equal with floats compared
+    as hex. Words hold attaching punctuation, so states with several
+    analyses, and symbols that both extend a word and attach, occur."""
+    alphabet = Alphabet.with_nac("ab.' " if separator else "ab.'", separator=separator)
+    lexicon = Lexicon(counts, separator=separator, attach_chars=frozenset(".'"))
+    params = DecodeParams(lm_weight=lm_weight, word_bonus=word_bonus, oov_policy=oov_policy)
+    constraint = _LexiconConstraint(lexicon, alphabet, params)
+    layer, seen = [constraint.initial.state], {constraint.initial.state}
+    for depth in range(5):
+        following = []
+        for state in layer:
+            row = constraint.successors(state)
+            assert _hexed(row) == _hexed(reference_lexicon_successors(constraint, state))
+            for node in row.values():
+                if depth < 4 and node.state not in seen:
+                    seen.add(node.state)
+                    following.append(node.state)
+        layer = following

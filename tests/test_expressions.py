@@ -179,14 +179,19 @@ class TestRuleFile:
 
     def test_backslash_and_s_round_trip(self):
         # A class holding a literal backslash next to the letter s must not
-        # collapse into an escaped space.
-        config = RuleConfig(classes={"punct_standalone": frozenset("\\s")})
-        parsed = parse_rules(format_rules(config))
-        assert parsed.classes["punct_standalone"] == frozenset("\\s")
+        # collapse into an escaped space, and a "#" must not start a comment.
+        for symbols in ("\\s", "#\\s"):
+            config = RuleConfig(classes={"punct_standalone": frozenset(symbols)})
+            parsed = parse_rules(format_rules(config))
+            assert parsed.classes["punct_standalone"] == frozenset(symbols)
 
     def test_comments_and_blanks(self):
         config = parse_rules("# comment\n\nclass lowercase ab  # trailing\n")
         assert config.classes["lowercase"] == frozenset("ab")
+        # An escaped backslash does not escape the "#" after it.
+        config = parse_rules("class lowercase a\\\\#b\nclass uppercase A\\\n")
+        assert config.classes["lowercase"] == frozenset("a\\")
+        assert config.classes["uppercase"] == frozenset("A\\")
 
     def test_bad_directive(self):
         with pytest.raises(InvalidRule):
