@@ -91,12 +91,17 @@ class SchemeDecoder:
 
     def _model(self, alphabet: Alphabet):
         if self.scheme == "dec-ce" or self.rule_config is not None:
+            # The model, or the error compiling it, once per alphabet; a cached
+            # error is raised for each line, without an earlier line's traceback.
             key = alphabet.symbols
-            model = self._model_cache.get(key)
-            if model is None:
-                config = self.rule_config or default_rule_config(alphabet)
-                model = compile_rules(config, alphabet)
-                self._model_cache[key] = model
+            if key not in self._model_cache:
+                try:
+                    self._model_cache[key] = compile_rules(self.rule_config or default_rule_config(alphabet), alphabet)
+                except CtcDecError as exc:
+                    self._model_cache[key] = exc
+            model = self._model_cache[key]
+            if isinstance(model, CtcDecError):
+                raise model.with_traceback(None)
             return model
         return None
 

@@ -33,8 +33,8 @@ id. The frame loop therefore holds no prefix tuples. An entry's parent is
 found through its tree parent's position in the beam, and the extension
 that reaches it by one sorted lookup in the candidate list. Prefixes are
 spelled out, by walking up the tree, only where exact score ties must be
-broken: toward the lexicographically smallest prefix, at the beam edge,
-between anchor candidates and in the result.
+broken toward the lexicographically smallest prefix: among the candidates
+at the beam edge's score, between anchor candidates and in the result.
 
 One search covers the matrices of a committee's experts
 (:func:`prefix_beam_search_many`; one matrix is the one-expert case). A
@@ -338,21 +338,16 @@ def prefix_beam_search_many(
         cand_acc[stays] = acc
         cand_node = table.child[slot]
         cand_node[stays] = nid
-        keep = (cand > NEG_INF).nonzero()[0]
-        if beam_width is not None and keep.size > beam_width:
 
-            def prefix_of(x: int) -> Prefix:
-                # Candidate ``x``: entry ``b[x]``'s prefix, extended unless a stay.
-                prefix = tree.prefix(int(ids[b[x]]))
-                return prefix + (int(cell[x]),) if slot[x] else prefix
+        def prefix_of(x: int) -> Prefix:
+            # Candidate ``x``: entry ``b[x]``'s prefix, extended unless a stay.
+            prefix = tree.prefix(int(ids[b[x]]))
+            return prefix + (int(cell[x]),) if slot[x] else prefix
 
-            # Each expert's candidates are a run of ``keep``, from its first stay.
-            bounds = keep.searchsorted(items[last.searchsorted(edges)]).tolist()
-            score = cand + cand_acc + table.rank[cand_node]
-            finals = table.final[cand_node] > NEG_INF
-            keep = np.concatenate([
-                _cut(keep[lo:hi], score, finals, beam_width, prefix_of) for lo, hi in zip(bounds, bounds[1:])
-            ])
+        # Each expert's candidates are a run of the list, from its first stay.
+        runs = items[last.searchsorted(edges)]
+        score = cand + cand_acc + table.rank[cand_node]
+        keep = _cut(cand, score, runs, beam_width, lambda x: table.final[cand_node[x]] > NEG_INF, prefix_of)
 
         # The survivors take their entry's fields; an extension (``fresh``)
         # then takes its own, with its entry as ``up`` and a new tree id.
@@ -420,29 +415,53 @@ def _lookup(keys: np.ndarray, want: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return found, at[found]
 
 
-def _cut(run: np.ndarray, score: np.ndarray, finals: np.ndarray, beam_width: int, prefix_of) -> np.ndarray:
-    """The candidates of one expert's ``run`` that survive the beam.
-
-    The ``beam_width`` best by score, ties broken toward the smaller
-    ``prefix_of(candidate)``, plus an anchor when none of them is final.
+def _cut(cand, score, runs: np.ndarray, beam_width: int | None, final_of, prefix_of) -> np.ndarray:
+    """The candidates that survive the beam, ascending. In each expert's
+    run ``runs[e] : runs[e + 1]``, of the candidates with mass ``cand``
+    above -inf: the ``beam_width`` best by ``score``, ties toward the
+    smaller ``prefix_of(x)``, and if none of those is final, the best final
+    one (``final_of`` takes an index array or a slice).
     """
-    if run.size <= beam_width:
-        return run
-    score, finals = score[run], finals[run]
-    # Everything scoring at least the beam_width-th best score; only when
-    # exact ties cross that edge does the prefix order decide.
-    cut = score.size - beam_width
-    edge = score.copy()
-    edge.partition(cut)
-    top = (score >= edge[cut]).nonzero()[0]
-    if top.size > beam_width:
-        s = score.tolist()
-        top = np.array(sorted(top.tolist(), key=lambda x: (-s[x], prefix_of(int(run[x]))))[:beam_width])
+    bounds = runs.tolist()
+    keep = np.empty(cand.size, dtype=bool)
+    cut = {}
+    for e, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        run, edge = score[lo:hi], NEG_INF
+        if beam_width is not None and run.size > beam_width:
+            # Everything scoring at least the beam_width-th best score.
+            part = run.copy()
+            part.partition(run.size - beam_width)
+            cut[e] = edge = float(part[run.size - beam_width])
+        if edge > NEG_INF:
+            np.greater_equal(run, edge, out=keep[lo:hi])
+        else:
+            np.greater(cand[lo:hi], NEG_INF, out=keep[lo:hi])
+    keep = keep.nonzero()[0]
+    # Where exact ties at the edge score leave too many, the prefix order
+    # drops the last of those; no candidate above the edge is spelled out.
+    at = keep.searchsorted(runs).tolist()
+    drop = []
+    for e, edge in cut.items():
+        if at[e + 1] - at[e] > beam_width:
+            top = keep[at[e] : at[e + 1]]
+            ties = top[score[top] == edge].tolist()
+            drop += sorted(ties, key=prefix_of)[beam_width - top.size + len(ties) :]
+    if drop:
+        keep = np.setdiff1d(keep, drop, assume_unique=True)
+        at = keep.searchsorted(runs).tolist()
+    final = final_of(keep).tolist() if cut else []
+    need = [e for e in cut if not any(final[at[e] : at[e + 1]])]
+    if not need:
+        return keep
     # Keep the best already-accepted prefix alive as an anchor, so a narrow
     # beam full of unfinishable prefixes cannot strand the search without
-    # any acceptable hypothesis at the last frame.
-    if finals[top].any() or not finals.any():
-        return run[top]
-    best = run[finals & (score == score[finals].max())].tolist()
-    return np.concatenate((run[top], [best[0] if len(best) == 1 else min(best, key=prefix_of)]))
-
+    # any acceptable hypothesis at the last frame. Each run's best final
+    # score is one reduction (the -inf appended keeps an empty last run's
+    # start in bounds).
+    live = final_of(slice(None)) & (cand > NEG_INF)
+    score = np.where(live, score, NEG_INF)
+    best = np.maximum.reduceat(np.concatenate((score, [NEG_INF])), runs[:-1])
+    hits = (live & (score == best.repeat(runs[1:] - runs[:-1]))).nonzero()[0].tolist()
+    groups = ([x for x in hits if bounds[e] <= x < bounds[e + 1]] for e in need)
+    anchors = [g[0] if len(g) == 1 else min(g, key=prefix_of) for g in groups if g]
+    return np.sort(np.concatenate((keep, np.array(anchors, dtype=np.intp))))

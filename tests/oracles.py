@@ -417,6 +417,48 @@ def reference_prefix_beam_search(matrix: ConfidenceMatrix, constraint, beam_widt
     return best_prefix, best_parts[0], best_parts[1]
 
 
+def reference_cut(cand, score, finals, runs, beam_width, prefix_of) -> np.ndarray:
+    """The beam cut of one frame, as the search made it before it read each
+    expert's run as a slice of the candidate list: the finite candidates
+    first, then one cut per expert's run of those. ``runs`` bounds each
+    expert's run of the whole list, ``finals`` flags the final
+    candidates."""
+    keep = (cand > NEG_INF).nonzero()[0]
+    if beam_width is not None and keep.size > beam_width:
+        bounds = keep.searchsorted(runs).tolist()
+        keep = np.concatenate([
+            _reference_cut_run(keep[lo:hi], score, finals, beam_width, prefix_of) for lo, hi in zip(bounds, bounds[1:])
+        ])
+    return keep
+
+
+def _reference_cut_run(run: np.ndarray, score: np.ndarray, finals: np.ndarray, beam_width: int, prefix_of) -> np.ndarray:
+    """The candidates of one expert's ``run`` that survive the beam.
+
+    The ``beam_width`` best by score, ties broken toward the smaller
+    ``prefix_of(candidate)``, plus an anchor when none of them is final.
+    """
+    if run.size <= beam_width:
+        return run
+    score, finals = score[run], finals[run]
+    # Everything scoring at least the beam_width-th best score; only when
+    # exact ties cross that edge does the prefix order decide.
+    cut = score.size - beam_width
+    edge = score.copy()
+    edge.partition(cut)
+    top = (score >= edge[cut]).nonzero()[0]
+    if top.size > beam_width:
+        s = score.tolist()
+        top = np.array(sorted(top.tolist(), key=lambda x: (-s[x], prefix_of(int(run[x]))))[:beam_width])
+    # Keep the best already-accepted prefix alive as an anchor, so a narrow
+    # beam full of unfinishable prefixes cannot strand the search without
+    # any acceptable hypothesis at the last frame.
+    if finals[top].any() or not finals.any():
+        return run[top]
+    best = run[finals & (score == score[finals].max())].tolist()
+    return np.concatenate((run[top], [best[0] if len(best) == 1 else min(best, key=prefix_of)]))
+
+
 class _ReferenceLattice:
     """The scalar CTC lattice of one text: ``[NaC, c1, NaC, ..., cN, NaC]``
     over the frames of ``log_probs`` (a T x S log-probability array),

@@ -1,12 +1,13 @@
 import builtins
 import io
 import json
+import shutil
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ctcdec import errors
+from ctcdec import cli, errors
 from ctcdec.alphabet import default_alphabet
 from ctcdec.cli import main
 from ctcdec.expressions import default_rule_config, format_rules
@@ -682,17 +683,23 @@ def test_alphabet_json_not_utf8_names_its_line(tmp_path, capsys):
     assert err.startswith("error: line 2: invalid UTF-8") and err.count("\n") == 1
 
 
+def _mutated(data: bytes, edits) -> bytes:
+    """``data`` with each ``(position, removed, inserted)`` edit applied in
+    turn, the position wrapped to the data's current size."""
+    data = bytearray(data)
+    for pos, removed, inserted in edits:
+        pos %= len(data) + 1
+        data[pos : pos + removed] = inserted
+    return bytes(data)
+
+
 @settings(max_examples=200, deadline=None)
 @given(hyp_edits=_edits, ref_edits=_edits)
 def test_eval_of_mutated_files_exits_0_or_1_with_one_error_line(tmp_path_factory, hyp_edits, ref_edits):
     tmp = tmp_path_factory.mktemp("fuzz")
     paths = []
     for name, edits in (("hyp.tsv", hyp_edits), ("ref.tsv", ref_edits)):
-        data = bytearray(b"l0000\tthe cat sat\nl0001\ta hat\nl0002\tERROR:NoAcceptedString\n")
-        for pos, removed, inserted in edits:
-            pos %= len(data) + 1
-            data[pos : pos + removed] = inserted
-        (tmp / name).write_bytes(bytes(data))
+        (tmp / name).write_bytes(_mutated(b"l0000\tthe cat sat\nl0001\ta hat\nl0002\tERROR:NoAcceptedString\n", edits))
         paths.append(tmp / name)
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
@@ -714,32 +721,77 @@ def dm_inputs(tmp_path_factory):
     return root / "synth" / "manifest.json", (root / "words.tsv").read_bytes(), rules
 
 
-@settings(max_examples=150, deadline=None)
-@given(mutate_rules=st.booleans(), edits=_edits)
-def test_decode_with_mutated_lexicon_or_rules_exits_0_or_1(tmp_path_factory, dm_inputs, mutate_rules, edits):
-    manifest, lexicon, rules = dm_inputs
-    data = bytearray(rules if mutate_rules else lexicon)
-    for pos, removed, inserted in edits:
-        pos %= len(data) + 1
-        data[pos : pos + removed] = inserted
-    tmp = tmp_path_factory.mktemp("fuzz")
-    (tmp / "words.tsv").write_bytes(lexicon if mutate_rules else bytes(data))
-    (tmp / "stock.rules").write_bytes(bytes(data) if mutate_rules else rules)
+def test_rules_that_fail_on_the_alphabet_compile_once_and_fail_each_line(tmp_path, dm_inputs, monkeypatch):
+    manifest, lexicon, _ = dm_inputs
+    (tmp_path / "words.tsv").write_bytes(lexicon)
+    (tmp_path / "r.rules").write_text("class lowercase abcé\n", encoding="utf-8")
+    calls = []
+    compile_rules = cli.compile_rules
+    monkeypatch.setattr(cli, "compile_rules", lambda *args: calls.append(args) or compile_rules(*args))
+    code = run_cli(
+        "decode", "--manifest", manifest, "--scheme", "dec-dm", "--lexicon", tmp_path / "words.tsv",
+        "--rules", tmp_path / "r.rules", "--out", tmp_path / "hyp.tsv",
+    )
+    assert code == 0 and len(calls) == 1
+    lines = (tmp_path / "hyp.tsv").read_text(encoding="utf-8").splitlines()
+    assert [line.split("\t", 1)[1] for line in lines] == ["ERROR:InvalidRule"] * 2
+
+
+def assert_decode_exits_0_or_1(out, *argv) -> None:
+    """``ctcdec decode`` exits 1 with one ``error:`` line, or exits 0 and
+    every line it could not decode names a toolkit or OS error."""
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
-        code = run_cli(
-            "decode", "--manifest", manifest, "--scheme", "dec-dm", "--beam", 8,
-            "--lexicon", tmp / "words.tsv", "--rules", tmp / "stock.rules", "--out", tmp / "hyp.tsv",
-        )
+        code = run_cli("decode", *argv, "--out", out)
     err = err.getvalue()
     assert code in (0, 1)
     if code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1
         return
     assert err == ""
-    for line in (tmp / "hyp.tsv").read_text(encoding="utf-8").splitlines():
+    for line in out.read_text(encoding="utf-8").splitlines():
         _, text = line.split("\t", 1)
         if text.startswith("ERROR:"):
             name = text.removeprefix("ERROR:")
             cls = getattr(errors, name, None) or getattr(builtins, name, None)
             assert cls is not None and issubclass(cls, (errors.CtcDecError, OSError)), text
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutate_rules=st.booleans(), edits=_edits)
+def test_decode_with_mutated_lexicon_or_rules_exits_0_or_1(tmp_path_factory, dm_inputs, mutate_rules, edits):
+    manifest, lexicon, rules = dm_inputs
+    data = _mutated(rules if mutate_rules else lexicon, edits)
+    tmp = tmp_path_factory.mktemp("fuzz")
+    (tmp / "words.tsv").write_bytes(lexicon if mutate_rules else data)
+    (tmp / "stock.rules").write_bytes(data if mutate_rules else rules)
+    assert_decode_exits_0_or_1(
+        tmp / "hyp.tsv", "--manifest", manifest, "--scheme", "dec-dm", "--beam", 8,
+        "--lexicon", tmp / "words.tsv", "--rules", tmp / "stock.rules",
+    )
+
+
+@pytest.fixture(scope="module")
+def committee_inputs(tmp_path_factory):
+    """Two lines of two experts, once as text and once as binary matrices
+    (each with its manifest), and a lexicon."""
+    root = tmp_path_factory.mktemp("committee")
+    (root / "lines.txt").write_text("the cat\nthe hat\n", encoding="utf-8")
+    for kind, flags in (("text", ()), ("binary", ("--binary",))):
+        assert run_cli("synth", "--lines", root / "lines.txt", "--out-dir", root / kind, "--experts", 2, *flags) == 0
+    assert run_cli("lexicon", "build", "--corpus", root / "lines.txt", "--out", root / "words.tsv") == 0
+    return root
+
+
+@settings(max_examples=100, deadline=None)
+@given(target=st.sampled_from(["manifest.json", "text", "binary"]), scheme=st.sampled_from(["dec-bp", "dec-e"]), edits=_edits)
+def test_decode_of_a_mutated_manifest_or_matrix_exits_0_or_1(tmp_path_factory, committee_inputs, target, scheme, edits):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    kind = "text" if target == "manifest.json" else target
+    shutil.copytree(committee_inputs / kind, tmp / kind)
+    victim = tmp / kind / ("manifest.json" if target == "manifest.json" else "e0_l0000.ctcmat")
+    victim.write_bytes(_mutated(victim.read_bytes(), edits))
+    assert_decode_exits_0_or_1(
+        tmp / "hyp.tsv", "--manifest", tmp / kind / "manifest.json", "--scheme", scheme, "--beam", 8,
+        "--lexicon", committee_inputs / "words.tsv",
+    )

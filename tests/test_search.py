@@ -23,15 +23,17 @@ from ctcdec import (
     generate_synthetic,
     string_log_score,
 )
+from ctcdec.ctc import NEG_INF
 from ctcdec.dictionary import _Intersection, _LexiconConstraint
 from ctcdec.expressions import _FsaConstraint
-from ctcdec.search import prefix_beam_search, prefix_beam_search_many
+from ctcdec.search import _cut, prefix_beam_search, prefix_beam_search_many
 from oracles import (
     accept_all_model,
     argmax_string,
     dm_text_valid,
     enumerate_string_probs,
     random_matrix,
+    reference_cut,
     reference_prefix_beam_search,
 )
 
@@ -267,6 +269,32 @@ def test_beam_one_anchor_keeps_an_accepted_prefix(scheme):
     longer = random_matrix(np.random.default_rng(0), WIDE, 5)
     batched = prefix_beam_search_many([m, longer], wide_constraint(scheme, params)(), 1)
     assert batched[0] == got
+
+
+@st.composite
+def cut_frames(draw):
+    """One frame's candidates for the beam cut: 1-5 experts' runs, some
+    empty and some no longer than the beam, with scores on a few levels so
+    that exact ties fall on the beam edge, dead candidates (mass -inf),
+    live ones scoring -inf, and final flags."""
+    runs = np.cumsum([0] + draw(st.lists(st.integers(0, 12), min_size=1, max_size=5)))
+    size = int(runs[-1])
+    levels = draw(st.lists(st.sampled_from(["dead", "-inf", -2.0, -1.0, 0.0]), min_size=size, max_size=size))
+    cand = np.array([NEG_INF if v == "dead" else 0.0 for v in levels])
+    score = np.array([NEG_INF if isinstance(v, str) else v for v in levels])
+    finals = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)), dtype=bool)
+    # Candidates of one frame have distinct prefixes, in any order.
+    order = draw(st.permutations(range(size)))
+    return cand, score, finals, runs, lambda x: (order[x],)
+
+
+@settings(max_examples=400, deadline=None)
+@given(frame=cut_frames(), beam=st.sampled_from([1, 2, 8]))
+def test_cut_keeps_what_the_reference_cut_keeps(frame, beam):
+    cand, score, finals, runs, prefix_of = frame
+    got = _cut(cand, score, runs, beam, finals.__getitem__, prefix_of)
+    want = reference_cut(cand, score, finals, runs, beam, prefix_of)
+    assert got.tolist() == sorted(want.tolist())
 
 
 # Batched search: several experts' matrices under one constraint.
