@@ -49,7 +49,10 @@ SCHEMES = ("dec-bp", "dec-ce", "dec-dm", "dec-e")
 def _parse_beam(value: str) -> int | None:
     if value.lower() in ("inf", "none", "unlimited"):
         return None
-    return int(value)
+    try:
+        return int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, or inf, none or unlimited; got {value!r}") from None
 
 
 def load_alphabet_arg(spec: str) -> Alphabet:
@@ -133,6 +136,7 @@ _DECODE_OPTIONS = {
     "min_symbol_prob": "--min-symbol-prob",
     "vote_lambda": "--lambda",
     "null_confidence": "--null-conf",
+    "n": "--experts",
 }
 
 
@@ -153,13 +157,11 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         lexicon = load_lexicon(args.lexicon)
         if len(lexicon) == 0:
             raise EmptyLexicon(f"lexicon {args.lexicon!r} has no words")
-    # The single-matrix schemes decode (and load) each line's first matrix.
-    experts = 1
-    if args.scheme == "dec-e":
-        # A manifest with no lines has no expert count; any committee decodes it.
-        experts = (manifest.expert_count or 1) if args.experts is None else args.experts
-        if manifest.records and not 1 <= experts <= manifest.expert_count:
-            raise ValueError(f"--experts must be in [1, {manifest.expert_count}], the manifest's matrices per line; got {experts}")
+    # Every option is checked whatever the scheme. A manifest with no lines
+    # has no expert count; any committee decodes it.
+    experts = (manifest.expert_count or 1) if args.experts is None else args.experts
+    if manifest.records and not 1 <= experts <= manifest.expert_count:
+        raise ValueError(f"--experts must be in [1, {manifest.expert_count}], the manifest's matrices per line; got {experts}")
     try:
         params = DecodeParams(
             lm_weight=args.alpha,
@@ -168,9 +170,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
             oov_policy=args.oov,
             min_symbol_prob=args.min_symbol_prob,
         )
-        committee = None
-        if args.scheme == "dec-e":
-            committee = CommitteeConfig(n=experts, vote_lambda=args.vote_lambda, null_confidence=args.null_conf)
+        committee = CommitteeConfig(n=experts, vote_lambda=args.vote_lambda, null_confidence=args.null_conf)
     except ValueError as exc:
         # The library names its fields; say which option was out of range.
         field, _, rest = str(exc).partition(" ")
@@ -182,7 +182,8 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         params=params,
         committee=committee,
     )
-    results = run_batch(manifest, decoder, args.out, experts=experts, jobs=args.jobs)
+    # The single-matrix schemes decode (and load) each line's first matrix.
+    results = run_batch(manifest, decoder, args.out, experts=experts if args.scheme == "dec-e" else 1, jobs=args.jobs)
     failures = sum(1 for _, text in results if text.startswith("ERROR:"))
     print(f"decoded {len(results)} line(s), {failures} failure(s) -> {args.out}")
     return 0

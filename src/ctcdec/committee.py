@@ -41,7 +41,7 @@ class CommitteeConfig:
 
     def __post_init__(self) -> None:
         if self.n < 1:
-            raise ValueError("committee needs at least one expert")
+            raise ValueError(f"n must be >= 1, got {self.n}")
         if not 0.0 <= self.vote_lambda <= 1.0:
             raise ValueError("vote_lambda must be in [0, 1]")
         if not 0.0 <= self.null_confidence <= 1.0:

@@ -39,6 +39,31 @@ KNOWN_CLASSES = (
 
 _MODES = ("lenient", "strict")
 
+#: Arcs that open a word or a number.
+_OPEN = {CLASS_UPPER: "w_cap", CLASS_LOWER: "w_lower", CLASS_DIGIT: "num"}
+#: Arcs out of every word state.
+_WORD_END = {CLASS_INWORD: "w_conn", CLASS_ATTACH: "post", CLASS_SEPARATOR: "gap"}
+
+#: The automaton with every rule at its default, as ``state -> {class: next
+#: state}``. "pre_start" and "pre" hold leading attached punctuation; a
+#: word is all-lowercase, Capitalized or ALL-CAPS, and a connector restarts
+#: its shape once a letter follows.
+_STOCK = {
+    "start": {**_OPEN, CLASS_ATTACH: "pre_start", CLASS_STANDALONE: "standalone"},
+    "pre_start": {**_OPEN, CLASS_ATTACH: "pre_start"},
+    "gap": {**_OPEN, CLASS_ATTACH: "pre", CLASS_STANDALONE: "standalone"},
+    "pre": {**_OPEN, CLASS_ATTACH: "pre"},
+    "w_lower": {CLASS_LOWER: "w_lower", **_WORD_END},
+    "w_cap": {CLASS_LOWER: "w_caplow", CLASS_UPPER: "w_upper", **_WORD_END},
+    "w_caplow": {CLASS_LOWER: "w_caplow", **_WORD_END},
+    "w_upper": {CLASS_UPPER: "w_upper", **_WORD_END},
+    "w_conn": {CLASS_LOWER: "w_lower", CLASS_UPPER: "w_cap"},
+    "num": {CLASS_DIGIT: "num", CLASS_ATTACH: "post", CLASS_SEPARATOR: "gap"},
+    "post": {CLASS_ATTACH: "post", CLASS_SEPARATOR: "gap"},
+    "standalone": {CLASS_SEPARATOR: "gap"},
+}
+_STOCK_ACCEPTING = frozenset({"start", "w_lower", "w_cap", "w_caplow", "w_upper", "num", "post", "standalone"})
+
 
 @dataclass(frozen=True)
 class ExpressionModel:
@@ -141,7 +166,8 @@ def default_rule_config(alphabet: Alphabet) -> RuleConfig:
 
 
 def compile_rules(config: RuleConfig, alphabet: Alphabet) -> ExpressionModel:
-    """Compile a rule set into a deterministic FSA.
+    """Compile a rule set into a deterministic FSA: a copy of the stock
+    table, with one edit for each rule that is not at its default.
 
     The empty string is always accepted (an empty line is valid). Raises
     :class:`InvalidRule` for unknown classes, symbols outside the
@@ -162,75 +188,24 @@ def compile_rules(config: RuleConfig, alphabet: Alphabet) -> ExpressionModel:
                 raise InvalidRule(f"symbol {sym!r} assigned to both {symbol_classes[sym]!r} and {name!r}")
             symbol_classes[sym] = name
 
-    lenient = config.line_start_capital == "lenient"
-    t: dict[tuple[str, str], str] = {}
-
-    def arc(src: str, cls: str, dst: str) -> None:
-        t[(src, cls)] = dst
-
-    # Line start; "pre_start"/"pre" hold leading attached punctuation.
-    for src, first_lower_ok in (("start", lenient), ("pre_start", lenient)):
-        arc(src, CLASS_UPPER, "w_cap")
-        if first_lower_ok:
-            arc(src, CLASS_LOWER, "w_lower")
-        if config.digits_form_numbers:
-            arc(src, CLASS_DIGIT, "num")
-        arc(src, CLASS_ATTACH, "pre_start")
-    arc("start", CLASS_STANDALONE, "standalone")
-
-    for src in ("gap", "pre"):
-        arc(src, CLASS_UPPER, "w_cap")
-        arc(src, CLASS_LOWER, "w_lower")
-        if config.digits_form_numbers:
-            arc(src, CLASS_DIGIT, "num")
-        arc(src, CLASS_ATTACH, "pre")
-    arc("gap", CLASS_STANDALONE, "standalone")
-
-    # Word shapes: all-lowercase, Capitalized, ALL-CAPS; connectors restart
-    # the shape after a letter follows.
-    arc("w_lower", CLASS_LOWER, "w_lower")
-    arc("w_cap", CLASS_LOWER, "w_caplow")
-    arc("w_cap", CLASS_UPPER, "w_upper")
-    arc("w_caplow", CLASS_LOWER, "w_caplow")
-    arc("w_upper", CLASS_UPPER, "w_upper")
-    for word_state in ("w_lower", "w_cap", "w_caplow", "w_upper"):
-        arc(word_state, CLASS_INWORD, "w_conn")
-        arc(word_state, CLASS_ATTACH, "post")
-        arc(word_state, CLASS_SEPARATOR, "gap")
-    arc("w_conn", CLASS_LOWER, "w_lower")
-    arc("w_conn", CLASS_UPPER, "w_cap")
-
-    arc("num", CLASS_DIGIT, "num")
-    arc("num", CLASS_ATTACH, "post")
-    arc("num", CLASS_SEPARATOR, "gap")
-
-    arc("post", CLASS_ATTACH, "post")
-    arc("post", CLASS_SEPARATOR, "gap")
-    arc("standalone", CLASS_SEPARATOR, "gap")
-
+    states = {state: dict(arcs) for state, arcs in _STOCK.items()}
+    accepting = set(_STOCK_ACCEPTING)
+    if config.line_start_capital == "strict":
+        for state in ("start", "pre_start"):
+            del states[state][CLASS_LOWER]
+    if not config.digits_form_numbers:
+        del states["num"]
+        accepting.discard("num")
+        states = {state: {cls: nxt for cls, nxt in arcs.items() if nxt != "num"} for state, arcs in states.items()}
     if not config.attach_punctuation:
-        # Attachment not required: leading punctuation may also stand on its
-        # own, so the pre states are replaced by accepting punct-run states
-        # that can still open a word (capitalization policy preserved at
-        # line start).
-        arc("start", CLASS_ATTACH, "punct_run_start")
-        arc("gap", CLASS_ATTACH, "punct_run_mid")
-        for src, lower_ok in (("punct_run_start", lenient), ("punct_run_mid", True)):
-            arc(src, CLASS_ATTACH, src)
-            arc(src, CLASS_SEPARATOR, "gap")
-            arc(src, CLASS_UPPER, "w_cap")
-            if lower_ok:
-                arc(src, CLASS_LOWER, "w_lower")
-            if config.digits_form_numbers:
-                arc(src, CLASS_DIGIT, "num")
-
-    accepting = {"start", "w_lower", "w_cap", "w_caplow", "w_upper", "num", "post", "standalone"}
-    if not config.attach_punctuation:
-        accepting.update({"punct_run_start", "punct_run_mid"})
+        # Leading punctuation may also stand on its own.
+        for state in ("pre_start", "pre"):
+            states[state][CLASS_SEPARATOR] = "gap"
+        accepting.update(("pre_start", "pre"))
 
     model = ExpressionModel(
         start="start",
-        transitions=t,
+        transitions={(state, cls): nxt for state, arcs in states.items() for cls, nxt in arcs.items()},
         accepting=frozenset(accepting),
         symbol_classes=symbol_classes,
     )

@@ -7,7 +7,8 @@ The scalar references (the prefix search, and the CTC lattice stepped
 one lattice and one frame at a time) keep the arithmetic of the batched
 code, so its results must match them bit for bit. So do the plain
 references for the text-matrix parse (one ``float`` per value, row by
-row) and the edit alignment (a ``min()`` per cell).
+row) and the edit alignment (a ``min()`` per cell). The rule compiler's
+reference builds the automaton arc by arc.
 """
 
 from __future__ import annotations
@@ -23,6 +24,19 @@ import numpy as np
 from ctcdec import Alphabet, ConfidenceMatrix, ExpressionModel, LengthMismatch, NoAcceptedString, ParseError
 from ctcdec.alphabet import file_alphabet
 from ctcdec.ctc import NEG_INF
+from ctcdec.errors import InvalidRule
+from ctcdec.expressions import (
+    _MODES,
+    CLASS_ATTACH,
+    CLASS_DIGIT,
+    CLASS_INWORD,
+    CLASS_LOWER,
+    CLASS_SEPARATOR,
+    CLASS_STANDALONE,
+    CLASS_UPPER,
+    KNOWN_CLASSES,
+    RuleConfig,
+)
 from ctcdec.matio import TEXT_MAGIC, _decode, _parse_frame_count
 
 
@@ -608,3 +622,101 @@ def reference_load_text_matrix(path: str | Path) -> ConfidenceMatrix:
         if raw.strip():
             raise ParseError(lineno, "trailing content after the last row")
     return ConfidenceMatrix.from_rows(np.reshape(values, (n_frames, len(alphabet))), alphabet)
+
+
+def reference_compile_rules(config: RuleConfig, alphabet: Alphabet) -> ExpressionModel:
+    """Compile a rule set into a deterministic FSA.
+
+    The empty string is always accepted (an empty line is valid). Raises
+    :class:`InvalidRule` for unknown classes, symbols outside the
+    alphabet, overlapping classes, or uncovered symbols;
+    :class:`EmptyLanguage` if no accepting state is reachable.
+    """
+    if config.line_start_capital not in _MODES:
+        raise InvalidRule(f"line_start_capital must be one of {_MODES}, got {config.line_start_capital!r}")
+    printable = alphabet.printable_symbols
+    symbol_classes: dict[str, str] = {}
+    for name, syms in config.classes.items():
+        if name not in KNOWN_CLASSES:
+            raise InvalidRule(f"unknown symbol class {name!r}")
+        for sym in syms:
+            if sym not in printable:
+                raise InvalidRule(f"class {name!r} lists {sym!r}, which is not a printable alphabet symbol")
+            if sym in symbol_classes:
+                raise InvalidRule(f"symbol {sym!r} assigned to both {symbol_classes[sym]!r} and {name!r}")
+            symbol_classes[sym] = name
+
+    lenient = config.line_start_capital == "lenient"
+    t: dict[tuple[str, str], str] = {}
+
+    def arc(src: str, cls: str, dst: str) -> None:
+        t[(src, cls)] = dst
+
+    # Line start; "pre_start"/"pre" hold leading attached punctuation.
+    for src, first_lower_ok in (("start", lenient), ("pre_start", lenient)):
+        arc(src, CLASS_UPPER, "w_cap")
+        if first_lower_ok:
+            arc(src, CLASS_LOWER, "w_lower")
+        if config.digits_form_numbers:
+            arc(src, CLASS_DIGIT, "num")
+        arc(src, CLASS_ATTACH, "pre_start")
+    arc("start", CLASS_STANDALONE, "standalone")
+
+    for src in ("gap", "pre"):
+        arc(src, CLASS_UPPER, "w_cap")
+        arc(src, CLASS_LOWER, "w_lower")
+        if config.digits_form_numbers:
+            arc(src, CLASS_DIGIT, "num")
+        arc(src, CLASS_ATTACH, "pre")
+    arc("gap", CLASS_STANDALONE, "standalone")
+
+    # Word shapes: all-lowercase, Capitalized, ALL-CAPS; connectors restart
+    # the shape after a letter follows.
+    arc("w_lower", CLASS_LOWER, "w_lower")
+    arc("w_cap", CLASS_LOWER, "w_caplow")
+    arc("w_cap", CLASS_UPPER, "w_upper")
+    arc("w_caplow", CLASS_LOWER, "w_caplow")
+    arc("w_upper", CLASS_UPPER, "w_upper")
+    for word_state in ("w_lower", "w_cap", "w_caplow", "w_upper"):
+        arc(word_state, CLASS_INWORD, "w_conn")
+        arc(word_state, CLASS_ATTACH, "post")
+        arc(word_state, CLASS_SEPARATOR, "gap")
+    arc("w_conn", CLASS_LOWER, "w_lower")
+    arc("w_conn", CLASS_UPPER, "w_cap")
+
+    arc("num", CLASS_DIGIT, "num")
+    arc("num", CLASS_ATTACH, "post")
+    arc("num", CLASS_SEPARATOR, "gap")
+
+    arc("post", CLASS_ATTACH, "post")
+    arc("post", CLASS_SEPARATOR, "gap")
+    arc("standalone", CLASS_SEPARATOR, "gap")
+
+    if not config.attach_punctuation:
+        # Attachment not required: leading punctuation may also stand on its
+        # own, so the pre states are replaced by accepting punct-run states
+        # that can still open a word (capitalization policy preserved at
+        # line start).
+        arc("start", CLASS_ATTACH, "punct_run_start")
+        arc("gap", CLASS_ATTACH, "punct_run_mid")
+        for src, lower_ok in (("punct_run_start", lenient), ("punct_run_mid", True)):
+            arc(src, CLASS_ATTACH, src)
+            arc(src, CLASS_SEPARATOR, "gap")
+            arc(src, CLASS_UPPER, "w_cap")
+            if lower_ok:
+                arc(src, CLASS_LOWER, "w_lower")
+            if config.digits_form_numbers:
+                arc(src, CLASS_DIGIT, "num")
+
+    accepting = {"start", "w_lower", "w_cap", "w_caplow", "w_upper", "num", "post", "standalone"}
+    if not config.attach_punctuation:
+        accepting.update({"punct_run_start", "punct_run_mid"})
+
+    model = ExpressionModel(
+        start="start",
+        transitions=t,
+        accepting=frozenset(accepting),
+        symbol_classes=symbol_classes,
+    )
+    model.validate(alphabet)
+    return model

@@ -41,6 +41,8 @@ def test_symbols_must_be_distinct():
 def test_nac_must_not_be_printable():
     with pytest.raises(ValueError):
         Alphabet(symbols=("a", "b"), nac_index=1)
+    with pytest.raises(ValueError, match="nac_index 2 out of range"):
+        Alphabet(symbols=("a", NAC_CHAR), nac_index=2)
 
 
 def test_map_target_must_be_printable_symbol():

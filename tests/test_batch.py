@@ -47,6 +47,10 @@ class TestManifest:
         again = load_manifest(path)
         assert [r.line_id for r in again.records] == ["l1", "l2"]
         assert again.expert_count == 1
+        # A matrix outside the manifest's directory keeps its whole path.
+        (tmp_path / "sub").mkdir()
+        save_manifest(manifest, tmp_path / "sub" / "manifest.json")
+        assert load_manifest(tmp_path / "sub" / "manifest.json").records == again.records
 
     def test_duplicate_ids_rejected(self, tmp_path):
         p = write_line(tmp_path, "x", "ab")
@@ -98,6 +102,10 @@ class TestManifest:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ParseError):
             load_manifest(path)
+        for doc in ([], {"line": []}, {"lines": {}}):
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            with pytest.raises(ParseError, match="'lines' array"):
+                load_manifest(path)
 
     def test_bytes_that_are_not_utf8(self, tmp_path):
         path = tmp_path / "manifest.json"

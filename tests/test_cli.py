@@ -175,9 +175,10 @@ def test_eval_pairs_by_order_for_bare_files(tmp_path, capsys):
     hyp.write_text("the cat\n", encoding="utf-8")
     ref.write_text("the bat\n", encoding="utf-8")
     capsys.readouterr()
-    assert run_cli("eval", "--hyp", hyp, "--ref", ref) == 0
+    assert run_cli("eval", "--hyp", hyp, "--ref", ref, "--per-line") == 0
     out = capsys.readouterr().out
     assert "wer=0.5" in out
+    assert "line 0: char 1/7  word 1/2" in out
 
 
 @pytest.mark.parametrize("symbols", [None, ["t", "h", "e", "c", "a", " ", "<NaC>"]])
@@ -336,6 +337,10 @@ def test_per_line_errors_still_exit_zero(workspace):
         ("dec-bp", ("--beam", -3)),
         ("dec-e", ("--experts", 99)),
         ("dec-e", ("--experts", 0)),
+        ("dec-bp", ("--lambda", -1)),
+        ("dec-ce", ("--null-conf", 1.5)),
+        ("dec-dm", ("--experts", 0)),
+        ("dec-dm", ("--experts", 99)),
     ],
 )
 def test_bad_decode_numbers_exit_2_with_one_line(workspace, capsys, scheme, flags):
@@ -353,6 +358,15 @@ def test_bad_decode_numbers_exit_2_with_one_line(workspace, capsys, scheme, flag
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (workspace / "x.tsv").exists()
     assert err.startswith(f"error: {flags[0]} ")
+
+
+def test_a_beam_that_is_not_a_number_names_the_accepted_values(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("decode", "--manifest", tmp_path / "m.json", "--scheme", "dec-bp", "--out", tmp_path / "x", "--beam", "abc")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --beam: expected an integer >= 1, or inf, none or unlimited; got 'abc'" in err
+    assert "_parse_beam" not in err
 
 
 def _decode_inputs(workspace):
@@ -619,8 +633,11 @@ def test_a_manifest_with_no_lines_writes_an_empty_file(workspace, scheme):
     manifest = workspace / "empty.json"
     manifest.write_text('{"lines": []}', encoding="utf-8")
     out = workspace / "out.tsv"
-    assert run_cli("decode", "--manifest", manifest, "--scheme", scheme, "--lexicon", lex_path, "--out", out) == 0
+    argv = ("decode", "--manifest", manifest, "--scheme", scheme, "--lexicon", lex_path, "--out", out)
+    assert run_cli(*argv) == 0
     assert out.read_text(encoding="utf-8") == ""
+    # With no lines there is no expert count to check --experts against, but it is still at least 1.
+    assert run_cli(*argv, "--experts", 0) == 2
 
 
 def test_a_line_id_with_a_tab_exits_1_naming_the_record(workspace, capsys):
@@ -693,6 +710,18 @@ def _mutated(data: bytes, edits) -> bytes:
     return bytes(data)
 
 
+def assert_exits_0_or_1(*argv) -> int:
+    """``ctcdec`` exits 0 with nothing on stderr, or 1 with one ``error:``
+    line; a fault in a file is never a bad option (exit 2)."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = run_cli(*argv)
+    err = err.getvalue()
+    assert code in (0, 1)
+    assert err == "" if code == 0 else err.startswith("error: ") and err.count("\n") == 1
+    return code
+
+
 @settings(max_examples=200, deadline=None)
 @given(hyp_edits=_edits, ref_edits=_edits)
 def test_eval_of_mutated_files_exits_0_or_1_with_one_error_line(tmp_path_factory, hyp_edits, ref_edits):
@@ -701,12 +730,33 @@ def test_eval_of_mutated_files_exits_0_or_1_with_one_error_line(tmp_path_factory
     for name, edits in (("hyp.tsv", hyp_edits), ("ref.tsv", ref_edits)):
         (tmp / name).write_bytes(_mutated(b"l0000\tthe cat sat\nl0001\ta hat\nl0002\tERROR:NoAcceptedString\n", edits))
         paths.append(tmp / name)
-    err = io.StringIO()
-    with redirect_stdout(io.StringIO()), redirect_stderr(err):
-        code = run_cli("eval", "--hyp", paths[0], "--ref", paths[1])
-    err = err.getvalue()
-    assert code in (0, 1)
-    assert err == "" if code == 0 else err.startswith("error: ") and err.count("\n") == 1
+    assert_exits_0_or_1("eval", "--hyp", paths[0], "--ref", paths[1])
+
+
+_ALPHABET_JSON = json.dumps({"symbols": list("the cas'") + ["<NaC>"], "separator": " ", "normalization": {"’": "'"}})
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    target=st.sampled_from(["alphabet:eval", "alphabet:lexicon", "alphabet:synth", "lines:synth"]),
+    edits=_edits,
+)
+def test_a_mutated_alphabet_or_lines_file_exits_0_or_1(tmp_path_factory, target, edits):
+    """An ``--alphabet`` JSON read by ``eval``, ``lexicon build`` and
+    ``synth``, and a ``synth --lines`` file."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    victim, command = target.split(":")
+    files = {"alphabet": _ALPHABET_JSON.encode(), "lines": "the cat’s hat\nsat\n".encode()}
+    files[victim] = _mutated(files[victim], edits)
+    for name, data in files.items():
+        (tmp / name).write_bytes(data)
+    (tmp / "refs.tsv").write_text("l0\tthe cat\nl1\tsat\n", encoding="utf-8")
+    argv = {
+        "eval": ("eval", "--hyp", tmp / "refs.tsv", "--ref", tmp / "refs.tsv"),
+        "lexicon": ("lexicon", "build", "--corpus", tmp / "lines", "--out", tmp / "words.tsv"),
+        "synth": ("synth", "--lines", tmp / "lines", "--out-dir", tmp / "out"),
+    }[command]
+    assert_exits_0_or_1(*argv, "--alphabet", tmp / "alphabet")
 
 
 @pytest.fixture(scope="module")
@@ -740,15 +790,8 @@ def test_rules_that_fail_on_the_alphabet_compile_once_and_fail_each_line(tmp_pat
 def assert_decode_exits_0_or_1(out, *argv) -> None:
     """``ctcdec decode`` exits 1 with one ``error:`` line, or exits 0 and
     every line it could not decode names a toolkit or OS error."""
-    err = io.StringIO()
-    with redirect_stdout(io.StringIO()), redirect_stderr(err):
-        code = run_cli("decode", *argv, "--out", out)
-    err = err.getvalue()
-    assert code in (0, 1)
-    if code == 1:
-        assert err.startswith("error: ") and err.count("\n") == 1
+    if assert_exits_0_or_1("decode", *argv, "--out", out) == 1:
         return
-    assert err == ""
     for line in out.read_text(encoding="utf-8").splitlines():
         _, text = line.split("\t", 1)
         if text.startswith("ERROR:"):

@@ -10,6 +10,7 @@ from ctcdec import (
     Hypothesis,
     InvalidRule,
     InvariantViolation,
+    LengthMismatch,
     Lexicon,
     NoAcceptedString,
     combine_hypotheses,
@@ -121,8 +122,6 @@ class TestVote:
         assert drop.text == ""
 
     def test_confidence_count_must_match_words(self):
-        from ctcdec import LengthMismatch
-
         with pytest.raises(LengthMismatch):
             WordTransitionNetwork.from_hypothesis(hyp("two words", (0.5,)), " ")
 
@@ -148,6 +147,8 @@ class TestCombine:
     def test_committee_of_one_returns_input_verbatim(self):
         h = hyp("exactly this", (0.5, 0.25))
         assert combine_hypotheses([h], CommitteeConfig(n=1), " ") is h
+        with pytest.raises(LengthMismatch, match="2 hypotheses for a committee of 1"):
+            combine_hypotheses([h, h], CommitteeConfig(n=1), " ")
 
     def test_unanimity(self):
         h = hyp("same text here")

@@ -97,6 +97,8 @@ class TestPathScore:
         m = ConfidenceMatrix([[0.5, 0.5]] * 3, ab)
         with pytest.raises(LengthMismatch):
             path_log_score(m, [0, 0])
+        with pytest.raises(InvalidSymbol):
+            path_log_score(m, [0, 2, 0])
 
     def test_monotone_in_used_cell(self):
         rng = np.random.default_rng(5)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from ctcdec import (
     Alphabet,
     ConfidenceMatrix,
+    CtcDecError,
     EmptyLanguage,
     ExpressionModel,
     InvalidRule,
@@ -21,8 +22,8 @@ from ctcdec import (
     parse_rules,
 )
 
-from ctcdec.expressions import format_rules
-from oracles import accept_all_model, argmax_string, enumerate_string_probs, random_matrix
+from ctcdec.expressions import _MODES, KNOWN_CLASSES, format_rules
+from oracles import accept_all_model, argmax_string, enumerate_string_probs, random_matrix, reference_compile_rules
 
 ALPHA = default_alphabet()
 DEFAULT_MODEL = compile_rules(default_rule_config(ALPHA), ALPHA)
@@ -54,6 +55,62 @@ def random_fsa(rng: np.random.Generator, alphabet: Alphabet) -> ExpressionModel:
         except EmptyLanguage:
             continue
         return model
+
+
+@st.composite
+def _rule_sets(draw):
+    """A small alphabet and a random class partition of it, which one
+    flaw may break: an unknown class, a symbol in two classes, a symbol in
+    none, or a symbol outside the alphabet."""
+    printable = draw(st.sampled_from(["ab", "aB1,' ", "xY.-9 +/"]))
+    alphabet = Alphabet.with_nac(printable, separator=" " if " " in printable else None)
+    classes: dict[str, set[str]] = {}
+    for sym in printable:
+        classes.setdefault(draw(st.sampled_from(KNOWN_CLASSES)), set()).add(sym)
+    flaw = draw(st.sampled_from([None, None, None, None, "unknown", "overlap", "missing", "outside"]))
+    name = draw(st.sampled_from(sorted(classes)))
+    sym = draw(st.sampled_from(sorted(classes[name])))
+    if flaw == "unknown":
+        classes["emoji"] = {sym}
+    elif flaw == "overlap":
+        classes.setdefault(draw(st.sampled_from(KNOWN_CLASSES)), set()).add(sym)
+    elif flaw == "missing":
+        classes[name].discard(sym)
+    elif flaw == "outside":
+        classes[name].add("~")
+    return alphabet, {name: frozenset(syms) for name, syms in classes.items()}
+
+
+def _compiled(compile, config, alphabet):
+    """The compiled model, or the class and message of the error raised."""
+    try:
+        return compile(config, alphabet)
+    except CtcDecError as exc:
+        return type(exc), str(exc)
+
+
+def _same_language(a: ExpressionModel, b: ExpressionModel) -> bool:
+    """Whether two models over the same symbol classes accept the same
+    strings: a walk over the pairs of states that each class leads to,
+    where a dead end or a state with no accepting future is ``None``."""
+
+    def step(model, state, cls):
+        nxt = model.transitions.get((state, cls))
+        return nxt if nxt in model.live_states else None
+
+    classes = set(a.symbol_classes.values())
+    start = (a.start if a.start in a.live_states else None, b.start if b.start in b.live_states else None)
+    seen, frontier = {start}, [start]
+    while frontier:
+        p, q = frontier.pop()
+        if (p in a.accepting) != (q in b.accepting):
+            return False
+        for cls in classes:
+            pair = (step(a, p, cls), step(b, q, cls))
+            if pair not in seen:
+                seen.add(pair)
+                frontier.append(pair)
+    return True
 
 
 class TestCompile:
@@ -151,6 +208,37 @@ class TestCompile:
         )
         with pytest.raises(EmptyLanguage):
             model.validate(AB2)
+
+    @pytest.mark.parametrize("mode, attach, digits", itertools.product(_MODES, (True, False), (True, False)))
+    def test_every_state_is_reachable_from_the_start(self, mode, attach, digits):
+        config = replace(
+            default_rule_config(ALPHA), line_start_capital=mode, attach_punctuation=attach, digits_form_numbers=digits
+        )
+        model = compile_rules(config, ALPHA)
+        seen, frontier = {model.start}, [model.start]
+        while frontier:
+            state = frontier.pop()
+            for (src, _), dst in model.transitions.items():
+                if src == state and dst not in seen:
+                    seen.add(dst)
+                    frontier.append(dst)
+        assert {state for (src, _), dst in model.transitions.items() for state in (src, dst)} == seen
+
+    @settings(max_examples=300, deadline=None)
+    @given(rule_set=_rule_sets())
+    def test_compile_matches_the_arc_by_arc_reference(self, rule_set):
+        alphabet, classes = rule_set
+        for mode, attach, digits in itertools.product(_MODES + ("sometimes",), (True, False), (True, False)):
+            config = RuleConfig(classes, mode, attach, digits)
+            got, want = _compiled(compile_rules, config, alphabet), _compiled(reference_compile_rules, config, alphabet)
+            assert type(got) is type(want)
+            if isinstance(want, tuple):
+                assert got == want
+                continue
+            assert got.symbol_classes == want.symbol_classes
+            assert _same_language(got, want)
+            if attach and digits:
+                assert (got.transitions, got.accepting) == (want.transitions, want.accepting)
 
 
 class TestRuleFile:

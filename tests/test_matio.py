@@ -93,9 +93,10 @@ def test_missing_nac_token(tmp_path):
 
 def test_bad_frame_count(tmp_path):
     path = tmp_path / "bad.ctcmat"
-    path.write_text("CTCMAT v1\na\t<NaC>\nT=zero\n", encoding="utf-8")
-    with pytest.raises(ParseError):
-        load_matrix(path)
+    for line in ("T=zero", "T=0", "frames=1"):
+        path.write_text(f"CTCMAT v1\na\t<NaC>\n{line}\n0.5\t0.5\n", encoding="utf-8")
+        with pytest.raises(ParseError, match="line 3: "):
+            load_matrix(path)
 
 
 def test_wrong_column_count(tmp_path):
@@ -103,6 +104,8 @@ def test_wrong_column_count(tmp_path):
     path.write_text("CTCMAT v1\na\t<NaC>\nT=1\n0.5\t0.25\t0.25\n", encoding="utf-8")
     with pytest.raises(ParseError):
         load_matrix(path)
+    with pytest.raises(InvariantViolation, match="3 columns"):
+        ConfidenceMatrix([[0.5, 0.25, 0.25]], Alphabet.with_nac("a"))
 
 
 def test_truncated_rows(tmp_path):
@@ -117,6 +120,8 @@ def test_row_sum_far_off_rejected(tmp_path):
     path.write_text("CTCMAT v1\na\t<NaC>\nT=1\n0.45\t0.45\n", encoding="utf-8")
     with pytest.raises(InvariantViolation):
         load_matrix(path)
+    with pytest.raises(InvariantViolation, match="row 1 sums to 0.9"):
+        ConfidenceMatrix([[0.5, 0.5], [0.45, 0.45]], Alphabet.with_nac("a"))
 
 
 def test_row_sum_rejection_boundary(tmp_path):

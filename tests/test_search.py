@@ -468,6 +468,8 @@ def test_min_symbol_prob_outside_unit_interval_is_rejected(value):
         decode_expression(m, rules, beam_width=8, min_symbol_prob=value)
     with pytest.raises(ValueError, match="min_symbol_prob"):
         prefix_beam_search(m, _FsaConstraint(rules, alphabet), 8, value)
+    with pytest.raises(ValueError, match="beam_width"):
+        prefix_beam_search(m, _FsaConstraint(rules, alphabet), 0)
 
 
 class CountingConstraint:
