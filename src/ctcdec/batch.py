@@ -125,12 +125,24 @@ def decode_record(record: LineRecord, decode_fn: DecodeFn, experts: int | None =
     return decode_fn([load_matrix(p) for p in paths]).text
 
 
-def _worker(args: tuple[LineRecord, DecodeFn, int | None]) -> tuple[str, str]:
-    record, decode_fn, experts = args
+def _worker(record: LineRecord, decode_fn: DecodeFn, experts: int | None) -> tuple[str, str]:
     try:
         return record.line_id, decode_record(record, decode_fn, experts)
     except (CtcDecError, OSError) as exc:
         return record.line_id, f"ERROR:{type(exc).__name__}"
+
+
+#: A pool worker's decoder and expert count, sent once per worker process.
+_pool_decoder: tuple[DecodeFn, int | None] | None = None
+
+
+def _start_pool_worker(decode_fn: DecodeFn, experts: int | None) -> None:
+    global _pool_decoder
+    _pool_decoder = decode_fn, experts
+
+
+def _pool_worker(record: LineRecord) -> tuple[str, str]:
+    return _worker(record, *_pool_decoder)
 
 
 def run_batch(
@@ -147,16 +159,20 @@ def run_batch(
     ``<out_path>.tmp`` as they are decoded, renamed to ``out_path`` after
     the last, so an exception leaves the finished lines in the ``.tmp``
     file and no ``out_path``. Returns the (id, text-or-error) pairs.
+    With ``jobs > 1``, each worker process gets ``decode_fn`` once, when
+    it starts, and the tasks carry only records.
     """
-    tasks = [(rec, decode_fn, experts) for rec in manifest.records]
+    records = manifest.records
     tmp_path = f"{out_path}.tmp"
     results: list[tuple[str, str]] = []
     with open(tmp_path, "w", encoding="utf-8") as fh, ExitStack() as stack:
-        if jobs > 1 and len(tasks) > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=jobs))
-            lines = pool.map(_worker, tasks, chunksize=max(1, len(tasks) // (4 * jobs)))
+        if jobs > 1 and len(records) > 1:
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=jobs, initializer=_start_pool_worker, initargs=(decode_fn, experts))
+            )
+            lines = pool.map(_pool_worker, records, chunksize=max(1, len(records) // (4 * jobs)))
         else:
-            lines = map(_worker, tasks)
+            lines = (_worker(rec, decode_fn, experts) for rec in records)
         for line_id, text in lines:
             fh.write(f"{line_id}\t{text}\n")
             results.append((line_id, text))

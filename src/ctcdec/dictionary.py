@@ -14,12 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
+import numpy as np
+
+from .ctc import NEG_INF
 from .errors import EmptyLexicon, NoAcceptedString
 from .expressions import ExpressionModel, _FsaConstraint
 from .lexicon import Lexicon
 from .matrix import ConfidenceMatrix
-from .search import Node, _hypotheses, _hypothesis, prefix_beam_search, prefix_beam_search_many
+from .search import Compiled, Node, _hypotheses, _hypothesis, prefix_beam_search, prefix_beam_search_many
 from .types import Hypothesis
 
 OOV_POLICIES = ("reject", "pass-punct")
@@ -73,13 +77,22 @@ class _LexiconConstraint:
     states that differ only by the words before them are equal. Analyses
     sharing ``(phase, node)`` keep only the best prior.
 
-    Construction is O(1) in the lexicon size: word priors are computed
-    from the lexicon's per-node counts as rows are built.
+    Construction is O(1) in the lexicon size. The search reads the rows
+    of one-analysis states from :meth:`compiled`, built once per lexicon,
+    alphabet and params; ``successors`` gives the rows of the other states
+    and of an intersection.
     """
 
     def __init__(self, lexicon: Lexicon, alphabet, params: DecodeParams):
         if len(lexicon) == 0:
             raise EmptyLexicon("cannot decode with an empty lexicon")
+        self.lexicon = lexicon
+        # What a compiled table depends on besides the lexicon; the floats
+        # as hex, so that -0.0 and 0.0 get tables of their own.
+        self._key = (
+            alphabet.symbols, alphabet.nac_index,
+            float(params.lm_weight).hex(), float(params.word_bonus).hex(), params.oov_policy,
+        )
         self.children = lexicon.children
         self.word_count = lexicon.word_count
         self.best_count = lexicon.best_count
@@ -174,6 +187,119 @@ class _LexiconConstraint:
                 final = 0.0 + (lm_weight * (math.log(n) - log_total) + word_bonus) if n else None
                 out[c] = Node(((_WORD, child, 0.0),), rank, final, prior)
         return out
+
+    def compiled(self, symbols: list[int]) -> Compiled:
+        """The transitions over the search cells of ``symbols`` (cell ``i``
+        holds ``symbols[i - 1]``), compiled on the first call and kept on
+        the lexicon for every later search with the same alphabet and
+        params."""
+        key = (*self._key, tuple(symbols))
+        tables = self.lexicon._tables
+        if key not in tables:
+            tables[key] = self._compile(symbols)
+        return tables[key]
+
+    def _compile(self, symbols: list[int]) -> Compiled:
+        # State ids: START is 0 and the word at trie node n is n, then come
+        # BETWEEN, PRE and POST, each one analysis of prior 0.0. After them
+        # come the states of two analyses that a child by an attach symbol
+        # reaches; ``successors`` gives their rows. The arcs are built as
+        # int32; the kept ids are intp, as the search indexes with them.
+        n = len(self.children)
+        between, pre, post = n, n + 1, n + 2
+        states = n + 3
+        cell_of = {s: c for c, s in enumerate(symbols, 1)}
+        cells = {ch: cell_of[i] for ch, i in self.index.items()}
+        parent, cell = [0] * n, [0] * n
+        for node, kids in enumerate(self.children):
+            for ch, child in kids.items():
+                parent[child] = node
+                cell[child] = cells.get(ch, 0)
+        parent, cell = np.array(parent, dtype=np.int32), np.array(cell, dtype=np.int32)
+        # ``0.0 + prior`` of each node's word count (-inf: no word) and best
+        # count, one ``math.log`` per distinct count, as ``successors`` has it.
+        distinct, at = np.unique(self.word_count + self.best_count, return_inverse=True)
+        prior = np.array([0.0 + self.prior(c) if c else NEG_INF for c in distinct.tolist()])
+        done, best = prior[at[:n]], prior[at[n:]]
+        rank, final = np.zeros(states), np.full(states, NEG_INF)
+        rank[1:n], final[1:n] = best[1:], done[1:]
+        final[[0, post]] = 0.0
+        if self.pass_punct:
+            final[pre] = 0.0
+        # Where each state's attach arcs go (-1: it has none), and the weight
+        # of its attach and separator arcs, a complete word's prior.
+        complete = (done > NEG_INF).nonzero()[0].astype(np.int32)
+        attach_to = np.full(states, -1, dtype=np.int32)
+        attach_to[complete] = post
+        attach_to[[0, between, pre, post]] = [pre, pre, pre, post]
+        leave = np.zeros(states)
+        leave[complete] = done[complete]
+        attaching = (attach_to >= 0).nonzero()[0].astype(np.int32)
+        separating = np.zeros(0, dtype=np.int32)
+        if self.separator is not None:
+            separating = np.append(complete, [post, pre] if self.pass_punct else [post]).astype(np.int32)
+
+        # The arcs: the trie children (the root's from START, BETWEEN and
+        # PRE), then each attaching state's attach arcs and separator arc.
+        kids = cell.nonzero()[0].astype(np.int32)
+        roots = kids[parent[kids] == 0]
+        attach = np.array(sorted(cell_of[i] for i in self.attach), dtype=np.int32)
+        between_of, pre_of = (np.full(roots.size, s, dtype=np.int32) for s in (between, pre))
+        src = np.concatenate((parent[kids], between_of, pre_of, attaching.repeat(attach.size), separating))
+        dst = np.concatenate(
+            (kids, roots, roots, attach_to[attaching].repeat(attach.size), np.full(separating.size, between, dtype=np.int32))
+        )
+        trie = kids.size + 2 * roots.size
+        arc = np.concatenate((cell[dst[:trie]], np.tile(attach, attaching.size)))
+        arc = np.append(arc, np.full(separating.size, cell_of.get(self.separator, 0), dtype=np.int32))
+        weight = leave[src]
+        weight[:trie] = 0.0
+        # A child by an attach symbol, from a state that attaches, reaches
+        # two analyses: the longer word, or the word done and punctuation.
+        is_attach = np.zeros(len(symbols) + 1, dtype=bool)
+        is_attach[attach] = True
+        merged: dict = {}
+        for x in (is_attach[arc[:trie]] & (attach_to[src[:trie]] >= 0)).nonzero()[0].tolist():
+            s = int(src[x])
+            attached = (_POST if attach_to[s] == post else _PRE, 0)
+            node = self._row_node({(_WORD, int(dst[x])): 0.0, attached: float(leave[s])})
+            j, node = merged.setdefault(node.state, (states + len(merged), node))
+            dst[x], weight[x] = j, node.weight
+
+        # Rows in state order, cells ascending. The sort is stable, so where
+        # a child and an attach arc share a row's cell, the child's is kept.
+        order = np.lexsort((arc, src))
+        row, col = src[order], arc[order]
+        order = order[np.concatenate(([True], (row[1:] != row[:-1]) | (col[1:] != col[:-1])))]
+        del row, col  # before the kept arrays, to keep the peak down
+        length = np.bincount(src[order], minlength=states + len(merged))
+        start = 1 + np.cumsum(length) - length
+        start[states:] = -1
+        offset, child = (np.zeros(order.size + 1, dtype=np.intp) for _ in range(2))
+        weights = np.zeros(order.size + 1)
+        for out, values in ((offset, arc), (child, dst), (weights, weight)):
+            out[1:] = values[order]
+        nodes = [node for _, node in merged.values()]
+        table = Compiled(
+            np.append(rank, [node.rank for node in nodes]),
+            np.append(final, [NEG_INF if node.final is None else node.final for node in nodes]),
+            start,
+            length,
+            offset,
+            child,
+            weights,
+            cache(lambda: [
+                ((_START, 0, 0.0),),
+                *(((_WORD, i, 0.0),) for i in range(1, n)),
+                ((_BETWEEN, 0, 0.0),),
+                ((_PRE, 0, 0.0),),
+                ((_POST, 0, 0.0),),
+                *merged,
+            ]),
+        )
+        for array in table[:7]:
+            array.flags.writeable = False
+        return table
 
     def _merged(self, state) -> dict[int, Node]:
         # Per symbol index, the best prior of each (phase, node) it reaches;

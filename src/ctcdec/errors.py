@@ -43,6 +43,11 @@ class NoAcceptedString(CtcDecError):
     """The search exhausted its beam without an accepted hypothesis."""
 
 
+class SearchLimit(CtcDecError):
+    """A search would exceed a fixed limit on the candidates of one frame
+    or on the prefixes of one call (with an unlimited or very wide beam)."""
+
+
 class EmptyLexicon(CtcDecError):
     """Dictionary decoding was requested with an empty lexicon."""
 

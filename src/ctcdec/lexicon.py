@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from functools import cached_property
 from pathlib import Path
@@ -44,6 +43,9 @@ class Lexicon:
         self.separator = separator
         self.attach_chars = frozenset(attach_chars)
         self._total = sum(self._counts.values())
+        # The dictionary search's compiled transition tables, one per
+        # alphabet and params, made on the first decode that needs each.
+        self._tables: dict = {}
 
         # Trie (nodes are ints, the root is 0): ``children[node]`` maps a
         # character to its child node, and ``word_count[node]`` is the count
@@ -75,13 +77,6 @@ class Lexicon:
     @property
     def counts(self) -> Mapping[str, int]:
         return dict(self._counts)
-
-    def log_unigram(self, word: str) -> float:
-        """log(count / total); -inf for unknown words."""
-        c = self._counts.get(word)
-        if c is None or self._total == 0:
-            return float("-inf")
-        return math.log(c) - math.log(self._total)
 
     @cached_property
     def best_count(self) -> list[int]:

@@ -5,7 +5,9 @@ indices). Paths collapsing to the same prefix merge; per prefix the mass
 splits into paths ending in NaC (``pb``) and paths ending in the prefix's
 last symbol (``pnb``), which the extension rules need to keep apart. With
 an unlimited beam the accumulated mass of a prefix is its exact CTC
-marginal, so the search returns the exact constrained argmax.
+marginal, so the search returns the exact constrained argmax, or raises
+:class:`SearchLimit` when a frame's candidates or the call's prefixes
+would pass a fixed limit.
 
 A constraint is a weighted automaton. It has an ``initial`` :class:`Node`
 for the empty prefix and one method, ``successors(state)``, which returns
@@ -24,8 +26,12 @@ prefix already in the beam merges into that entry. Constraint states are
 interned to integer ids on first sight, and a state's transitions are
 stored as one flat row (its successors' cell offsets, ascending, with
 their target ids and arc weights) the first time the state is expanded,
-so ``successors`` runs once per state per search. A frame gathers each
-entry's stay and then its row into one candidate list.
+so ``successors`` runs once per state per search. A constraint may also
+have a ``compiled(symbols)`` method that returns those rows built ahead
+(a :class:`Compiled` table, shared read-only by its searches); a search
+then calls ``successors`` only for the states the table leaves unfilled.
+A frame gathers each entry's stay and then its row into one candidate
+list.
 
 A beam entry is an id in a per-search prefix tree: a prefix is its parent
 prefix's id plus the cell of its last symbol, and each such pair has one
@@ -56,16 +62,25 @@ only stay: they gather no row and expand no state.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .ctc import NEG_INF, marginal_word_confidences, word_confidences_many
-from .errors import InvariantViolation, NoAcceptedString
+from .errors import InvariantViolation, NoAcceptedString, SearchLimit
 from .matrix import ConfidenceMatrix
 from .types import Hypothesis
 
 Prefix = tuple[int, ...]
+
+#: The most candidates one frame of one call may gather, and the most
+#: prefix ids one call may number. At its peak a frame takes about 330
+#: bytes a candidate (its arrays, the beam and the prefix tree), so a
+#: search stays under about 350 MB. Past either limit, the search raises
+#: :class:`SearchLimit`: with an unlimited beam, candidates multiply by the
+#: alphabet size each frame.
+MAX_CANDIDATES = 1 << 20
+MAX_PREFIXES = 1 << 22
 
 
 class Node(NamedTuple):
@@ -84,6 +99,23 @@ class Node(NamedTuple):
     weight: float = 0.0
 
 
+class Compiled(NamedTuple):
+    """A constraint's transitions compiled before its searches, as the
+    arrays of :class:`_Transitions` (read-only: every search shares
+    them). A state whose ``start`` is -1 gets its row from ``successors``
+    when a search first expands it; ``states()`` lists every state by
+    id, for that search to intern the row's targets."""
+
+    rank: np.ndarray
+    final: np.ndarray
+    start: np.ndarray
+    length: np.ndarray
+    offset: np.ndarray
+    child: np.ndarray
+    weight: np.ndarray
+    states: Callable[[], list]
+
+
 class _Transitions:
     """A constraint's transitions over interned state ids, as flat rows.
 
@@ -94,11 +126,25 @@ class _Transitions:
     length[id]]``, and ``child`` and ``weight`` hold the target id and the
     arc weight in the same slots. ``start`` is -1 until the row is filled.
     Slot 0 is the stay: offset 0, the NaC cell itself.
+
+    A constraint with a ``compiled(symbols)`` method gives the table to
+    start from (a :class:`Compiled`); the search fills only the rows
+    that it leaves at -1.
     """
 
     def __init__(self, constraint, symbols: list[int]):
         self._successors = constraint.successors
         self._offset = {s: c for c, s in enumerate(symbols, 1)}
+        compiled = getattr(constraint, "compiled", None)
+        if compiled is not None:
+            # Start from the shared read-only table. Only when this search
+            # fills a row does ``_fill`` copy it and list its states (until
+            # then ``_states`` is the table's callable).
+            table = compiled(symbols)
+            self.rank, self.final, self.start, self.length, self.offset, self.child, self.weight = table[:7]
+            self._size = table.offset.size
+            self._states, self._ids = table.states, None
+            return
         # The initial state is id 0.
         initial = constraint.initial
         self._ids = {initial.state: 0}
@@ -110,12 +156,13 @@ class _Transitions:
         self.offset, self.child = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
         self.weight = np.zeros(1)
 
-    def gather(self, ids: np.ndarray, grow: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def gather(self, ids: np.ndarray, grow: np.ndarray, frame: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """For each of the states ``ids``, its stay and, where ``grow``,
         its row, as one flat list, state by state and offset by offset:
         each item's position in ``ids`` and its slot, and where each
         state's items start (its stay), plus the end. Rows not filled yet
-        are filled first."""
+        are filled first. More than ``MAX_CANDIDATES`` items raise
+        :class:`SearchLimit`, naming ``frame``."""
         start = self.start[ids]
         unfilled = ids[grow & (start < 0)]
         if unfilled.size:
@@ -124,6 +171,11 @@ class _Transitions:
         lengths = self.length[ids] * grow + 1
         items = np.zeros(ids.size + 1, dtype=np.intp)
         np.cumsum(lengths, out=items[1:])
+        if items[-1] > MAX_CANDIDATES:
+            raise SearchLimit(
+                f"frame {frame} has {items[-1]:,} candidates, over the limit of {MAX_CANDIDATES:,}; "
+                "use a finite beam (--beam) or a symbol floor (--min-symbol-prob)"
+            )
         stays = items[:-1]
         slot = np.arange(items[-1]) + np.repeat(start - 1 - stays, lengths)
         slot[stays] = 0
@@ -135,6 +187,12 @@ class _Transitions:
         # state the next one. Consecutive symbols that carry one Node (a
         # word's attach arcs, an FSA row's symbols of one class) share its
         # id without a lookup.
+        if self._ids is None:
+            # This search's first own row: it goes into copies of the
+            # compiled table, which stays as it is for other searches.
+            self._states = list(self._states())
+            self._ids = dict(zip(self._states, range(len(self._states))))
+            self.start, self.length = self.start.copy(), self.length.copy()
         known, states, offset, size = self._ids, self._states, self._offset, self._size
         offsets, children, weights, starts, lengths, new, last = [], [], [], [], [], [], None
         for i in ids:
@@ -159,10 +217,11 @@ class _Transitions:
             self.rank[end - len(new) : end] = [node.rank for node in new]
             self.final[end - len(new) : end] = [NEG_INF if node.final is None else node.final for node in new]
         end = size + len(offsets)
-        self.offset, self.child, self.weight = (_grown(a, end) for a in (self.offset, self.child, self.weight))
-        self.offset[size:end] = offsets
-        self.child[size:end] = children
-        self.weight[size:end] = weights
+        if end > size:
+            self.offset, self.child, self.weight = (_grown(a, end) for a in (self.offset, self.child, self.weight))
+            self.offset[size:end] = offsets
+            self.child[size:end] = children
+            self.weight[size:end] = weights
         self.start[ids] = starts
         self.length[ids] = lengths
         self._size = end
@@ -192,9 +251,16 @@ class _PrefixTree:
         self._key = np.arange(-1, -n - 1, -1)
         self._id = dict(zip(self._key.tolist(), range(n)))
 
-    def ids(self, keys: np.ndarray) -> np.ndarray:
-        """The id of each of the distinct ``keys``, numbering new ones in order."""
+    def ids(self, keys: np.ndarray, frame: int) -> np.ndarray:
+        """The id of each of the distinct ``keys``, numbering new ones in
+        order. Past ``MAX_PREFIXES`` ids, raises :class:`SearchLimit`,
+        naming ``frame``."""
         ids = np.array([self._id.setdefault(k, len(self._id)) for k in keys.tolist()], dtype=np.intp)
+        if len(self._id) > MAX_PREFIXES:
+            raise SearchLimit(
+                f"frame {frame} brings the search to {len(self._id):,} prefixes, over the limit of "
+                f"{MAX_PREFIXES:,}; use a finite beam (--beam) or a symbol floor (--min-symbol-prob)"
+            )
         new = keys[ids >= self.size]
         self._key = _grown(self._key, self.size + new.size)
         self._key[self.size : self.size + new.size] = new
@@ -229,7 +295,8 @@ def prefix_beam_search(
     ``min_symbol_prob``, in [0, 1), skips extending with symbols below
     that per-frame probability (speed knob; keep at 0 for exact search).
 
-    Raises :class:`NoAcceptedString` when no accepted prefix survives.
+    Raises :class:`NoAcceptedString` when no accepted prefix survives,
+    and :class:`SearchLimit` past ``MAX_CANDIDATES`` or ``MAX_PREFIXES``.
     """
     (result,) = prefix_beam_search_many([matrix], constraint, beam_width, min_symbol_prob)
     if isinstance(result, NoAcceptedString):
@@ -315,7 +382,7 @@ def prefix_beam_search_many(
         # extensions, as flat items (entry ``b``, ``cell``, table ``slot``)
         # grouped by expert like the beam. ``cand`` is each extension's mass;
         # the stays' slots get theirs once the merges below are in.
-        b, slot, items = table.gather(nid, live[t][expert])
+        b, slot, items = table.gather(nid, live[t][expert], t)
         stays = items[:-1]
         cell = home[b] + table.offset[slot]
         logp = usable[t][cell]
@@ -360,7 +427,7 @@ def prefix_beam_search_many(
         pb[fresh], pnb[fresh], up[fresh], last[fresh] = NEG_INF, cand[x], fresh_up, cell[x]
         acc, nid = cand_acc[keep], cand_node[keep]
         if fresh.size:
-            ids[fresh] = tree.ids(fresh_up * span + cell[x])
+            ids[fresh] = tree.ids(fresh_up * span + cell[x], t)
             pos = _grown(pos, tree.size + 1, -1)
         pos[ids] = np.arange(ids.size)
 

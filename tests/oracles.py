@@ -207,6 +207,14 @@ def _token_valid(token: str, lexicon, pass_punct: bool) -> bool:
     return False
 
 
+def log_unigram(lexicon, word: str) -> float:
+    """log(count / total) of ``word`` in ``lexicon``; -inf for unknown words."""
+    count = lexicon.counts.get(word)
+    if count is None:
+        return float("-inf")
+    return math.log(count) - math.log(lexicon.total_count)
+
+
 def _token_best_prior(token: str, lexicon, alpha: float, beta: float, pass_punct: bool):
     """Best (lead, core, trail) parse prior of a token; None if invalid."""
     import math
@@ -221,7 +229,7 @@ def _token_best_prior(token: str, lexicon, alpha: float, beta: float, pass_punct
             break
         for j in range(i + 1, n + 1):
             if token[i:j] in lexicon and all(c in attach for c in token[j:]):
-                prior = alpha * lexicon.log_unigram(token[i:j]) + beta
+                prior = alpha * log_unigram(lexicon, token[i:j]) + beta
                 if best is None or prior > best:
                     best = prior
     return best

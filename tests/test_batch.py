@@ -190,6 +190,17 @@ class TestRunBatch:
         parallel = run_batch(Manifest(records), bp_decoder, tmp_path / "p.tsv", jobs=2)
         assert serial == parallel
 
+    def test_the_decoder_is_pickled_at_most_once_per_worker(self, tmp_path):
+        records = tuple(
+            LineRecord(f"l{i}", (write_line(tmp_path, f"l{i}", "ab ba"[: 2 + i % 3], seed=i),))
+            for i in range(8)
+        )
+        serial = run_batch(Manifest(records), bp_decoder, tmp_path / "s.tsv")
+        PickleCountingDecoder.pickles = 0
+        parallel = run_batch(Manifest(records), PickleCountingDecoder(), tmp_path / "p.tsv", jobs=2)
+        assert parallel == serial
+        assert PickleCountingDecoder.pickles <= 2
+
     def test_mismatched_expert_alphabets_error(self, tmp_path):
         """The committee's search refuses experts with different alphabets,
         and the batch records that line's error."""
@@ -206,6 +217,19 @@ class TestRunBatch:
 
         results = run_batch(Manifest((record,)), committee, tmp_path / "out.tsv")
         assert results[0][1] == "ERROR:InvariantViolation"
+
+
+class PickleCountingDecoder:
+    """Best path, counting how often this process pickles it."""
+
+    pickles = 0
+
+    def __reduce__(self):
+        PickleCountingDecoder.pickles += 1
+        return PickleCountingDecoder, ()
+
+    def __call__(self, matrices):
+        return decode_best_path(matrices[0])
 
 
 def fail_on_third(matrices):

@@ -1,8 +1,12 @@
 import builtins
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -236,6 +240,44 @@ def test_unlimited_beam_flag(workspace):
         line.split("\t", 1) for line in hyp.read_text(encoding="utf-8").splitlines()
     )
     assert rows["l0001"] == "the hat"
+
+
+def test_an_unlimited_beam_past_the_search_limit_fails_each_line(tmp_path):
+    """The README quick start at ``--beam none``: at floor 0 every symbol is
+    usable, so the candidates multiply about 84-fold a frame. The run exits
+    0 with ``ERROR:SearchLimit`` on every line, and the decoding process
+    peaks under 400 MB. It runs with a 2 GB address space, so a limit that
+    does not hold fails here instead of filling the host's memory."""
+    lines = tmp_path / "lines.txt"
+    lines.write_text("the cat sat\na hat\nthe cat\n", encoding="utf-8")
+    demo = tmp_path / "demo"
+    assert run_cli(
+        "synth", "--lines", lines, "--out-dir", demo, "--noise", 0.2, "--experts", 2, "--seed", 7
+    ) == 0
+    out = tmp_path / "none-ce.tsv"
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from ctcdec.cli import main\n"
+        "status = main(sys.argv[1:])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "sys.exit(status)\n"
+    )
+    env = {
+        **os.environ,
+        "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+        "OPENBLAS_NUM_THREADS": "1",
+        "OMP_NUM_THREADS": "1",
+    }
+    run = subprocess.run(
+        [sys.executable, "-c", child, "decode", "--manifest", demo / "manifest.json",
+         "--scheme", "dec-ce", "--beam", "none", "--out", out],
+        capture_output=True, text=True, env=env,
+    )
+    assert run.returncode == 0, run.stderr
+    assert out.read_text(encoding="utf-8").splitlines() == [f"l000{i}\tERROR:SearchLimit" for i in range(3)]
+    peak_kb = int(run.stdout.split()[-1])
+    assert peak_kb < 400 * 1024
 
 
 def test_rules_overlay_on_dictionary_scheme(workspace):

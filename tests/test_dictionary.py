@@ -16,6 +16,7 @@ from ctcdec import (
     decode_dictionary,
     string_log_score,
 )
+from ctcdec.ctc import NEG_INF
 from ctcdec.dictionary import OOV_POLICIES, _LexiconConstraint
 from ctcdec.lexicon import strip_attached
 
@@ -365,17 +366,43 @@ def test_each_row_equals_the_analysis_merge_bit_for_bit(counts, oov_policy, sepa
     """Every state reachable in at most 4 symbols gets the row of the
     reference loop: the same symbols, and Nodes equal with floats compared
     as hex. Words hold attaching punctuation, so states with several
-    analyses, and symbols that both extend a word and attach, occur."""
+    analyses, and symbols that both extend a word and attach, occur.
+
+    The compiled table holds the same row for every state of one
+    analysis: the same cells in order, arc weights as hex, and each
+    target's state, ``rank`` and ``final`` (-inf for ``None``). Only states
+    of several analyses are left to ``successors``."""
     alphabet = Alphabet.with_nac("ab.' " if separator else "ab.'", separator=separator)
     lexicon = Lexicon(counts, separator=separator, attach_chars=frozenset(".'"))
     params = DecodeParams(lm_weight=lm_weight, word_bonus=word_bonus, oov_policy=oov_policy)
     constraint = _LexiconConstraint(lexicon, alphabet, params)
+    symbols = list(alphabet.printable_indices)
+    table = constraint.compiled(symbols)
+    states = table.states()
+    ids = dict(zip(states, range(len(states))))
+    cells = {s: c for c, s in enumerate(symbols, 1)}
     layer, seen = [constraint.initial.state], {constraint.initial.state}
     for depth in range(5):
         following = []
         for state in layer:
             row = constraint.successors(state)
             assert _hexed(row) == _hexed(reference_lexicon_successors(constraint, state))
+            i = ids.get(state)
+            if i is None or table.start[i] < 0:
+                assert len(state) > 1
+            else:
+                lo = table.start[i]
+                slots = range(lo, lo + table.length[i])
+                compiled = [
+                    (int(table.offset[x]), states[table.child[x]], float(table.weight[x]).hex(),
+                     float(table.rank[table.child[x]]).hex(), float(table.final[table.child[x]]).hex())
+                    for x in slots
+                ]
+                assert compiled == [
+                    (cells[c], node.state, node.weight.hex(), node.rank.hex(),
+                     (NEG_INF if node.final is None else node.final).hex())
+                    for c, node in sorted(row.items(), key=lambda item: cells[item[0]])
+                ]
             for node in row.values():
                 if depth < 4 and node.state not in seen:
                     seen.add(node.state)

@@ -13,6 +13,8 @@ from ctcdec import (
 )
 from ctcdec.lexicon import strip_attached
 
+from oracles import log_unigram
+
 ALPHA = default_alphabet()
 
 
@@ -66,8 +68,8 @@ def test_words_validate():
 
 def test_log_unigram():
     lex = Lexicon({"the": 3, "cat": 1})
-    assert lex.log_unigram("the") == pytest.approx(math.log(0.75))
-    assert lex.log_unigram("dog") == float("-inf")
+    assert log_unigram(lex, "the") == pytest.approx(math.log(0.75))
+    assert log_unigram(lex, "dog") == float("-inf")
 
 
 def test_trie_children_and_word_counts():

@@ -23,8 +23,10 @@ from ctcdec import (
     generate_synthetic,
     string_log_score,
 )
+from ctcdec import search
 from ctcdec.ctc import NEG_INF
 from ctcdec.dictionary import _Intersection, _LexiconConstraint
+from ctcdec.errors import SearchLimit
 from ctcdec.expressions import _FsaConstraint
 from ctcdec.search import _cut, prefix_beam_search, prefix_beam_search_many
 from oracles import (
@@ -52,6 +54,12 @@ def random_lexicon(rng: np.random.Generator) -> Lexicon:
         separator=" ",
         attach_chars=frozenset("."),
     )
+
+
+#: Words that hold the attach symbol, so that a lexicon search mixes rows
+#: read from the compiled table with rows that states of two analyses
+#: (after "a", a "." ends the word or continues "a.B") get from ``successors``.
+ATTACHED_LEXICON = Lexicon({"a.B": 3, "a": 2}, separator=" ", attach_chars=frozenset("."))
 
 
 def check_mass_bound(matrix, hyp, beam) -> None:
@@ -153,11 +161,12 @@ def constraint_maker(kind: str, alphabet, rules, lexicon, params):
     st.sampled_from([0.0, 0.1]),
     st.sampled_from(["fsa", "lexicon", "rules"]),
     st.sampled_from(["reject", "pass-punct"]),
+    st.booleans(),
 )
 @settings(max_examples=40, deadline=None)
-def test_search_matches_the_scalar_reference(beam, seed, min_symbol_prob, kind, oov):
+def test_search_matches_the_scalar_reference(beam, seed, min_symbol_prob, kind, oov, attached):
     rng = np.random.default_rng(seed)
-    lex = random_lexicon(rng)
+    lex = ATTACHED_LEXICON if attached else random_lexicon(rng)
     m = random_matrix(rng, ALPHA, int(rng.integers(1, 7)))
     if rng.random() < 0.3:
         probs = np.where(rng.random(m.probs.shape) < 0.3, 0.0, m.probs)
@@ -331,11 +340,12 @@ def assert_each_expert_matches_reference(matrices, make_constraint, beam, min_sy
     st.sampled_from([0.0, 0.1]),
     st.sampled_from(["fsa", "lexicon", "rules"]),
     st.sampled_from(["reject", "pass-punct"]),
+    st.booleans(),
 )
 @settings(max_examples=30, deadline=None)
-def test_batched_search_matches_the_reference_per_expert(beam, seed, n, min_symbol_prob, kind, oov):
+def test_batched_search_matches_the_reference_per_expert(beam, seed, n, min_symbol_prob, kind, oov, attached):
     rng = np.random.default_rng(seed)
-    lex = random_lexicon(rng)
+    lex = ATTACHED_LEXICON if attached else random_lexicon(rng)
     matrices = []
     for _ in range(n):
         # Unequal lengths, down to one frame; zeroed cells make the columns
@@ -470,6 +480,22 @@ def test_min_symbol_prob_outside_unit_interval_is_rejected(value):
         prefix_beam_search(m, _FsaConstraint(rules, alphabet), 8, value)
     with pytest.raises(ValueError, match="beam_width"):
         prefix_beam_search(m, _FsaConstraint(rules, alphabet), 0)
+
+
+@pytest.mark.parametrize("limit, count", [("MAX_CANDIDATES", "candidates"), ("MAX_PREFIXES", "prefixes")])
+@pytest.mark.parametrize("kind", ["fsa", "lexicon"])
+def test_a_search_past_a_fixed_limit_raises_search_limit(monkeypatch, kind, limit, count):
+    """An unlimited beam multiplies the candidates by the alphabet size
+    each frame. Past a limit, the search raises ``SearchLimit``, naming the
+    frame and the count, before it builds that frame's arrays."""
+    m = random_matrix(np.random.default_rng(0), WIDE, 5)
+    make = constraint_maker(kind, WIDE, WIDE_RULES, WIDE_LEXICON, DecodeParams())
+    assert_matches_reference(m, make, None)
+    monkeypatch.setattr(search, limit, 200)
+    with pytest.raises(SearchLimit, match=rf"^frame \d+ .*{count}, over the limit of 200;"):
+        prefix_beam_search(m, make(), None)
+    with pytest.raises(SearchLimit):
+        prefix_beam_search_many([m, m], make(), None)
 
 
 class CountingConstraint:
