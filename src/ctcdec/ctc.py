@@ -34,22 +34,6 @@ def collapse(path: Path, alphabet: Alphabet) -> str:
     return "".join(alphabet.symbols[i] for i in labels[runs(labels)[0]].tolist() if i != nac)
 
 
-def path_log_score(matrix: ConfidenceMatrix, path: Path) -> float:
-    """Log probability of a single path; -inf if any factor is zero."""
-    labels = np.asarray(path, dtype=np.intp)
-    if labels.shape != (matrix.num_frames,):
-        raise LengthMismatch(
-            f"path has {labels.shape[0] if labels.ndim == 1 else '?'} labels, "
-            f"matrix has {matrix.num_frames} frames"
-        )
-    if labels.size and (labels.min() < 0 or labels.max() >= matrix.num_symbols):
-        raise InvalidSymbol("path label out of range")
-    factors = matrix.probs[np.arange(matrix.num_frames), labels]
-    if np.any(factors == 0.0):
-        return NEG_INF
-    return float(np.log(factors).sum())
-
-
 def _text_to_indices(text: str, alphabet: Alphabet) -> list[int]:
     """Alphabet indices of ``text``, the one printable-text check (:class:`InvalidSymbol`)."""
     indices = []

@@ -78,9 +78,11 @@ class _LexiconConstraint:
     sharing ``(phase, node)`` keep only the best prior.
 
     Construction is O(1) in the lexicon size. The search reads the rows
-    of one-analysis states from :meth:`compiled`, built once per lexicon,
-    alphabet and params; ``successors`` gives the rows of the other states
-    and of an intersection.
+    of one-analysis states only from :meth:`compiled`, built once per
+    lexicon, alphabet and params from the trie arrays. ``successors``
+    merges the analyses of any state per symbol; the search calls it for
+    the states of several analyses, which the table leaves unfilled, and
+    for every row of an intersection with expression rules.
     """
 
     def __init__(self, lexicon: Lexicon, alphabet, params: DecodeParams):
@@ -93,9 +95,6 @@ class _LexiconConstraint:
             alphabet.symbols, alphabet.nac_index,
             float(params.lm_weight).hex(), float(params.word_bonus).hex(), params.oov_policy,
         )
-        self.children = lexicon.children
-        self.word_count = lexicon.word_count
-        self.best_count = lexicon.best_count
         self.lm_weight = params.lm_weight
         self.word_bonus = params.word_bonus
         self.log_total = math.log(lexicon.total_count)
@@ -106,7 +105,7 @@ class _LexiconConstraint:
             i for ch, i in self.index.items() if ch in lexicon.attach_chars and i != self.separator
         )
         self.root_children = self._indexed(0)
-        self.initial = self._node(((_START, 0, 0.0),), 0.0)
+        self.initial = self._row_node({(_START, 0): 0.0})
 
     def prior(self, count: int) -> float:
         """Weighted unigram score plus word bonus of a word seen ``count`` times.
@@ -119,74 +118,12 @@ class _LexiconConstraint:
     def lookahead(self, node: int) -> float:
         """Best prior of a word at or below trie ``node``, for pruning, so
         in-progress words rank comparably to completed ones."""
-        return self.prior(self.best_count[node])
+        return self.prior(self.lexicon.best_count[node])
 
     def completed(self, node: int) -> float | None:
         """Prior of the word ending at trie ``node`` (None: no word ends there)."""
-        count = self.word_count[node]
+        count = self.lexicon.word_count[node]
         return self.prior(count) if count else None
-
-    def _node(self, analyses: tuple, weight: float) -> Node:
-        """The Node of ``analyses``: best prior with look-ahead (``rank``)
-        and best prior as a complete line (``final``)."""
-        rank = final = None
-        for phase, node, prior in analyses:
-            bonus = prior + (self.lookahead(node) if phase == _WORD else 0.0)
-            if rank is None or bonus > rank:
-                rank = bonus
-            if phase == _WORD:
-                inc = self.completed(node)
-                if inc is None:
-                    continue
-                total = prior + inc
-            elif phase in (_START, _POST) or (phase == _PRE and self.pass_punct):
-                total = prior
-            else:
-                continue
-            if final is None or total > final:
-                final = total
-        return Node(analyses, rank, final, weight)
-
-    def successors(self, state) -> dict[int, Node]:
-        if len(state) > 1:
-            return self._merged(state)
-        # One analysis, as in almost every state: each successor's Node is
-        # built here, with what ``_row_node`` would make of it. Its analysis
-        # has prior 0.0, so its rank and final are 0.0 plus a word prior, in
-        # ``prior``'s arithmetic (the sum turns a prior of -0.0 into 0.0).
-        ((phase, node, prior),) = state
-        done = self.completed(node) if phase == _WORD else None
-        # What every attach symbol reaches, unless the symbol also extends
-        # the word, is one shared node; the separator follows a complete
-        # word, closing punctuation, or (pass-punct) opening punctuation.
-        if phase == _WORD:
-            attached = None if done is None else (_POST, prior + done)
-        else:
-            attached = (_POST if phase == _POST else _PRE, prior)
-        out = {}
-        if attached:
-            ph, weight = attached
-            shared = Node(((ph, 0, 0.0),), 0.0, 0.0 if ph == _POST or self.pass_punct else None, weight)
-            out = dict.fromkeys(self.attach, shared)
-            if self.separator is not None and (ph == _POST or (phase == _PRE and self.pass_punct)):
-                out[self.separator] = Node(((_BETWEEN, 0, 0.0),), 0.0, None, weight)
-        if phase != _POST:
-            index, attach = self.index, self.attach if attached else ()
-            word_count, best_count = self.word_count, self.best_count
-            lm_weight, log_total, word_bonus = self.lm_weight, self.log_total, self.word_bonus
-            for ch, child in self.children[node if phase == _WORD else 0].items():
-                c = index.get(ch)
-                if c is None:
-                    continue
-                if c in attach:
-                    # Extending the word or attaching: merge the two analyses.
-                    out[c] = self._row_node({(_WORD, child): prior, (ph, 0): weight})
-                    continue
-                rank = 0.0 + (lm_weight * (math.log(best_count[child]) - log_total) + word_bonus)
-                n = word_count[child]
-                final = 0.0 + (lm_weight * (math.log(n) - log_total) + word_bonus) if n else None
-                out[c] = Node(((_WORD, child, 0.0),), rank, final, prior)
-        return out
 
     def compiled(self, symbols: list[int]) -> Compiled:
         """The transitions over the search cells of ``symbols`` (cell ``i``
@@ -205,20 +142,17 @@ class _LexiconConstraint:
         # come the states of two analyses that a child by an attach symbol
         # reaches; ``successors`` gives their rows. The arcs are built as
         # int32; the kept ids are intp, as the search indexes with them.
-        n = len(self.children)
+        lexicon = self.lexicon
+        n = lexicon.parent.size
         between, pre, post = n, n + 1, n + 2
         states = n + 3
         cell_of = {s: c for c, s in enumerate(symbols, 1)}
-        cells = {ch: cell_of[i] for ch, i in self.index.items()}
-        parent, cell = [0] * n, [0] * n
-        for node, kids in enumerate(self.children):
-            for ch, child in kids.items():
-                parent[child] = node
-                cell[child] = cells.get(ch, 0)
-        parent, cell = np.array(parent, dtype=np.int32), np.array(cell, dtype=np.int32)
+        parent, cell = lexicon.parent.astype(np.int32), np.zeros(n, dtype=np.int32)
+        distinct, at = np.unique(lexicon.char[1:], return_inverse=True)
+        cell[1:] = np.array([cell_of.get(self.index.get(chr(c)), 0) for c in distinct.tolist()], dtype=np.int32)[at]
         # ``0.0 + prior`` of each node's word count (-inf: no word) and best
         # count, one ``math.log`` per distinct count, as ``successors`` has it.
-        distinct, at = np.unique(self.word_count + self.best_count, return_inverse=True)
+        distinct, at = np.unique(np.concatenate((lexicon.word_count, lexicon.best_count)), return_inverse=True)
         prior = np.array([0.0 + self.prior(c) if c else NEG_INF for c in distinct.tolist()])
         done, best = prior[at[:n]], prior[at[n:]]
         rank, final = np.zeros(states), np.full(states, NEG_INF)
@@ -301,7 +235,7 @@ class _LexiconConstraint:
             array.flags.writeable = False
         return table
 
-    def _merged(self, state) -> dict[int, Node]:
+    def successors(self, state) -> dict[int, Node]:
         # Per symbol index, the best prior of each (phase, node) it reaches;
         # what attaching punctuation reaches is the same for every attach
         # symbol, so it is collected once.
@@ -348,14 +282,33 @@ class _LexiconConstraint:
 
     def _indexed(self, node: int) -> list[tuple[int, int]]:
         """``(symbol_index, child)`` for the trie children of ``node`` in the alphabet."""
-        index = self.index
-        return [(index[ch], child) for ch, child in self.children[node].items() if ch in index]
+        index, kids = self.index, self.lexicon.children(node)
+        chars = map(chr, self.lexicon.char[kids].tolist())
+        return [(index[ch], child) for ch, child in zip(chars, kids.tolist()) if ch in index]
 
     def _row_node(self, row: dict[tuple[int, int], float]) -> Node:
         """The Node of one successor: priors relative to the best, which
-        becomes the arc weight."""
+        becomes the arc weight, with the best prior with look-ahead
+        (``rank``) and the best prior as a complete line (``final``)."""
         top = max(row.values())
-        return self._node(tuple(sorted((ph, nd, pr - top) for (ph, nd), pr in row.items())), top)
+        analyses = tuple(sorted((ph, nd, pr - top) for (ph, nd), pr in row.items()))
+        rank = final = None
+        for phase, node, prior in analyses:
+            bonus = prior + (self.lookahead(node) if phase == _WORD else 0.0)
+            if rank is None or bonus > rank:
+                rank = bonus
+            if phase == _WORD:
+                inc = self.completed(node)
+                if inc is None:
+                    continue
+                total = prior + inc
+            elif phase in (_START, _POST) or (phase == _PRE and self.pass_punct):
+                total = prior
+            else:
+                continue
+            if final is None or total > final:
+                final = total
+        return Node(analyses, rank, final, top)
 
 
 class _Intersection:

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
+
+import numpy as np
 
 from .alphabet import Alphabet, default_alphabet
 from .ctc import _text_to_indices, split_words
@@ -24,6 +25,13 @@ class Lexicon:
     ``separator`` is the symbol permitted between words; ``attach_chars``
     are the punctuation symbols that may wrap a word without being part of
     it. Immutable after construction.
+
+    The trie is read-only numpy arrays over nodes numbered in preorder
+    (the root is 0; children in character order, :meth:`children`):
+    ``parent``, ``char`` (the code point on the arc into the node),
+    ``word_count`` (of the word ending at the node; 0: none) and
+    ``best_count`` (the largest count at or below the node). Counts past
+    int64 keep numpy's object dtype, so they stay exact.
     """
 
     def __init__(
@@ -47,22 +55,43 @@ class Lexicon:
         # alphabet and params, made on the first decode that needs each.
         self._tables: dict = {}
 
-        # Trie (nodes are ints, the root is 0): ``children[node]`` maps a
-        # character to its child node, and ``word_count[node]`` is the count
-        # of the word ending at the node (0: none). Read-only.
-        self.children: list[dict[str, int]] = [{}]
-        self.word_count: list[int] = [0]
-        for word, count in self._counts.items():
-            node = 0
-            for ch in word:
-                nxt = self.children[node].get(ch)
-                if nxt is None:
-                    nxt = len(self.children)
-                    self.children[node][ch] = nxt
-                    self.children.append({})
-                    self.word_count.append(0)
-                node = nxt
-            self.word_count[node] = count
+        # Words are sorted, so the prefix a word shares with the word before
+        # it is the longest it shares with any earlier word, and each of its
+        # other characters is a new node, numbered in order. Characters are
+        # compared up to the shorter word's length: past it, the text holds
+        # the next word.
+        words = list(self._counts)
+        size = np.array([len(w) for w in words], dtype=np.intp)
+        begin = np.cumsum(size) - size
+        text = np.frombuffer("".join(words).encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+        shared = np.zeros(len(words), dtype=np.intp)
+        shared[1:] = np.minimum(size[:-1], size[1:])
+        pair = np.repeat(np.arange(len(words)), shared)
+        at = np.arange(pair.size) + np.repeat(shared - np.cumsum(shared), shared)
+        differ = text[begin[pair] + at] != text[begin[pair - 1] + at]
+        np.minimum.at(shared, pair[differ], at[differ])
+        new = size - shared
+        word = np.repeat(np.arange(len(words)), new)
+        at = np.arange(word.size) + np.repeat(shared + new - np.cumsum(new), new)
+        self.char = np.append(np.uint32(0), text[begin[word] + at])
+        # The nodes of each depth in order; a node's parent is the last node
+        # before it one level up.
+        depth = np.append(0, at + 1)
+        levels = np.split(np.argsort(depth, kind="stable"), np.cumsum(np.bincount(depth))[:-1])
+        self.parent = np.zeros(depth.size, dtype=np.intp)
+        for up, level in zip(levels, levels[1:]):
+            self.parent[level] = up[np.searchsorted(up, level) - 1]
+        counts = np.array([0, *self._counts.values()])  # the 0 keeps an empty lexicon's dtype integer
+        self.word_count = np.zeros(depth.size, dtype=counts.dtype)
+        self.word_count[np.cumsum(new)] = counts[1:]
+        self.best_count = self.word_count.copy()
+        for level in levels[:0:-1]:  # deepest first; the root has no parent
+            np.maximum.at(self.best_count, self.parent[level], self.best_count[level])
+        # The children of ``node`` are ``_kids[_first[node]:_first[node + 1]]``.
+        self._kids = np.argsort(self.parent[1:], kind="stable") + 1
+        self._first = np.append(0, np.cumsum(np.bincount(self.parent[1:], minlength=depth.size)))
+        for array in (self.parent, self.char, self.word_count, self.best_count, self._kids, self._first):
+            array.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self._counts)
@@ -78,20 +107,9 @@ class Lexicon:
     def counts(self) -> Mapping[str, int]:
         return dict(self._counts)
 
-    @cached_property
-    def best_count(self) -> list[int]:
-        """Per trie node, the largest count of a word at or below it.
-
-        Computed on first use (the first decode), not on construction.
-        """
-        best = self.word_count.copy()
-        # Children always have larger ids than their parent, so a reverse
-        # sweep propagates bottom-up.
-        for node in range(len(best) - 1, -1, -1):
-            for child in self.children[node].values():
-                if best[child] > best[node]:
-                    best[node] = best[child]
-        return best
+    def children(self, node: int) -> np.ndarray:
+        """The children of trie ``node``, in character order."""
+        return self._kids[self._first[node]:self._first[node + 1]]
 
 
 def strip_attached(token: str, attach_chars: frozenset[str]) -> str:

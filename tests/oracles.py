@@ -21,7 +21,15 @@ from pathlib import Path
 
 import numpy as np
 
-from ctcdec import Alphabet, ConfidenceMatrix, ExpressionModel, LengthMismatch, NoAcceptedString, ParseError
+from ctcdec import (
+    Alphabet,
+    ConfidenceMatrix,
+    ExpressionModel,
+    InvalidSymbol,
+    LengthMismatch,
+    NoAcceptedString,
+    ParseError,
+)
 from ctcdec.alphabet import file_alphabet
 from ctcdec.ctc import NEG_INF
 from ctcdec.errors import InvalidRule
@@ -114,6 +122,22 @@ def reference_collapse(path, alphabet: Alphabet) -> str:
     return "".join(
         alphabet.symbols[i] for i in merged if i != alphabet.nac_index
     )
+
+
+def path_log_score(matrix: ConfidenceMatrix, path) -> float:
+    """Log probability of a single path; -inf if any factor is zero."""
+    labels = np.asarray(path, dtype=np.intp)
+    if labels.shape != (matrix.num_frames,):
+        raise LengthMismatch(
+            f"path has {labels.shape[0] if labels.ndim == 1 else '?'} labels, "
+            f"matrix has {matrix.num_frames} frames"
+        )
+    if labels.size and (labels.min() < 0 or labels.max() >= matrix.num_symbols):
+        raise InvalidSymbol("path label out of range")
+    factors = matrix.probs[np.arange(matrix.num_frames), labels]
+    if np.any(factors == 0.0):
+        return NEG_INF
+    return float(np.log(factors).sum())
 
 
 def reference_runs(values) -> list[tuple[int, int]]:
@@ -275,10 +299,40 @@ def trie_prefixes(lexicon) -> dict[int, str]:
     stack = [0]
     while stack:
         node = stack.pop()
-        for ch, child in lexicon.children[node].items():
-            out[child] = out[node] + ch
+        for child in lexicon.children(node).tolist():
+            out[child] = out[node] + chr(lexicon.char[child])
             stack.append(child)
     return out
+
+
+def reference_trie(counts) -> tuple[list[dict[str, int]], list[int], list[int]]:
+    """The lexicon trie as a dict per node, built word by word in sorted
+    order (nodes are ints, the root is 0): ``children[node]`` maps a
+    character to its child node, and ``word_count[node]`` is the count of
+    the word ending at the node (0: none). ``best_count[node]``, the
+    largest count of a word at or below the node, comes from a reverse
+    sweep. ``Lexicon``'s arrays must equal these."""
+    children: list[dict[str, int]] = [{}]
+    word_count: list[int] = [0]
+    for word, count in dict(sorted(counts.items())).items():
+        node = 0
+        for ch in word:
+            nxt = children[node].get(ch)
+            if nxt is None:
+                nxt = len(children)
+                children[node][ch] = nxt
+                children.append({})
+                word_count.append(0)
+            node = nxt
+        word_count[node] = count
+    best = word_count.copy()
+    # Children always have larger ids than their parent, so a reverse
+    # sweep propagates bottom-up.
+    for node in range(len(best) - 1, -1, -1):
+        for child in children[node].values():
+            if best[child] > best[node]:
+                best[node] = best[child]
+    return children, word_count, best
 
 
 def trie_node_priors(lexicon, lm_weight: float, word_bonus: float):
@@ -301,8 +355,8 @@ def trie_node_priors(lexicon, lm_weight: float, word_bonus: float):
 def reference_lexicon_successors(constraint, state) -> dict:
     """``_LexiconConstraint.successors`` as one loop over the analyses of
     any state: each symbol's analyses merged in a dict, then made a Node
-    through ``_row_node``. The one-analysis rows built directly must equal
-    these bit for bit."""
+    through ``_row_node``. The rows of ``successors`` and of the compiled
+    table must equal these bit for bit."""
     from ctcdec.dictionary import _BETWEEN, _POST, _PRE, _START, _WORD
 
     rows: dict[int, dict[tuple[int, int], float]] = {}

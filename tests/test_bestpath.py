@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctcdec import Alphabet, ConfidenceMatrix, decode_best_path
-from ctcdec.ctc import collapse, path_log_score
+from ctcdec.ctc import collapse
 
-from oracles import random_matrix, reference_best_path_confidences
+from oracles import path_log_score, random_matrix, reference_best_path_confidences
 
 AB2 = Alphabet.with_nac("ab")
 

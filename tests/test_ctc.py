@@ -15,7 +15,6 @@ from ctcdec.ctc import (
     force_align,
     group_word_spans,
     marginal_word_confidences,
-    path_log_score,
     split_words,
     string_log_score,
     word_confidences_many,
@@ -23,6 +22,7 @@ from ctcdec.ctc import (
 
 from oracles import (
     enumerate_string_probs,
+    path_log_score,
     random_matrix,
     reference_collapse,
     reference_detect_boundaries,

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ctcdec import (
     Alphabet,
@@ -361,6 +361,7 @@ def _hexed(value):
     st.sampled_from([0.0, 0.7, 1.0, 3.0]),
     st.one_of(st.just(-0.0), st.floats(-5.0, 5.0, allow_nan=False)),
 )
+@example({"a.b": 10**30, "a": 2, "b'": 1}, "reject", " ", 1.0, 0.0)
 @settings(max_examples=200, deadline=None)
 def test_each_row_equals_the_analysis_merge_bit_for_bit(counts, oov_policy, separator, lm_weight, word_bonus):
     """Every state reachable in at most 4 symbols gets the row of the

@@ -1,6 +1,7 @@
 """The package root exports the decoders, their result and error types,
 file I/O and what the CLI and scripts need; internals stay in their modules."""
 import importlib
+import math
 
 import pytest
 
@@ -63,7 +64,6 @@ MODULE_ONLY = {
     "align_into_wtn": "ctcdec.committee",
     "vote": "ctcdec.committee",
     "format_rules": "ctcdec.expressions",
-    "path_log_score": "ctcdec.ctc",
     "Path": "ctcdec.ctc",
 }
 
@@ -86,3 +86,12 @@ def test_accept_all_model_lives_in_the_test_oracles():
 
     assert not hasattr(ctcdec.expressions, "accept_all_model")
     assert accept_all_model(ctcdec.default_alphabet()).accepts("any text")
+
+
+def test_path_log_score_lives_in_the_test_oracles():
+    import ctcdec.ctc
+    from oracles import path_log_score
+
+    assert not hasattr(ctcdec.ctc, "path_log_score")
+    matrix = ctcdec.ConfidenceMatrix([[0.5, 0.5]], ctcdec.Alphabet.with_nac("a"))
+    assert path_log_score(matrix, [0]) == math.log(0.5)

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ctcdec import (
     InvalidSymbol,
@@ -13,7 +14,7 @@ from ctcdec import (
 )
 from ctcdec.lexicon import strip_attached
 
-from oracles import log_unigram
+from oracles import log_unigram, reference_trie
 
 ALPHA = default_alphabet()
 
@@ -72,23 +73,64 @@ def test_log_unigram():
     assert log_unigram(lex, "dog") == float("-inf")
 
 
+def child(lex, node, ch):
+    """The child of trie ``node`` by ``ch``, or None."""
+    for kid in lex.children(node).tolist():
+        if lex.char[kid] == ord(ch):
+            return kid
+    return None
+
+
 def test_trie_children_and_word_counts():
     lex = Lexicon({"ab": 2, "abc": 1, "b": 1})
-    node = lex.children[0]["a"]
+    node = child(lex, 0, "a")
     assert lex.word_count[node] == 0
-    node = lex.children[node]["b"]
+    node = child(lex, node, "b")
     assert lex.word_count[node] == 2
-    assert "z" not in lex.children[node]
+    assert child(lex, node, "z") is None
 
 
 def test_best_count_below_each_node():
     lex = Lexicon({"ab": 9, "abc": 1})
-    a = lex.children[0]["a"]
+    a = child(lex, 0, "a")
     # Best count below "a" is the frequent "ab".
     assert lex.best_count[a] == 9
-    abc = lex.children[lex.children[a]["b"]]["c"]
+    abc = child(lex, child(lex, a, "b"), "c")
     assert lex.best_count[abc] == 1
     assert lex.best_count[0] == 9
+
+
+@given(
+    st.dictionaries(
+        st.text("ab\x00\ud800\U0001F600", min_size=1, max_size=5),
+        st.one_of(st.integers(1, 50), st.integers(1, 10**30)),
+        min_size=1,
+        max_size=12,
+    )
+)
+@example({"a": 1, "ab": 2})
+@example({"a": 1, "aa": 2})
+@example({"a": 3, "a\x00": 1, "a\x00b": 2})
+@example({"\U0001F600": 2, "a\U0001F600b": 5})
+@example({"word": 7})
+@example({"a": 2**63, "ab": 10**30})
+@settings(max_examples=200, deadline=None)
+def test_trie_arrays_equal_the_dict_trie(counts):
+    """Node ids, parents, characters, children, word counts and best counts
+    equal those of the dict trie built word by word, with the counts exact."""
+    lex = Lexicon(counts, separator=None, attach_chars=frozenset())
+    children, word_count, best_count = reference_trie(counts)
+    parent, char = [0] * len(children), [0] * len(children)
+    for node, kids in enumerate(children):
+        for ch, kid in kids.items():
+            parent[kid], char[kid] = node, ord(ch)
+    assert lex.parent.tolist() == parent
+    assert lex.char.tolist() == char
+    assert [lex.children(node).tolist() for node in range(len(children))] == [
+        list(kids.values()) for kids in children
+    ]
+    assert lex.word_count.tolist() == word_count
+    assert lex.best_count.tolist() == best_count
 
 
 def test_save_load_round_trip(tmp_path):
