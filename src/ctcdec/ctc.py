@@ -9,6 +9,7 @@ separates a genuine repetition, NaC-free runs merge.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from typing import Sequence
 
 import numpy as np
@@ -100,21 +101,26 @@ class _Lattices:
         frame ``t`` moved."""
         n_frames, n, width = self.emit.shape
         # Two leading -inf columns: states s-1 and s-2 of the first states.
+        if viterbi:
+            # Every frame's scores (``score[t]`` before frame t), so that
+            # ``back`` is read from all of them at once after the loop.
+            score = np.full((n_frames + 1, n, width + 2), NEG_INF)
+            score[0, :, 2] = 0.0
+            for t in range(n_frames):
+                prev = score[t]
+                best = np.maximum(np.maximum(prev[:, 2:], prev[:, 1:-1]), prev[:, :-2] + self.jump)
+                np.add(best, self.emit[t], out=score[t + 1, :, 2:])
+            # First maximum: ties prefer staying, then a single step, then a jump.
+            stay, step, jump = score[:-1, :, 2:], score[:-1, :, 1:-1], score[:-1, :, :-2] + self.jump
+            return score[-1, :, 2:], np.where(jump > np.maximum(stay, step), 2, step > stay).astype(np.uint8)
         prev = np.full((n, width + 2), NEG_INF)
         prev[:, 2] = 0.0
         cur = np.full_like(prev, NEG_INF)
-        back = np.zeros(self.emit.shape, dtype=np.int8) if viterbi else None
         for t in range(n_frames):
             stay, step, jump = prev[:, 2:], prev[:, 1:-1], prev[:, :-2] + self.jump
-            if viterbi:
-                # First maximum: ties prefer staying, then a single step, then a jump.
-                best = np.maximum(stay, step)
-                back[t] = np.where(jump > best, 2, step > stay)
-                np.add(np.maximum(best, jump), self.emit[t], out=cur[:, 2:])
-            else:
-                np.add(np.logaddexp(np.logaddexp(stay, step), jump), self.emit[t], out=cur[:, 2:])
+            np.add(np.logaddexp(np.logaddexp(stay, step), jump), self.emit[t], out=cur[:, 2:])
             prev, cur = cur, prev
-        return prev[:, 2:], back
+        return prev[:, 2:], None
 
 
 def _log_marginals(pieces: list[tuple[ConfidenceMatrix, str, int, int]]) -> list[float]:
@@ -147,19 +153,21 @@ def _align(pieces: list[tuple[ConfidenceMatrix, str, int, int]]) -> list[list[tu
         i = int(bad[0])
         raise LengthMismatch(f"no valid alignment of {lattices.texts[i]!r} in {int(lattices.frames[i])} frames")
 
-    states = np.empty((len(pieces), back.shape[0]), dtype=np.intp)
-    for t in range(back.shape[0] - 1, -1, -1):
-        states[:, t] = end
-        end = end - back[t, rows, end]
-    # States never decrease along a path, so each character's frames are
-    # one run of its (odd) state.
+    # Each best path, walked back over its lattice's own frames (the last
+    # ones) as bytes, so every step is on Python ints. States never
+    # decrease along a path, so each character's frames are one run of its
+    # (odd) state.
     out = []
-    for path, n_states, n_frames in zip(states, lattices.states.tolist(), lattices.frames.tolist()):
-        path = path[path.shape[0] - n_frames :]
-        chars = np.arange(1, n_states - 1, 2)
-        starts = np.searchsorted(path, chars, side="left").tolist()
-        ends = np.searchsorted(path, chars, side="right").tolist()
-        out.append(list(zip(starts, ends)))
+    total = back.shape[0]
+    for i, (state, n_states, n_frames) in enumerate(
+        zip(end.tolist(), lattices.states.tolist(), lattices.frames.tolist())
+    ):
+        moves = back[total - n_frames :, i, :n_states].tobytes()
+        path = [0] * n_frames
+        for t in range(n_frames - 1, -1, -1):
+            path[t] = state
+            state -= moves[t * n_states + state]
+        out.append([(bisect_left(path, c), bisect_right(path, c)) for c in range(1, n_states - 1, 2)])
     return out
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .ctc import NEG_INF
 from .errors import EmptyLexicon, NoAcceptedString
-from .expressions import ExpressionModel, _FsaConstraint
+from .expressions import ExpressionModel
 from .lexicon import Lexicon
 from .matrix import ConfidenceMatrix
 from .search import Compiled, Node, _hypotheses, _hypothesis, prefix_beam_search, prefix_beam_search_many
@@ -386,5 +386,5 @@ def _constraint(lexicon: Lexicon, alphabet, params: DecodeParams, expression_mod
     """The lexicon constraint, intersected with the expression model if any."""
     constraint = _LexiconConstraint(lexicon, alphabet, params)
     if expression_model is not None:
-        constraint = _Intersection(_FsaConstraint(expression_model, alphabet), constraint)
+        constraint = _Intersection(expression_model._constraint(alphabet), constraint)
     return constraint

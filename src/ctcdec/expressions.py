@@ -16,7 +16,7 @@ from typing import Mapping
 from .alphabet import Alphabet
 from .errors import EmptyLanguage, InvalidRule
 from .matrix import ConfidenceMatrix
-from .search import Node, _hypothesis, prefix_beam_search
+from .search import Compiled, Node, _compile, _hypothesis, prefix_beam_search
 from .types import Hypothesis
 
 CLASS_UPPER = "uppercase"
@@ -78,6 +78,9 @@ class ExpressionModel:
     transitions: Mapping[tuple[str, str], str]
     accepting: frozenset[str]
     symbol_classes: Mapping[str, str]
+    #: The search constraint of each alphabet decoded with, made on the
+    #: first decode and kept with its compiled table (:meth:`_constraint`).
+    _constraints: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def live_states(self) -> frozenset[str]:
@@ -108,6 +111,16 @@ class ExpressionModel:
             if state is None:
                 return False
         return state in self.accepting
+
+    def _constraint(self, alphabet: Alphabet) -> _FsaConstraint:
+        """The search constraint for ``alphabet``, made on the first call
+        and kept for every later one; a model that does not fit the
+        alphabet raises on every call, and nothing is kept for it."""
+        key = (alphabet.symbols, alphabet.nac_index)
+        constraint = self._constraints.get(key)
+        if constraint is None:
+            constraint = self._constraints[key] = _FsaConstraint(self, alphabet)
+        return constraint
 
     def validate(self, alphabet: Alphabet) -> None:
         """Check the partition and reachability invariants."""
@@ -274,7 +287,8 @@ class _FsaConstraint:
 
     ``rows`` maps each live state to ``{symbol_index: Node}`` of the next
     live states (no bonuses; accepting states have ``final == 0``). The
-    model is validated against the alphabet first.
+    model is validated against the alphabet first. A search reads every
+    row from :meth:`compiled`, built on the first call from ``rows``.
     """
 
     def __init__(self, model: ExpressionModel, alphabet: Alphabet):
@@ -292,9 +306,19 @@ class _FsaConstraint:
             }
             for state in nodes
         }
+        self._tables: dict = {}
 
     def successors(self, state) -> dict[int, Node]:
         return self.rows[state]
+
+    def compiled(self, symbols: list[int]) -> Compiled:
+        """Every row over the search cells of ``symbols`` (cell ``i``
+        holds ``symbols[i - 1]``), compiled on the first call and kept for
+        every later search."""
+        key = tuple(symbols)
+        if key not in self._tables:
+            self._tables[key] = _compile(self, symbols)
+        return self._tables[key]
 
 
 def decode_expression(
@@ -310,6 +334,6 @@ def decode_expression(
     Raises :class:`NoAcceptedString` when the beam exhausts without an
     accepting completion.
     """
-    constraint = _FsaConstraint(model, matrix.alphabet)
+    constraint = model._constraint(matrix.alphabet)
     found = prefix_beam_search(matrix, constraint, beam_width=beam_width, min_symbol_prob=min_symbol_prob)
     return _hypothesis(matrix, matrix.alphabet.separator, *found)

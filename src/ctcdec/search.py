@@ -30,8 +30,11 @@ so ``successors`` runs once per state per search. A constraint may also
 have a ``compiled(symbols)`` method that returns those rows built ahead
 (a :class:`Compiled` table, shared read-only by its searches); a search
 then calls ``successors`` only for the states the table leaves unfilled.
-A frame gathers each entry's stay and then its row into one candidate
-list.
+The expression automaton's table holds every row that its initial state
+reaches (:func:`_compile` fills them as a search would), the lexicon's
+the rows of its states of one analysis. A frame gathers each entry's
+stay and then its row into one candidate list: an entry's values are
+repeated over its candidates, and the table's are taken by slot.
 
 A beam entry is an id in a per-search prefix tree: a prefix is its parent
 prefix's id plus the cell of its last symbol, and each such pair has one
@@ -62,6 +65,7 @@ only stay: they gather no row and expand no state.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -127,20 +131,17 @@ class _Transitions:
     arc weight in the same slots. ``start`` is -1 until the row is filled.
     Slot 0 is the stay: offset 0, the NaC cell itself.
 
-    A constraint with a ``compiled(symbols)`` method gives the table to
-    start from (a :class:`Compiled`); the search fills only the rows
-    that it leaves at -1.
+    ``table``, a constraint's ``compiled(symbols)``, is the table to
+    start from; the search fills only the rows that it leaves at -1.
     """
 
-    def __init__(self, constraint, symbols: list[int]):
+    def __init__(self, constraint, symbols: list[int], table: Compiled | None = None):
         self._successors = constraint.successors
         self._offset = {s: c for c, s in enumerate(symbols, 1)}
-        compiled = getattr(constraint, "compiled", None)
-        if compiled is not None:
+        if table is not None:
             # Start from the shared read-only table. Only when this search
             # fills a row does ``_fill`` copy it and list its states (until
             # then ``_states`` is the table's callable).
-            table = compiled(symbols)
             self.rank, self.final, self.start, self.length, self.offset, self.child, self.weight = table[:7]
             self._size = table.offset.size
             self._states, self._ids = table.states, None
@@ -159,16 +160,16 @@ class _Transitions:
     def gather(self, ids: np.ndarray, grow: np.ndarray, frame: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """For each of the states ``ids``, its stay and, where ``grow``,
         its row, as one flat list, state by state and offset by offset:
-        each item's position in ``ids`` and its slot, and where each
-        state's items start (its stay), plus the end. Rows not filled yet
+        each item's slot, where each state's items start (its stay), plus
+        the end, and each state's number of items. Rows not filled yet
         are filled first. More than ``MAX_CANDIDATES`` items raise
         :class:`SearchLimit`, naming ``frame``."""
-        start = self.start[ids]
+        start = self.start.take(ids)
         unfilled = ids[grow & (start < 0)]
         if unfilled.size:
             self._fill(list(dict.fromkeys(unfilled.tolist())))
-            start = self.start[ids]
-        lengths = self.length[ids] * grow + 1
+            start = self.start.take(ids)
+        lengths = self.length.take(ids) * grow + 1
         items = np.zeros(ids.size + 1, dtype=np.intp)
         np.cumsum(lengths, out=items[1:])
         if items[-1] > MAX_CANDIDATES:
@@ -177,9 +178,9 @@ class _Transitions:
                 "use a finite beam (--beam) or a symbol floor (--min-symbol-prob)"
             )
         stays = items[:-1]
-        slot = np.arange(items[-1]) + np.repeat(start - 1 - stays, lengths)
+        slot = np.arange(items[-1]) + (start - 1 - stays).repeat(lengths)
         slot[stays] = 0
-        return np.repeat(np.arange(ids.size), lengths), slot, items
+        return slot, items, lengths
 
     def _fill(self, ids: list[int]) -> None:
         # Each row is walked once, in symbol order (cell order, so its
@@ -233,6 +234,26 @@ def _grown(a: np.ndarray, size: int, fill=0) -> np.ndarray:
     if size <= a.size:
         return a
     return np.concatenate((a, np.full(max(size, 2 * a.size, 16) - a.size, fill, dtype=a.dtype)))
+
+
+def _compile(constraint, symbols: list[int]) -> Compiled:
+    """Every row that ``constraint`` reaches from its initial state, filled
+    as a search fills rows and frozen: the ``compiled`` table of a
+    constraint with few states, from which no search fills a row."""
+    table = _Transitions(constraint, symbols)
+    todo = [0]
+    while todo:
+        table._fill(todo)
+        todo = (table.start[: len(table._states)] < 0).nonzero()[0].tolist()
+    n, size = len(table._states), table._size
+    compiled = Compiled(
+        table.rank[:n], table.final[:n], table.start[:n], table.length[:n],
+        table.offset[:size], table.child[:size], table.weight[:size],
+        partial(list, tuple(table._states)),
+    )
+    for array in compiled[:7]:
+        array.flags.writeable = False
+    return compiled
 
 
 class _PrefixTree:
@@ -350,7 +371,8 @@ def prefix_beam_search_many(
     frames, usable = frames.reshape(num_frames, span), usable.reshape(num_frames, span)
     # Each expert's NaC cell, and the end of the last block.
     edges = np.arange(0, span + 1, stride)
-    table = _Transitions(constraint, symbols)
+    compiled = getattr(constraint, "compiled", None)
+    table = _Transitions(constraint, symbols, None if compiled is None else compiled(symbols))
     tree = _PrefixTree(n, span)
 
     # The beam: parallel arrays, grouped by expert. An entry is a prefix
@@ -382,11 +404,13 @@ def prefix_beam_search_many(
         # extensions, as flat items (entry ``b``, ``cell``, table ``slot``)
         # grouped by expert like the beam. ``cand`` is each extension's mass;
         # the stays' slots get theirs once the merges below are in.
-        b, slot, items = table.gather(nid, live[t][expert], t)
+        slot, items, lengths = table.gather(nid, live[t][expert], t)
+        entries = np.arange(ids.size)
+        b = entries.repeat(lengths)
         stays = items[:-1]
-        cell = home[b] + table.offset[slot]
-        logp = usable[t][cell]
-        cand = tot[b] + logp
+        cell = home.repeat(lengths) + table.offset.take(slot)
+        logp = usable[t].take(cell)
+        cand = tot.repeat(lengths) + logp
         # The items' keys ascend (entries in order, cells ascending), so
         # sorted lookups find given extensions. An entry's own last symbol,
         # with no NaC in between, extends only its pb. Extending an entry's
@@ -395,15 +419,15 @@ def prefix_beam_search_many(
         # not in the beam (or that has none) looks up a negative key; an
         # empty prefix's own lookup finds its stay, overwritten below.
         keys = b * span + cell
-        same, at = _lookup(keys, np.arange(ids.size) * span + last)
+        same, at = _lookup(keys, entries * span + last)
         cand[at] = pb[same] + logp[at]
         into, at = _lookup(keys, pos[up] * span + last)
         stay_pnb[into] = np.logaddexp(stay_pnb[into], cand[at])
         cand[at] = NEG_INF
         cand[stays] = np.logaddexp(stay_pb, stay_pnb)
-        cand_acc = acc[b] + table.weight[slot]
+        cand_acc = acc.repeat(lengths) + table.weight.take(slot)
         cand_acc[stays] = acc
-        cand_node = table.child[slot]
+        cand_node = table.child.take(slot)
         cand_node[stays] = nid
 
         def prefix_of(x: int) -> Prefix:
@@ -413,7 +437,7 @@ def prefix_beam_search_many(
 
         # Each expert's candidates are a run of the list, from its first stay.
         runs = items[last.searchsorted(edges)]
-        score = cand + cand_acc + table.rank[cand_node]
+        score = cand + cand_acc + table.rank.take(cand_node)
         keep = _cut(cand, score, runs, beam_width, lambda x: table.final[cand_node[x]] > NEG_INF, prefix_of)
 
         # The survivors take their entry's fields; an extension (``fresh``)

@@ -353,52 +353,76 @@ def trie_node_priors(lexicon, lm_weight: float, word_bonus: float):
 
 
 def reference_lexicon_successors(constraint, state) -> dict:
-    """``_LexiconConstraint.successors`` as one loop over the analyses of
-    any state: each symbol's analyses merged in a dict, then made a Node
-    through ``_row_node``. The rows of ``successors`` and of the compiled
-    table must equal these bit for bit."""
+    """The row of a lexicon constraint's ``state`` (a tuple of analyses
+    ``(phase, trie_node, prior)``), built from the lexicon's words as
+    ``trie_node_priors`` builds the priors: a word analysis spells its
+    node's prefix, it may go on by any symbol that some word continues it
+    with, and it may end where it spells a word. Per symbol, the analyses
+    reached keep their best prior; the best becomes the arc weight, and
+    ``rank`` and ``final`` are maxima over the analyses reached. Only the
+    trie node ids come from the lexicon's numbering (``trie_prefixes``).
+    The rows of ``successors`` and of the compiled table must equal these
+    bit for bit."""
     from ctcdec.dictionary import _BETWEEN, _POST, _PRE, _START, _WORD
+    from ctcdec.search import Node
 
-    rows: dict[int, dict[tuple[int, int], float]] = {}
-    attached: dict[tuple[int, int], float] = {}
+    lexicon = constraint.lexicon
+    log_total = math.log(lexicon.total_count)
+    word_prior = {
+        word: constraint.lm_weight * (math.log(count) - log_total) + constraint.word_bonus
+        for word, count in lexicon.counts.items()
+    }
+    spelled = trie_prefixes(lexicon)
+    node_of = {prefix: node for node, prefix in spelled.items()}
+    separator = lexicon.separator
+    attach = lexicon.attach_chars - {separator}
 
-    def add(row: dict, phase: int, node: int, prior: float) -> None:
-        if prior > row.get((phase, node), float("-inf")):
-            row[phase, node] = prior
+    def node(reached: dict) -> Node:
+        top = max(reached.values())
+        analyses = tuple(sorted((phase, nd, prior - top) for (phase, nd), prior in reached.items()))
+        rank = max(
+            prior + (max(p for w, p in word_prior.items() if w.startswith(spelled[nd])) if phase == _WORD else 0.0)
+            for phase, nd, prior in analyses
+        )
+        finals = []
+        for phase, nd, prior in analyses:
+            if phase == _WORD and spelled[nd] in word_prior:
+                finals.append(prior + word_prior[spelled[nd]])
+            elif phase in (_START, _POST) or (phase == _PRE and constraint.pass_punct):
+                finals.append(prior)
+        return Node(analyses, rank, max(finals) if finals else None, top)
 
-    for phase, node, prior in state:
-        done = constraint.completed(node) if phase == _WORD else None
-        if constraint.separator is not None:
-            if done is not None:
-                add(rows.setdefault(constraint.separator, {}), _BETWEEN, 0, prior + done)
-            elif phase == _POST or (phase == _PRE and constraint.pass_punct):
-                add(rows.setdefault(constraint.separator, {}), _BETWEEN, 0, prior)
-        if phase in (_START, _BETWEEN, _PRE):
-            add(attached, _PRE, 0, prior)
-            word_children = constraint.root_children
-        elif phase == _POST:
-            add(attached, _POST, 0, prior)
-            continue
-        else:
-            if done is not None:
-                add(attached, _POST, 0, prior + done)
-            word_children = constraint._indexed(node)
-        # A symbol may extend the current word even when it is also
-        # attaching punctuation (words can contain such characters).
-        for c, child in word_children:
-            add(rows.setdefault(c, {}), _WORD, child, prior)
+    row = {}
+    for ch, c in constraint.index.items():
+        reached: dict[tuple[int, int], float] = {}
 
-    if attached:
-        for c in constraint.attach:
-            if c in rows:
-                for (phase, node), prior in attached.items():
-                    add(rows[c], phase, node, prior)
-    out = {c: constraint._row_node(row) for c, row in rows.items()}
-    if attached:
-        shared = constraint._row_node(attached)
-        for c in constraint.attach:
-            out.setdefault(c, shared)
-    return out
+        def reach(phase: int, nd: int, prior: float) -> None:
+            if prior > reached.get((phase, nd), NEG_INF):
+                reached[phase, nd] = prior
+
+        for phase, nd, prior in state:
+            word = spelled[nd] if phase == _WORD else ""
+            done = word_prior.get(word) if phase == _WORD else None
+            if ch == separator:
+                # A complete word, trailing punctuation, or (pass-punct)
+                # leading punctuation standing alone ends a token.
+                if done is not None:
+                    reach(_BETWEEN, 0, prior + done)
+                elif phase == _POST or (phase == _PRE and constraint.pass_punct):
+                    reach(_BETWEEN, 0, prior)
+                continue
+            if phase != _POST and word + ch in node_of:
+                reach(_WORD, node_of[word + ch], prior)
+            if ch in attach:
+                if phase in (_START, _BETWEEN, _PRE):
+                    reach(_PRE, 0, prior)
+                elif phase == _POST:
+                    reach(_POST, 0, prior)
+                elif done is not None:
+                    reach(_POST, 0, prior + done)
+        if reached:
+            row[c] = node(reached)
+    return row
 
 
 def logadd(a: float, b: float) -> float:

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -10,19 +11,26 @@ from ctcdec import (
     Alphabet,
     ConfidenceMatrix,
     CtcDecError,
+    DecodeParams,
     EmptyLanguage,
     ExpressionModel,
     InvalidRule,
+    Lexicon,
     NoAcceptedString,
     RuleConfig,
     compile_rules,
+    decode_dictionary,
     decode_expression,
     default_alphabet,
     default_rule_config,
+    generate_synthetic,
     parse_rules,
 )
 
-from ctcdec.expressions import _MODES, KNOWN_CLASSES, format_rules
+from ctcdec.dictionary import _Intersection, _LexiconConstraint
+from ctcdec.experiment import _experiment_alphabet
+from ctcdec.expressions import _MODES, KNOWN_CLASSES, _FsaConstraint, format_rules
+from ctcdec.search import _Transitions, prefix_beam_search
 from oracles import accept_all_model, argmax_string, enumerate_string_probs, random_matrix, reference_compile_rules
 
 ALPHA = default_alphabet()
@@ -408,3 +416,152 @@ class TestDecode:
         m = ConfidenceMatrix(rows, ALPHA)
         hyp = decode_expression(m, DEFAULT_MODEL, beam_width=16)
         assert DEFAULT_MODEL.accepts(hyp.text)
+
+
+def _rows(table, states) -> dict:
+    """Each filled state's row of a transition table, by state: its rank
+    and final, then per slot its cell offset, target state and arc weight,
+    the floats as hex."""
+    return {
+        state: (
+            float(table.rank[i]).hex(),
+            float(table.final[i]).hex(),
+            [
+                (int(table.offset[x]), states[table.child[x]], float(table.weight[x]).hex())
+                for x in range(table.start[i], table.start[i] + table.length[i])
+            ],
+        )
+        for i, state in enumerate(states)
+        if table.start[i] >= 0
+    }
+
+
+class _Lazy:
+    """A constraint without its compiled table: a search fills its rows."""
+
+    def __init__(self, inner):
+        self.initial = inner.initial
+        self.successors = inner.successors
+
+
+_RULE_OPTIONS = {
+    "stock": {},
+    "relaxed": {"attach_punctuation": False, "digits_form_numbers": False},
+    "strict": {"line_start_capital": "strict"},
+}
+
+
+class TestCompiledTable:
+    """The expression constraint is compiled once per model and alphabet,
+    on the first decode, and a search reads every row from the table."""
+
+    @pytest.mark.parametrize("rules", sorted(_RULE_OPTIONS))
+    @pytest.mark.parametrize("alphabet", [ALPHA, _experiment_alphabet()], ids=["default", "experiment"])
+    def test_compiled_rows_equal_the_rows_a_search_fills(self, rules, alphabet):
+        """Every live state the start reaches has a row, read-only, and
+        the rows equal those that a search without the table fills
+        through ``successors``, as it reaches the states (in reverse order
+        here): the symbols that step to a live state, in cell order."""
+        model = compile_rules(replace(default_rule_config(alphabet), **_RULE_OPTIONS[rules]), alphabet)
+        symbols = list(alphabet.printable_indices)
+        table = model._constraint(alphabet).compiled(symbols)
+        # The live states that the alphabet's symbols reach from the start.
+        live, reached, todo = model.live_states, {model.start}, [model.start]
+        while todo:
+            state = todo.pop()
+            for sym in alphabet.printable_symbols:
+                nxt = model.step(state, sym)
+                if nxt in live and nxt not in reached:
+                    reached.add(nxt)
+                    todo.append(nxt)
+        states = table.states()
+        assert sorted(states) == sorted(reached)
+        assert (table.start >= 0).all()
+        assert not any(array.flags.writeable for array in table[:7])
+
+        lazy = _Transitions(_Lazy(_FsaConstraint(model, alphabet)), symbols)
+        while (lazy.start[: len(lazy._states)] < 0).any():
+            ids = np.arange(len(lazy._states))[::-1]
+            lazy.gather(ids, np.ones(ids.size, dtype=bool), 0)
+        assert _rows(table, states) == _rows(lazy, lazy._states)
+
+        for state, (_, final, row) in _rows(table, states).items():
+            assert final == (0.0 if state in model.accepting else -math.inf).hex()
+            assert row == [
+                (cell, model.step(state, alphabet.symbols[s]), (0.0).hex())
+                for cell, s in enumerate(symbols, 1)
+                if model.step(state, alphabet.symbols[s]) in live
+            ]
+
+    def test_one_model_with_two_alphabets_gets_two_tables(self):
+        """The same printable symbols in another order are another
+        alphabet: the model keeps a constraint and a table for each, and
+        each decodes as a constraint built for that line alone."""
+        first = Alphabet.with_nac("ab ", separator=" ")
+        second = Alphabet(symbols=("\x00", " ", "b", "a"), nac_index=0, separator=" ")
+        model = compile_rules(default_rule_config(first), first)
+        rng = np.random.default_rng(3)
+        for alphabet in (first, second, first, second):
+            m = random_matrix(rng, alphabet, 6)
+            got = decode_expression(m, model, beam_width=4)
+            want = prefix_beam_search(m, _Lazy(_FsaConstraint(model, alphabet)), 4)
+            assert (got.text, got.score.hex()) == (
+                "".join(alphabet.symbols[i] for i in want[0]),
+                (want[1] + want[2]).hex(),
+            )
+        assert len(model._constraints) == 2
+        tables = [c._tables for c in model._constraints.values()]
+        assert [len(t) for t in tables] == [1, 1]
+        (one,), (two,) = (t.values() for t in tables)
+        assert not np.array_equal(one.offset, two.offset)
+
+    @pytest.mark.parametrize(
+        "model, error",
+        [
+            (ExpressionModel("s", {("s", "A"): "s"}, frozenset({"s"}), {"a": "A"}), InvalidRule),
+            (ExpressionModel("s", {("s", "A"): "t"}, frozenset({"u"}), {"a": "A", "b": "A"}), EmptyLanguage),
+        ],
+        ids=["InvalidRule", "EmptyLanguage"],
+    )
+    def test_an_invalid_model_raises_on_every_call(self, model, error):
+        m = random_matrix(np.random.default_rng(0), AB2, 3)
+        for _ in range(3):
+            with pytest.raises(error):
+                decode_expression(m, model)
+        assert model._constraints == {}
+
+    def test_a_search_calls_successors_zero_times(self, monkeypatch):
+        """Compiling fills each live state's row once, with one
+        ``successors`` call; the searches after it call it no more."""
+        calls = Counter()
+        successors = _FsaConstraint.successors
+
+        def counted(self, state):
+            calls[state] += 1
+            return successors(self, state)
+
+        monkeypatch.setattr(_FsaConstraint, "successors", counted)
+        model = compile_rules(default_rule_config(ALPHA), ALPHA)
+        lines = ["the cat sat.", "Hello, World!", "it's 42 (or so)"]
+        matrices = [generate_synthetic(line, ALPHA, frames_per_char=3, noise=0.2, seed=i) for i, line in enumerate(lines)]
+        decode_expression(matrices[0], model, beam_width=64)
+        assert calls == Counter(dict.fromkeys(model.live_states, 1))
+        calls.clear()
+        for m in matrices:
+            decode_expression(m, model, beam_width=64)
+        assert calls == Counter()
+
+    def test_the_rules_overlay_decodes_as_a_fresh_intersection(self):
+        """dec-dm under the stock rules reuses the model's constraint from
+        line to line: text and score hex equal those of a search under a
+        constraint built for the line alone."""
+        model = compile_rules(default_rule_config(ALPHA), ALPHA)
+        lexicon = Lexicon({"the": 5, "cat": 3, "sat": 2, "hat": 1, "a": 4}, separator=" ")
+        params = DecodeParams(beam_width=16)
+        for seed, line in enumerate(["the cat sat.", "a hat", "the cat, the hat"]):
+            m = generate_synthetic(line, ALPHA, frames_per_char=3, noise=0.3, seed=seed)
+            got = decode_dictionary(m, lexicon, params, model)
+            fresh = _Intersection(_FsaConstraint(model, ALPHA), _LexiconConstraint(lexicon, ALPHA, params))
+            prefix, mass, bonus = prefix_beam_search(m, fresh, 16)
+            assert (got.text, got.score.hex()) == ("".join(ALPHA.symbols[i] for i in prefix), (mass + bonus).hex())
+        assert list(model._constraints) == [(ALPHA.symbols, ALPHA.nac_index)]
