@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from .errors import EmptyLexicon, NoAcceptedString
 from .expressions import ExpressionModel
 from .lexicon import Lexicon
 from .matrix import ConfidenceMatrix
-from .search import Compiled, Node, _hypotheses, _hypothesis, prefix_beam_search, prefix_beam_search_many
+from .search import Compiled, _frozen, _hypotheses, _hypothesis, prefix_beam_search, prefix_beam_search_many
 from .types import Hypothesis
 
 OOV_POLICIES = ("reject", "pass-punct")
@@ -61,6 +61,22 @@ class DecodeParams:
             raise ValueError("min_symbol_prob must be in [0, 1)")
 
 
+class Node(NamedTuple):
+    """A lexicon state with its bonuses, as ``successors`` gives it.
+
+    ``rank`` is the score bonus used when pruning (0 when scores are pure
+    CTC mass); ``final`` is the bonus if the prefix is an accepted
+    complete string, else ``None``; ``weight`` is the weight of the arc
+    that reached this node. Equal states must have equal ``rank`` and
+    ``final``.
+    """
+
+    state: object
+    rank: float
+    final: float | None
+    weight: float = 0.0
+
+
 # Parse phases for the word-by-word constraint.
 _START, _BETWEEN, _PRE, _WORD, _POST = range(5)
 
@@ -77,12 +93,11 @@ class _LexiconConstraint:
     states that differ only by the words before them are equal. Analyses
     sharing ``(phase, node)`` keep only the best prior.
 
-    Construction is O(1) in the lexicon size. The search reads the rows
-    of one-analysis states only from :meth:`compiled`, built once per
-    lexicon, alphabet and params from the trie arrays. ``successors``
-    merges the analyses of any state per symbol; the search calls it for
-    the states of several analyses, which the table leaves unfilled, and
-    for every row of an intersection with expression rules.
+    Construction is O(1) in the lexicon size. The search reads every row
+    from :meth:`compiled`, built once per lexicon, alphabet and params:
+    the rows of one-analysis states from the trie arrays, and those of
+    states of several analyses from ``successors``, which merges the
+    analyses of a state per symbol.
     """
 
     def __init__(self, lexicon: Lexicon, alphabet, params: DecodeParams):
@@ -139,9 +154,9 @@ class _LexiconConstraint:
     def _compile(self, symbols: list[int]) -> Compiled:
         # State ids: START is 0 and the word at trie node n is n, then come
         # BETWEEN, PRE and POST, each one analysis of prior 0.0. After them
-        # come the states of two analyses that a child by an attach symbol
-        # reaches; ``successors`` gives their rows. The arcs are built as
-        # int32; the kept ids are intp, as the search indexes with them.
+        # come the states of several analyses, in the order they are
+        # reached. The arcs are built as int32; the kept ids are intp, as
+        # the search indexes with them.
         lexicon = self.lexicon
         n = lexicon.parent.size
         between, pre, post = n, n + 1, n + 2
@@ -190,50 +205,57 @@ class _LexiconConstraint:
         weight[:trie] = 0.0
         # A child by an attach symbol, from a state that attaches, reaches
         # two analyses: the longer word, or the word done and punctuation.
+        # A state of several analyses gets the next id, and its row comes
+        # from ``successors``, where it may reach more such states.
+        fixed = {_START: 0, _BETWEEN: between, _PRE: pre, _POST: post}
+        merged: dict = {}
+        nodes: list[Node] = []
+
+        def target(node: Node) -> int:
+            (phase, at, _), *more = node.state
+            if not more:
+                return at if phase == _WORD else fixed[phase]
+            if node.state not in merged:
+                merged[node.state] = states + len(nodes)
+                nodes.append(node)
+            return merged[node.state]
+
         is_attach = np.zeros(len(symbols) + 1, dtype=bool)
         is_attach[attach] = True
-        merged: dict = {}
         for x in (is_attach[arc[:trie]] & (attach_to[src[:trie]] >= 0)).nonzero()[0].tolist():
             s = int(src[x])
             attached = (_POST if attach_to[s] == post else _PRE, 0)
             node = self._row_node({(_WORD, int(dst[x])): 0.0, attached: float(leave[s])})
-            j, node = merged.setdefault(node.state, (states + len(merged), node))
-            dst[x], weight[x] = j, node.weight
+            dst[x], weight[x] = target(node), node.weight
+        # Their rows, in id order; the loop also visits the states that
+        # ``target`` appends to ``nodes`` on the way.
+        rows, lengths = [], []
+        for node in nodes:
+            row = self.successors(node.state)
+            lengths.append(len(row))
+            rows += [(cell_of[c], target(row[c]), row[c].weight) for c in sorted(row)]
 
         # Rows in state order, cells ascending. The sort is stable, so where
         # a child and an attach arc share a row's cell, the child's is kept.
+        # The rows of several analyses follow.
         order = np.lexsort((arc, src))
         row, col = src[order], arc[order]
         order = order[np.concatenate(([True], (row[1:] != row[:-1]) | (col[1:] != col[:-1])))]
         del row, col  # before the kept arrays, to keep the peak down
-        length = np.bincount(src[order], minlength=states + len(merged))
-        start = 1 + np.cumsum(length) - length
-        start[states:] = -1
-        offset, child = (np.zeros(order.size + 1, dtype=np.intp) for _ in range(2))
-        weights = np.zeros(order.size + 1)
+        length = np.bincount(src[order], minlength=states + len(nodes))
+        length[states:] = lengths
+        size = order.size + 1
+        offset, child = (np.zeros(size + len(rows), dtype=np.intp) for _ in range(2))
+        weights = np.zeros(size + len(rows))
         for out, values in ((offset, arc), (child, dst), (weights, weight)):
-            out[1:] = values[order]
-        nodes = [node for _, node in merged.values()]
-        table = Compiled(
+            out[1:size] = values[order]
+        if rows:
+            offset[size:], child[size:], weights[size:] = zip(*rows)
+        return _frozen(
             np.append(rank, [node.rank for node in nodes]),
             np.append(final, [NEG_INF if node.final is None else node.final for node in nodes]),
-            start,
-            length,
-            offset,
-            child,
-            weights,
-            cache(lambda: [
-                ((_START, 0, 0.0),),
-                *(((_WORD, i, 0.0),) for i in range(1, n)),
-                ((_BETWEEN, 0, 0.0),),
-                ((_PRE, 0, 0.0),),
-                ((_POST, 0, 0.0),),
-                *merged,
-            ]),
+            length, offset, child, weights,
         )
-        for array in table[:7]:
-            array.flags.writeable = False
-        return table
 
     def successors(self, state) -> dict[int, Node]:
         # Per symbol index, the best prior of each (phase, node) it reaches;
@@ -313,26 +335,63 @@ class _LexiconConstraint:
 
 class _Intersection:
     """Both constraints at once: a prefix survives if both accept it, and
-    weights and bonuses add. A state is the pair of the two constraints'
-    states."""
+    weights and bonuses add. Its table is the product of the two tables,
+    kept on the lexicon under a key that holds the expression constraint."""
 
-    def __init__(self, first, second):
+    def __init__(self, first, second: _LexiconConstraint):
         self.first = first
         self.second = second
-        self.initial = self._pair(first.initial, second.initial)
 
-    @staticmethod
-    def _pair(a: Node, b: Node) -> Node:
-        final = None if a.final is None or b.final is None else a.final + b.final
-        return Node((a.state, b.state), a.rank + b.rank, final, a.weight + b.weight)
+    def compiled(self, symbols: list[int]) -> Compiled:
+        key = (*self.second._key, tuple(symbols), self.first)
+        tables = self.second.lexicon._tables
+        if key not in tables:
+            tables[key] = _product(self.first.compiled(symbols), self.second.compiled(symbols))
+        return tables[key]
 
-    def successors(self, state) -> dict[int, Node]:
-        second = self.second.successors(state[1])
-        return {
-            c: self._pair(a, second[c])
-            for c, a in self.first.successors(state[0]).items()
-            if c in second
-        }
+
+def _product(a: Compiled, b: Compiled) -> Compiled:
+    """The intersection of two tables, over the pairs of states that the
+    pair of initial states reaches, numbered breadth first: a pair's row
+    holds the cells that both rows hold, and ranks, finals and arc weights
+    add. ``a`` is read through a dense state-by-cell array, so it should be
+    the smaller table."""
+    na, nb = a.rank.size, b.rank.size
+    # ``a``'s slot of each (state, cell); 0, the stay's slot: no arc.
+    slots = np.zeros((na, int(max(a.offset.max(), b.offset.max())) + 1), dtype=np.intp)
+    slots[np.arange(na).repeat(a.length), a.offset[1:]] = np.arange(1, a.offset.size)
+    # Each pair is keyed ``state_a * nb + state_b``; ``ids`` numbers them.
+    ids = np.full(na * nb, -1, dtype=np.intp)
+    ids[0] = 0
+    keys, level, n = [np.zeros(1, dtype=np.intp)], np.zeros(1, dtype=np.intp), 1
+    lengths, offsets, children, weights = [], [np.zeros(1, dtype=np.intp)], [np.zeros(1, dtype=np.intp)], [np.zeros(1)]
+    while level.size:
+        # ``b``'s rows of the level's pairs, slot by slot, kept where ``a``'s
+        # row has the cell too.
+        pa, pb = np.divmod(level, nb)
+        count = b.length[pb]
+        pair = np.arange(level.size).repeat(count)
+        slot_b = np.arange(count.sum()) + (b.start[pb] - np.cumsum(count) + count).repeat(count)
+        slot_a = slots[pa[pair], b.offset[slot_b]]
+        both = slot_a.nonzero()[0]
+        pair, slot_a, slot_b = pair[both], slot_a[both], slot_b[both]
+        lengths.append(np.bincount(pair, minlength=level.size))
+        # The pairs reached, numbered in key order: the next level.
+        key = a.child[slot_a] * nb + b.child[slot_b]
+        level = np.unique(key[ids[key] < 0])
+        ids[level] = np.arange(n, n + level.size)
+        n += level.size
+        keys.append(level)
+        offsets.append(b.offset[slot_b])
+        children.append(ids[key])
+        weights.append(a.weight[slot_a] + b.weight[slot_b])
+    ka, kb = np.divmod(np.concatenate(keys), nb)
+    return _frozen(
+        a.rank[ka] + b.rank[kb],
+        a.final[ka] + b.final[kb],
+        np.concatenate(lengths),
+        *(np.concatenate(arrays) for arrays in (offsets, children, weights)),
+    )
 
 
 def decode_dictionary(

@@ -8,15 +8,19 @@ capitalization can be required. No dictionary is involved.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping
 
+import numpy as np
+
 from .alphabet import Alphabet
+from .ctc import NEG_INF
 from .errors import EmptyLanguage, InvalidRule
 from .matrix import ConfidenceMatrix
-from .search import Compiled, Node, _compile, _hypothesis, prefix_beam_search
+from .search import Compiled, _frozen, _hypothesis, prefix_beam_search
 from .types import Hypothesis
 
 CLASS_UPPER = "uppercase"
@@ -283,41 +287,37 @@ def format_rules(config: RuleConfig) -> str:
 
 
 class _FsaConstraint:
-    """Prefix-search constraint: the model's transitions as node rows.
-
-    ``rows`` maps each live state to ``{symbol_index: Node}`` of the next
-    live states (no bonuses; accepting states have ``final == 0``). The
-    model is validated against the alphabet first. A search reads every
-    row from :meth:`compiled`, built on the first call from ``rows``.
-    """
+    """Prefix-search constraint: the model's transitions as one compiled
+    table, with no weights or ranks (an accepting state's ``final`` is 0).
+    The model is validated against the alphabet first."""
 
     def __init__(self, model: ExpressionModel, alphabet: Alphabet):
         model.validate(alphabet)
-        nodes = {
-            state: Node(state, 0.0, 0.0 if state in model.accepting else None)
-            for state in model.live_states
-        }
-        self.initial = nodes[model.start]
-        self.rows = {
-            state: {
-                i: nodes[nxt]
-                for i in alphabet.printable_indices
-                if (nxt := model.step(state, alphabet.symbols[i])) in nodes
-            }
-            for state in nodes
-        }
+        self.model = model
+        self.alphabet = alphabet
         self._tables: dict = {}
 
-    def successors(self, state) -> dict[int, Node]:
-        return self.rows[state]
-
     def compiled(self, symbols: list[int]) -> Compiled:
-        """Every row over the search cells of ``symbols`` (cell ``i``
-        holds ``symbols[i - 1]``), compiled on the first call and kept for
-        every later search."""
+        """The rows of every live state over the search cells of
+        ``symbols`` (cell ``i`` holds ``symbols[i - 1]``), the start state
+        as id 0, compiled on the first call and kept for every later
+        search: a row holds the symbols that step to a live state."""
         key = tuple(symbols)
         if key not in self._tables:
-            self._tables[key] = _compile(self, symbols)
+            model = self.model
+            states = [model.start, *sorted(model.live_states - {model.start})]
+            ids = {state: i for i, state in enumerate(states)}
+            names = [self.alphabet.symbols[s] for s in symbols]
+            rows = [
+                [(cell, ids[nxt]) for cell, name in enumerate(names, 1) if (nxt := model.step(state, name)) in ids]
+                for state in states
+            ]
+            # Row by row after the stay; transposed and copied, so that each
+            # array is contiguous.
+            offset, child = np.array([(0, 0), *itertools.chain(*rows)], dtype=np.intp).T.copy()
+            length = np.array([len(row) for row in rows], dtype=np.intp)
+            final = np.array([0.0 if state in model.accepting else NEG_INF for state in states])
+            self._tables[key] = _frozen(np.zeros(len(states)), final, length, offset, child, np.zeros(offset.size))
         return self._tables[key]
 
 

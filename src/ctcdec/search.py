@@ -9,32 +9,23 @@ marginal, so the search returns the exact constrained argmax, or raises
 :class:`SearchLimit` when a frame's candidates or the call's prefixes
 would pass a fixed limit.
 
-A constraint is a weighted automaton. It has an ``initial`` :class:`Node`
-for the empty prefix and one method, ``successors(state)``, which returns
-``{symbol_index: Node}``: the node of the prefix extended by each
-printable symbol that some accepted string continues with (any other
-symbol discards the prefix). A node's ``weight`` is the weight of the arc
-that reached it; ``rank`` and ``final`` belong to its state. A prefix
-accumulates the weights along its path (``acc``); the search ranks it by
-``mass + acc + rank`` and finishes it with the bonus ``acc + final``.
+A constraint is a weighted automaton compiled into one table: its
+``compiled(symbols)`` method returns a :class:`Compiled`, complete and
+read-only, in which every state it reaches has a row of the printable
+symbols that some accepted string continues with (any other symbol
+discards the prefix). An arc has a weight; a state has a ``rank`` and,
+if it accepts, a ``final``. A prefix accumulates the weights along its
+path (``acc``); the search ranks it by ``mass + acc + rank`` and
+finishes it with the bonus ``acc + final``. The search reads nothing
+else of the constraint and builds no row.
 
 Each frame is one array step over the beam's live extensions (Hannun et
 al. 2014): every entry stays (NaC, or its last symbol again) and extends
-with every symbol that its constraint state has a successor for and whose
-probability clears ``min_symbol_prob``; an extension that lands on a
-prefix already in the beam merges into that entry. Constraint states are
-interned to integer ids on first sight, and a state's transitions are
-stored as one flat row (its successors' cell offsets, ascending, with
-their target ids and arc weights) the first time the state is expanded,
-so ``successors`` runs once per state per search. A constraint may also
-have a ``compiled(symbols)`` method that returns those rows built ahead
-(a :class:`Compiled` table, shared read-only by its searches); a search
-then calls ``successors`` only for the states the table leaves unfilled.
-The expression automaton's table holds every row that its initial state
-reaches (:func:`_compile` fills them as a search would), the lexicon's
-the rows of its states of one analysis. A frame gathers each entry's
-stay and then its row into one candidate list: an entry's values are
-repeated over its candidates, and the table's are taken by slot.
+with every symbol in its state's row whose probability clears
+``min_symbol_prob``; an extension that lands on a prefix already in the
+beam merges into that entry. :func:`_gather` lists each entry's stay and
+then its row as one candidate list: an entry's values are repeated over
+its candidates, and the table's are taken by slot.
 
 A beam entry is an id in a per-search prefix tree: a prefix is its parent
 prefix's id plus the cell of its last symbol, and each such pair has one
@@ -54,19 +45,18 @@ carries the cell of its last symbol (``last``; for an empty prefix its
 offsets from ``home``, so every read is one 1-D index. The beam is
 grouped by expert, and the cut, its tie rule and the anchor apply to each
 expert's run of candidates, so each expert gets the result of its search
-alone. The experts share the call's transition table. A shorter matrix
+alone. The experts share the constraint's table. A shorter matrix
 is padded with frames where NaC has probability 1, which is exact: such a
 frame moves ``pb + pnb`` into ``pb``, allows no extension and changes no
 score or beam, so every result is read from the final beam. On a frame
 where an expert has no usable cell, as on all of its padding, its entries
-only stay: they gather no row and expand no state.
+only stay: they gather no row.
 """
 
 from __future__ import annotations
 
 import math
-from functools import partial
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,28 +77,18 @@ MAX_CANDIDATES = 1 << 20
 MAX_PREFIXES = 1 << 22
 
 
-class Node(NamedTuple):
-    """A constraint state with its bonuses.
-
-    ``rank`` is the score bonus used when pruning (0 when scores are pure
-    CTC mass); ``final`` is the bonus if the prefix is an accepted
-    complete string, else ``None``; ``weight`` is the weight of the arc
-    that reached this node. Equal states must have equal ``rank`` and
-    ``final``.
-    """
-
-    state: object
-    rank: float
-    final: float | None
-    weight: float = 0.0
-
-
 class Compiled(NamedTuple):
-    """A constraint's transitions compiled before its searches, as the
-    arrays of :class:`_Transitions` (read-only: every search shares
-    them). A state whose ``start`` is -1 gets its row from ``successors``
-    when a search first expands it; ``states()`` lists every state by
-    id, for that search to intern the row's targets."""
+    """A constraint compiled into flat transition rows, read-only and
+    shared by every search under it.
+
+    States are ids, the initial state 0. ``rank`` and ``final`` are
+    indexed by id, ``final`` -inf where the state does not accept. Every
+    state has a row: the symbols with a successor, as cell offsets from
+    the NaC cell (1 + the printable column), ascending, are
+    ``offset[start[id] : start[id] + length[id]]``, and ``child`` and
+    ``weight`` hold the target id and the arc weight in the same slots.
+    Slot 0 is the stay (offset 0, the NaC cell itself); the rows follow it
+    in id order."""
 
     rank: np.ndarray
     final: np.ndarray
@@ -117,115 +97,37 @@ class Compiled(NamedTuple):
     offset: np.ndarray
     child: np.ndarray
     weight: np.ndarray
-    states: Callable[[], list]
 
 
-class _Transitions:
-    """A constraint's transitions over interned state ids, as flat rows.
+def _frozen(rank, final, length, offset, child, weight) -> Compiled:
+    """The read-only :class:`Compiled` of rows stored in id order from
+    slot 1 (``offset``, ``child`` and ``weight`` hold slot 0 too)."""
+    start = 1 + np.cumsum(length) - length
+    table = Compiled(rank, final, start, length, offset, child, weight)
+    for array in table:
+        array.flags.writeable = False
+    return table
 
-    ``rank`` and ``final`` are indexed by id, ``final`` -inf where the
-    state does not accept. Only a state the search expands has a row: the
-    symbols with a successor, as cell offsets from the NaC cell (1 + the
-    printable column), ascending, are ``offset[start[id] : start[id] +
-    length[id]]``, and ``child`` and ``weight`` hold the target id and the
-    arc weight in the same slots. ``start`` is -1 until the row is filled.
-    Slot 0 is the stay: offset 0, the NaC cell itself.
 
-    ``table``, a constraint's ``compiled(symbols)``, is the table to
-    start from; the search fills only the rows that it leaves at -1.
-    """
-
-    def __init__(self, constraint, symbols: list[int], table: Compiled | None = None):
-        self._successors = constraint.successors
-        self._offset = {s: c for c, s in enumerate(symbols, 1)}
-        if table is not None:
-            # Start from the shared read-only table. Only when this search
-            # fills a row does ``_fill`` copy it and list its states (until
-            # then ``_states`` is the table's callable).
-            self.rank, self.final, self.start, self.length, self.offset, self.child, self.weight = table[:7]
-            self._size = table.offset.size
-            self._states, self._ids = table.states, None
-            return
-        # The initial state is id 0.
-        initial = constraint.initial
-        self._ids = {initial.state: 0}
-        self._states = [initial.state]
-        self.rank = np.array([initial.rank])
-        self.final = np.array([NEG_INF if initial.final is None else initial.final])
-        self.start, self.length = np.full(1, -1, dtype=np.intp), np.zeros(1, dtype=np.intp)
-        self._size = 1
-        self.offset, self.child = np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)
-        self.weight = np.zeros(1)
-
-    def gather(self, ids: np.ndarray, grow: np.ndarray, frame: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """For each of the states ``ids``, its stay and, where ``grow``,
-        its row, as one flat list, state by state and offset by offset:
-        each item's slot, where each state's items start (its stay), plus
-        the end, and each state's number of items. Rows not filled yet
-        are filled first. More than ``MAX_CANDIDATES`` items raise
-        :class:`SearchLimit`, naming ``frame``."""
-        start = self.start.take(ids)
-        unfilled = ids[grow & (start < 0)]
-        if unfilled.size:
-            self._fill(list(dict.fromkeys(unfilled.tolist())))
-            start = self.start.take(ids)
-        lengths = self.length.take(ids) * grow + 1
-        items = np.zeros(ids.size + 1, dtype=np.intp)
-        np.cumsum(lengths, out=items[1:])
-        if items[-1] > MAX_CANDIDATES:
-            raise SearchLimit(
-                f"frame {frame} has {items[-1]:,} candidates, over the limit of {MAX_CANDIDATES:,}; "
-                "use a finite beam (--beam) or a symbol floor (--min-symbol-prob)"
-            )
-        stays = items[:-1]
-        slot = np.arange(items[-1]) + (start - 1 - stays).repeat(lengths)
-        slot[stays] = 0
-        return slot, items, lengths
-
-    def _fill(self, ids: list[int]) -> None:
-        # Each row is walked once, in symbol order (cell order, so its
-        # offsets ascend), and each target gets its id on the way, a new
-        # state the next one. Consecutive symbols that carry one Node (a
-        # word's attach arcs, an FSA row's symbols of one class) share its
-        # id without a lookup.
-        if self._ids is None:
-            # This search's first own row: it goes into copies of the
-            # compiled table, which stays as it is for other searches.
-            self._states = list(self._states())
-            self._ids = dict(zip(self._states, range(len(self._states))))
-            self.start, self.length = self.start.copy(), self.length.copy()
-        known, states, offset, size = self._ids, self._states, self._offset, self._size
-        offsets, children, weights, starts, lengths, new, last = [], [], [], [], [], [], None
-        for i in ids:
-            row = self._successors(states[i])
-            starts.append(size + len(offsets))
-            lengths.append(len(row))
-            for s in sorted(row):
-                node = row[s]
-                if node is not last:
-                    last = node
-                    j = known.setdefault(node.state, len(states))
-                    if j == len(states):
-                        states.append(node.state)
-                        new.append(node)
-                offsets.append(offset[s])
-                children.append(j)
-                weights.append(node.weight)
-        if new:
-            end = len(states)
-            self.rank, self.final, self.length = (_grown(a, end) for a in (self.rank, self.final, self.length))
-            self.start = _grown(self.start, end, -1)
-            self.rank[end - len(new) : end] = [node.rank for node in new]
-            self.final[end - len(new) : end] = [NEG_INF if node.final is None else node.final for node in new]
-        end = size + len(offsets)
-        if end > size:
-            self.offset, self.child, self.weight = (_grown(a, end) for a in (self.offset, self.child, self.weight))
-            self.offset[size:end] = offsets
-            self.child[size:end] = children
-            self.weight[size:end] = weights
-        self.start[ids] = starts
-        self.length[ids] = lengths
-        self._size = end
+def _gather(table: Compiled, ids: np.ndarray, grow: np.ndarray, frame: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For each of the states ``ids``, its stay and, where ``grow``, its
+    row in ``table``, as one flat list, state by state and offset by
+    offset: each item's slot, where each state's items start (its stay),
+    plus the end, and each state's number of items. More than
+    ``MAX_CANDIDATES`` items raise :class:`SearchLimit`, naming
+    ``frame``."""
+    lengths = table.length.take(ids) * grow + 1
+    items = np.zeros(ids.size + 1, dtype=np.intp)
+    np.cumsum(lengths, out=items[1:])
+    if items[-1] > MAX_CANDIDATES:
+        raise SearchLimit(
+            f"frame {frame} has {items[-1]:,} candidates, over the limit of {MAX_CANDIDATES:,}; "
+            "use a finite beam (--beam) or a symbol floor (--min-symbol-prob)"
+        )
+    stays = items[:-1]
+    slot = np.arange(items[-1]) + (table.start.take(ids) - 1 - stays).repeat(lengths)
+    slot[stays] = 0
+    return slot, items, lengths
 
 
 def _grown(a: np.ndarray, size: int, fill=0) -> np.ndarray:
@@ -234,26 +136,6 @@ def _grown(a: np.ndarray, size: int, fill=0) -> np.ndarray:
     if size <= a.size:
         return a
     return np.concatenate((a, np.full(max(size, 2 * a.size, 16) - a.size, fill, dtype=a.dtype)))
-
-
-def _compile(constraint, symbols: list[int]) -> Compiled:
-    """Every row that ``constraint`` reaches from its initial state, filled
-    as a search fills rows and frozen: the ``compiled`` table of a
-    constraint with few states, from which no search fills a row."""
-    table = _Transitions(constraint, symbols)
-    todo = [0]
-    while todo:
-        table._fill(todo)
-        todo = (table.start[: len(table._states)] < 0).nonzero()[0].tolist()
-    n, size = len(table._states), table._size
-    compiled = Compiled(
-        table.rank[:n], table.final[:n], table.start[:n], table.length[:n],
-        table.offset[:size], table.child[:size], table.weight[:size],
-        partial(list, tuple(table._states)),
-    )
-    for array in compiled[:7]:
-        array.flags.writeable = False
-    return compiled
 
 
 class _PrefixTree:
@@ -338,8 +220,7 @@ def prefix_beam_search_many(
     and the beam cut, its tie rule and the anchor apply per expert, so
     each expert gets exactly the result of searching its matrix alone:
     ``(prefix, ctc_log_mass, bonus)``, or the :class:`NoAcceptedString`
-    that search would raise. The experts share one transition table, so
-    ``successors`` runs once per state for the whole call.
+    that search would raise. The experts share the constraint's table.
     """
     if beam_width is not None and beam_width < 1:
         raise ValueError("beam_width must be >= 1 or None")
@@ -371,8 +252,7 @@ def prefix_beam_search_many(
     frames, usable = frames.reshape(num_frames, span), usable.reshape(num_frames, span)
     # Each expert's NaC cell, and the end of the last block.
     edges = np.arange(0, span + 1, stride)
-    compiled = getattr(constraint, "compiled", None)
-    table = _Transitions(constraint, symbols, None if compiled is None else compiled(symbols))
+    table = constraint.compiled(symbols)
     tree = _PrefixTree(n, span)
 
     # The beam: parallel arrays, grouped by expert. An entry is a prefix
@@ -387,7 +267,7 @@ def prefix_beam_search_many(
     last = edges[:-1]
     pos = _grown(ids, n + 1, -1)
     pb, pnb = np.zeros(n), np.full(n, NEG_INF)
-    acc = np.full(n, constraint.initial.weight)
+    acc = np.zeros(n)
     nid = np.zeros(n, dtype=np.intp)
 
     for t in range(num_frames):
@@ -400,11 +280,11 @@ def prefix_beam_search_many(
         stay_pnb = pnb + frame[last]
 
         # Candidates: each entry's stay (its NaC cell) and, where its expert
-        # has a usable cell (so padding frames build and gather no row), its
+        # has a usable cell (so padding frames gather no row), its
         # extensions, as flat items (entry ``b``, ``cell``, table ``slot``)
         # grouped by expert like the beam. ``cand`` is each extension's mass;
         # the stays' slots get theirs once the merges below are in.
-        slot, items, lengths = table.gather(nid, live[t][expert], t)
+        slot, items, lengths = _gather(table, nid, live[t][expert], t)
         entries = np.arange(ids.size)
         b = entries.repeat(lengths)
         stays = items[:-1]

@@ -363,8 +363,7 @@ def reference_lexicon_successors(constraint, state) -> dict:
     trie node ids come from the lexicon's numbering (``trie_prefixes``).
     The rows of ``successors`` and of the compiled table must equal these
     bit for bit."""
-    from ctcdec.dictionary import _BETWEEN, _POST, _PRE, _START, _WORD
-    from ctcdec.search import Node
+    from ctcdec.dictionary import _BETWEEN, _POST, _PRE, _START, _WORD, Node
 
     lexicon = constraint.lexicon
     log_total = math.log(lexicon.total_count)
@@ -434,19 +433,106 @@ def logadd(a: float, b: float) -> float:
     return a + math.log1p(math.exp(b - a))
 
 
+def reference_successors(constraint):
+    """``(initial, successors)`` of a search constraint, without its
+    compiled table: the initial ``Node`` and a function from a state to its
+    row ``{symbol_index: Node}``, holding the symbols that some accepted
+    string continues with.
+
+    An expression constraint's state is a model state: its row steps the
+    model by each printable symbol and keeps the targets from which an
+    accepting state can be reached (found here by a walk back from the
+    accepting states), with no weights, ranks 0 and finals 0 where they
+    accept. An intersection's state is the pair of its sides' states: its
+    row holds the symbols of both rows, with ranks, finals and weights
+    added. A lexicon constraint's rows are its own ``successors``, which
+    ``test_dictionary`` checks against ``reference_lexicon_successors``.
+    """
+    from ctcdec.dictionary import Node, _Intersection, _LexiconConstraint
+
+    if isinstance(constraint, _LexiconConstraint):
+        return constraint.initial, constraint.successors
+    if isinstance(constraint, _Intersection):
+        first_initial, first = reference_successors(constraint.first)
+        second_initial, second = reference_successors(constraint.second)
+
+        def pair(a: Node, b: Node) -> Node:
+            final = None if a.final is None or b.final is None else a.final + b.final
+            return Node((a.state, b.state), a.rank + b.rank, final, a.weight + b.weight)
+
+        def paired(state) -> dict:
+            row = second(state[1])
+            return {c: pair(a, row[c]) for c, a in first(state[0]).items() if c in row}
+
+        return pair(first_initial, second_initial), paired
+    model, alphabet = constraint.model, constraint.alphabet
+    live, grew = set(model.accepting), True
+    while grew:
+        reached = {src for (src, _), dst in model.transitions.items() if dst in live}
+        grew = not reached <= live
+        live |= reached
+
+    def node(state: str) -> Node:
+        return Node(state, 0.0, 0.0 if state in model.accepting else None)
+
+    def successors(state: str) -> dict:
+        steps = {i: model.step(state, alphabet.symbols[i]) for i in alphabet.printable_indices}
+        return {i: node(nxt) for i, nxt in steps.items() if nxt in live}
+
+    return node(model.start), successors
+
+
+def assert_table_matches_reference(table, constraint, symbols: list[int]) -> dict:
+    """Walks a compiled ``table`` from id 0 and the rows of
+    ``reference_successors(constraint)`` from the initial state together,
+    breadth first, over every state they reach (search cell ``i`` holds
+    ``symbols[i - 1]``). Each id stands for one state and each state has
+    one id. Every reached row equals the reference row bit for bit: the
+    same cells in order, and per arc the weight and the target's rank and
+    final as hex (-inf for a final of ``None``); so do the initial state's
+    rank and final. Returns the state of each id reached."""
+    initial, successors = reference_successors(constraint)
+    cells = {s: c for c, s in enumerate(symbols, 1)}
+
+    def bonuses(node) -> tuple[str, str]:
+        return node.rank.hex(), (NEG_INF if node.final is None else node.final).hex()
+
+    assert (float(table.rank[0]).hex(), float(table.final[0]).hex()) == bonuses(initial)
+    state_of, layer = {0: initial.state}, [0]
+    while layer:
+        following = []
+        for i in layer:
+            row = sorted((cells[c], node) for c, node in successors(state_of[i]).items())
+            slots = range(table.start[i], table.start[i] + table.length[i])
+            assert [
+                (int(table.offset[x]), float(table.weight[x]).hex(),
+                 float(table.rank[table.child[x]]).hex(), float(table.final[table.child[x]]).hex())
+                for x in slots
+            ] == [(cell, node.weight.hex(), *bonuses(node)) for cell, node in row], state_of[i]
+            for x, (_, node) in zip(slots, row):
+                j = int(table.child[x])
+                if j not in state_of:
+                    state_of[j] = node.state
+                    following.append(j)
+                assert state_of[j] == node.state
+        layer = following
+    assert len(set(state_of.values())) == len(state_of)
+    return state_of
+
+
 def reference_prefix_beam_search(matrix: ConfidenceMatrix, constraint, beam_width=64, min_symbol_prob=0.0):
     """The scalar prefix beam search: one dict entry per prefix, one
-    ``logadd`` per candidate, the constraint asked wherever a new prefix
-    appears. Same contract, tie order and result as
-    ``ctcdec.search.prefix_beam_search``."""
+    ``logadd`` per candidate, the constraint's rows (``reference_successors``)
+    asked wherever a new prefix appears. Same contract, tie order and
+    result as ``ctcdec.search.prefix_beam_search``."""
     PB, PNB, NODE, ACC = 0, 1, 2, 3
     nac = matrix.alphabet.nac_index
     logp = matrix.log_probs
     floor = math.log(min_symbol_prob) if min_symbol_prob > 0.0 else NEG_INF
     printable = matrix.alphabet.printable_indices
 
-    successors = constraint.successors
-    beam = {(): [0.0, NEG_INF, constraint.initial, constraint.initial.weight]}
+    initial, successors = reference_successors(constraint)
+    beam = {(): [0.0, NEG_INF, initial, initial.weight]}
 
     for t in range(matrix.num_frames):
         row = logp[t]

@@ -2,6 +2,7 @@ import builtins
 import io
 import json
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -319,6 +320,31 @@ def test_rules_overlay_on_dictionary_scheme(workspace):
         line.split("\t", 1) for line in hyp.read_text(encoding="utf-8").splitlines()
     )
     assert rows["l0000"] == "the cat"
+
+
+@pytest.mark.parametrize("scheme, rules", [("dec-ce", False), ("dec-dm", False), ("dec-dm", True)])
+def test_a_used_decoder_pickles_and_its_copy_decodes_the_same(scheme, rules):
+    """A decoder that has decoded keeps its compiled tables (on its rules'
+    model and on its lexicon). It still pickles, as a pool that pickles
+    its initializer's arguments needs, and the copy decodes the same text
+    and score hex."""
+    from ctcdec import DecodeParams, Lexicon, generate_synthetic
+
+    alphabet = default_alphabet()
+    decoder = cli.SchemeDecoder(
+        scheme,
+        rule_config=default_rule_config(alphabet) if rules else None,
+        lexicon=Lexicon({"the": 5, "cat": 3, "sat": 2, "a": 4}, separator=" "),
+        params=DecodeParams(beam_width=16),
+    )
+    matrices = [
+        generate_synthetic(line, alphabet, frames_per_char=3, noise=0.3, seed=i)
+        for i, line in enumerate(["the cat sat.", "a cat"])
+    ]
+    want = [decoder([m]) for m in matrices]
+    copy = pickle.loads(pickle.dumps(decoder))
+    got = [copy([m]) for m in matrices]
+    assert [(h.text, h.score.hex()) for h in got] == [(h.text, h.score.hex()) for h in want]
 
 
 def test_custom_alphabet_json(tmp_path, capsys):

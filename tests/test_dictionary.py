@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,14 +14,18 @@ from ctcdec import (
     Lexicon,
     NoAcceptedString,
     build_lexicon,
+    compile_rules,
     decode_dictionary,
+    default_alphabet,
+    default_rule_config,
+    generate_synthetic,
     string_log_score,
 )
-from ctcdec.ctc import NEG_INF
-from ctcdec.dictionary import OOV_POLICIES, _LexiconConstraint
+from ctcdec.dictionary import _WORD, OOV_POLICIES, _LexiconConstraint
 from ctcdec.lexicon import strip_attached
 
 from oracles import (
+    assert_table_matches_reference,
     dm_objective,
     dm_text_valid,
     dm_valid_texts,
@@ -28,6 +33,7 @@ from oracles import (
     random_matrix,
     reference_lexicon_successors,
     trie_node_priors,
+    trie_prefixes,
 )
 
 AB2 = Alphabet.with_nac("ab")
@@ -364,48 +370,54 @@ def _hexed(value):
 @example({"a.b": 10**30, "a": 2, "b'": 1}, "reject", " ", 1.0, 0.0)
 @settings(max_examples=200, deadline=None)
 def test_each_row_equals_the_analysis_merge_bit_for_bit(counts, oov_policy, separator, lm_weight, word_bonus):
-    """Every state reachable in at most 4 symbols gets the row of the
-    reference loop: the same symbols, and Nodes equal with floats compared
-    as hex. Words hold attaching punctuation, so states with several
-    analyses, and symbols that both extend a word and attach, occur.
-
-    The compiled table holds the same row for every state of one
-    analysis: the same cells in order, arc weights as hex, and each
-    target's state, ``rank`` and ``final`` (-inf for ``None``). Only states
-    of several analyses are left to ``successors``."""
+    """Every state that the compiled table reaches from id 0 has the row
+    of the reference loop: ``successors`` gives it, and the table holds
+    it (the same cells in order, arc weights as hex, and each target's
+    state, ``rank`` and ``final``, -inf for ``None``). Words hold attaching
+    punctuation, so states with several analyses, and symbols that both
+    extend a word and attach, occur; their rows are in the table too."""
     alphabet = Alphabet.with_nac("ab.' " if separator else "ab.'", separator=separator)
     lexicon = Lexicon(counts, separator=separator, attach_chars=frozenset(".'"))
     params = DecodeParams(lm_weight=lm_weight, word_bonus=word_bonus, oov_policy=oov_policy)
     constraint = _LexiconConstraint(lexicon, alphabet, params)
     symbols = list(alphabet.printable_indices)
-    table = constraint.compiled(symbols)
-    states = table.states()
-    ids = dict(zip(states, range(len(states))))
-    cells = {s: c for c, s in enumerate(symbols, 1)}
-    layer, seen = [constraint.initial.state], {constraint.initial.state}
-    for depth in range(5):
-        following = []
-        for state in layer:
-            row = constraint.successors(state)
-            assert _hexed(row) == _hexed(reference_lexicon_successors(constraint, state))
-            i = ids.get(state)
-            if i is None or table.start[i] < 0:
-                assert len(state) > 1
-            else:
-                lo = table.start[i]
-                slots = range(lo, lo + table.length[i])
-                compiled = [
-                    (int(table.offset[x]), states[table.child[x]], float(table.weight[x]).hex(),
-                     float(table.rank[table.child[x]]).hex(), float(table.final[table.child[x]]).hex())
-                    for x in slots
-                ]
-                assert compiled == [
-                    (cells[c], node.state, node.weight.hex(), node.rank.hex(),
-                     (NEG_INF if node.final is None else node.final).hex())
-                    for c, node in sorted(row.items(), key=lambda item: cells[item[0]])
-                ]
-            for node in row.values():
-                if depth < 4 and node.state not in seen:
-                    seen.add(node.state)
-                    following.append(node.state)
-        layer = following
+    states = assert_table_matches_reference(constraint.compiled(symbols), constraint, symbols)
+    for state in states.values():
+        assert _hexed(constraint.successors(state)) == _hexed(reference_lexicon_successors(constraint, state))
+
+
+def test_a_row_of_several_analyses_may_reach_more():
+    """After "a", a "." may end the word or go on to "a..b", and so may a
+    second "." after that. The state after "a.." is reached only from the
+    row of the state after "a.", which compiling gets from ``successors``;
+    both rows are in the table and equal the reference rows."""
+    alphabet = Alphabet.with_nac("ab. ", separator=" ")
+    lexicon = Lexicon({"a": 2, "a..b": 1}, separator=" ", attach_chars=frozenset("."))
+    constraint = _LexiconConstraint(lexicon, alphabet, DecodeParams())
+    symbols = list(alphabet.printable_indices)
+    states = assert_table_matches_reference(constraint.compiled(symbols), constraint, symbols)
+    spelled = trie_prefixes(lexicon)
+    several = [state for state in states.values() if len(state) > 1]
+    assert sorted(spelled[node] for state in several for phase, node, _ in state if phase == _WORD) == ["a.", "a.."]
+    for state in several:
+        assert _hexed(constraint.successors(state)) == _hexed(reference_lexicon_successors(constraint, state))
+
+
+@pytest.mark.parametrize("rules", [False, True], ids=["dec-dm", "dec-dm-rules"])
+def test_a_used_lexicon_pickles_and_its_copy_decodes_the_same(rules):
+    """After a decode the lexicon keeps its compiled table, and with rules
+    the product table, keyed on the rules' constraint. It still pickles,
+    with the rules' model, and the copy decodes the same text and score
+    hex from the tables it was sent with."""
+    alphabet = default_alphabet()
+    lexicon = Lexicon({"the": 5, "cat": 3, "sat": 2, "a": 4, "it's": 1}, separator=" ")
+    model = compile_rules(default_rule_config(alphabet), alphabet) if rules else None
+    params = DecodeParams(beam_width=16)
+    lines = ["the cat sat.", "a cat, it's"]
+    matrices = [generate_synthetic(line, alphabet, frames_per_char=3, noise=0.3, seed=i) for i, line in enumerate(lines)]
+    want = [decode_dictionary(m, lexicon, params, model) for m in matrices]
+    copy, copied_model = pickle.loads(pickle.dumps((lexicon, model)))
+    assert len(copy._tables) == len(lexicon._tables) == 1 + rules
+    got = [decode_dictionary(m, copy, params, copied_model) for m in matrices]
+    assert [(h.text, h.score.hex()) for h in got] == [(h.text, h.score.hex()) for h in want]
+    assert len(copy._tables) == 1 + rules

@@ -30,8 +30,15 @@ from ctcdec import (
 from ctcdec.dictionary import _Intersection, _LexiconConstraint
 from ctcdec.experiment import _experiment_alphabet
 from ctcdec.expressions import _MODES, KNOWN_CLASSES, _FsaConstraint, format_rules
-from ctcdec.search import _Transitions, prefix_beam_search
-from oracles import accept_all_model, argmax_string, enumerate_string_probs, random_matrix, reference_compile_rules
+from ctcdec.search import prefix_beam_search
+from oracles import (
+    accept_all_model,
+    argmax_string,
+    assert_table_matches_reference,
+    enumerate_string_probs,
+    random_matrix,
+    reference_compile_rules,
+)
 
 ALPHA = default_alphabet()
 DEFAULT_MODEL = compile_rules(default_rule_config(ALPHA), ALPHA)
@@ -418,32 +425,6 @@ class TestDecode:
         assert DEFAULT_MODEL.accepts(hyp.text)
 
 
-def _rows(table, states) -> dict:
-    """Each filled state's row of a transition table, by state: its rank
-    and final, then per slot its cell offset, target state and arc weight,
-    the floats as hex."""
-    return {
-        state: (
-            float(table.rank[i]).hex(),
-            float(table.final[i]).hex(),
-            [
-                (int(table.offset[x]), states[table.child[x]], float(table.weight[x]).hex())
-                for x in range(table.start[i], table.start[i] + table.length[i])
-            ],
-        )
-        for i, state in enumerate(states)
-        if table.start[i] >= 0
-    }
-
-
-class _Lazy:
-    """A constraint without its compiled table: a search fills its rows."""
-
-    def __init__(self, inner):
-        self.initial = inner.initial
-        self.successors = inner.successors
-
-
 _RULE_OPTIONS = {
     "stock": {},
     "relaxed": {"attach_punctuation": False, "digits_form_numbers": False},
@@ -458,13 +439,16 @@ class TestCompiledTable:
     @pytest.mark.parametrize("rules", sorted(_RULE_OPTIONS))
     @pytest.mark.parametrize("alphabet", [ALPHA, _experiment_alphabet()], ids=["default", "experiment"])
     def test_compiled_rows_equal_the_rows_a_search_fills(self, rules, alphabet):
-        """Every live state the start reaches has a row, read-only, and
-        the rows equal those that a search without the table fills
-        through ``successors``, as it reaches the states (in reverse order
-        here): the symbols that step to a live state, in cell order."""
+        """The table holds a row for each live state, read-only. Walked
+        from the start state (id 0), it reaches the live states that the
+        alphabet's symbols reach, and each row equals the row that the
+        reference search reads (``reference_successors``): the symbols
+        that step to a live state, in cell order, with weights and ranks 0
+        and finals 0 where the state accepts."""
         model = compile_rules(replace(default_rule_config(alphabet), **_RULE_OPTIONS[rules]), alphabet)
         symbols = list(alphabet.printable_indices)
-        table = model._constraint(alphabet).compiled(symbols)
+        constraint = model._constraint(alphabet)
+        table = constraint.compiled(symbols)
         # The live states that the alphabet's symbols reach from the start.
         live, reached, todo = model.live_states, {model.start}, [model.start]
         while todo:
@@ -474,24 +458,10 @@ class TestCompiledTable:
                 if nxt in live and nxt not in reached:
                     reached.add(nxt)
                     todo.append(nxt)
-        states = table.states()
-        assert sorted(states) == sorted(reached)
-        assert (table.start >= 0).all()
-        assert not any(array.flags.writeable for array in table[:7])
-
-        lazy = _Transitions(_Lazy(_FsaConstraint(model, alphabet)), symbols)
-        while (lazy.start[: len(lazy._states)] < 0).any():
-            ids = np.arange(len(lazy._states))[::-1]
-            lazy.gather(ids, np.ones(ids.size, dtype=bool), 0)
-        assert _rows(table, states) == _rows(lazy, lazy._states)
-
-        for state, (_, final, row) in _rows(table, states).items():
-            assert final == (0.0 if state in model.accepting else -math.inf).hex()
-            assert row == [
-                (cell, model.step(state, alphabet.symbols[s]), (0.0).hex())
-                for cell, s in enumerate(symbols, 1)
-                if model.step(state, alphabet.symbols[s]) in live
-            ]
+        states = assert_table_matches_reference(table, constraint, symbols)
+        assert sorted(states.values()) == sorted(reached)
+        assert table.rank.size == len(live)
+        assert not any(array.flags.writeable for array in table)
 
     def test_one_model_with_two_alphabets_gets_two_tables(self):
         """The same printable symbols in another order are another
@@ -504,7 +474,7 @@ class TestCompiledTable:
         for alphabet in (first, second, first, second):
             m = random_matrix(rng, alphabet, 6)
             got = decode_expression(m, model, beam_width=4)
-            want = prefix_beam_search(m, _Lazy(_FsaConstraint(model, alphabet)), 4)
+            want = prefix_beam_search(m, _FsaConstraint(model, alphabet), 4)
             assert (got.text, got.score.hex()) == (
                 "".join(alphabet.symbols[i] for i in want[0]),
                 (want[1] + want[2]).hex(),
@@ -531,21 +501,23 @@ class TestCompiledTable:
         assert model._constraints == {}
 
     def test_a_search_calls_successors_zero_times(self, monkeypatch):
-        """Compiling fills each live state's row once, with one
-        ``successors`` call; the searches after it call it no more."""
+        """The constraint has no ``successors``: compiling steps the model
+        once per live state and symbol, and the searches after it step it
+        no more."""
         calls = Counter()
-        successors = _FsaConstraint.successors
+        step = ExpressionModel.step
 
-        def counted(self, state):
-            calls[state] += 1
-            return successors(self, state)
+        def counted(self, state, symbol):
+            calls[state, symbol] += 1
+            return step(self, state, symbol)
 
-        monkeypatch.setattr(_FsaConstraint, "successors", counted)
+        monkeypatch.setattr(ExpressionModel, "step", counted)
         model = compile_rules(default_rule_config(ALPHA), ALPHA)
         lines = ["the cat sat.", "Hello, World!", "it's 42 (or so)"]
         matrices = [generate_synthetic(line, ALPHA, frames_per_char=3, noise=0.2, seed=i) for i, line in enumerate(lines)]
         decode_expression(matrices[0], model, beam_width=64)
-        assert calls == Counter(dict.fromkeys(model.live_states, 1))
+        assert not hasattr(model._constraint(ALPHA), "successors")
+        assert calls == Counter(dict.fromkeys(itertools.product(model.live_states, ALPHA.printable_symbols), 1))
         calls.clear()
         for m in matrices:
             decode_expression(m, model, beam_width=64)

@@ -32,6 +32,7 @@ from ctcdec.search import _cut, prefix_beam_search, prefix_beam_search_many
 from oracles import (
     accept_all_model,
     argmax_string,
+    assert_table_matches_reference,
     dm_text_valid,
     enumerate_string_probs,
     random_matrix,
@@ -56,9 +57,9 @@ def random_lexicon(rng: np.random.Generator) -> Lexicon:
     )
 
 
-#: Words that hold the attach symbol, so that a lexicon search mixes rows
-#: read from the compiled table with rows that states of two analyses
-#: (after "a", a "." ends the word or continues "a.B") get from ``successors``.
+#: Words that hold the attach symbol, so that a lexicon table has states of
+#: two analyses (after "a", a "." ends the word or continues "a.B"), whose
+#: rows compiling gets from ``successors``.
 ATTACHED_LEXICON = Lexicon({"a.B": 3, "a": 2}, separator=" ", attach_chars=frozenset("."))
 
 
@@ -498,17 +499,21 @@ def test_a_search_past_a_fixed_limit_raises_search_limit(monkeypatch, kind, limi
         prefix_beam_search_many([m, m], make(), None)
 
 
-class CountingConstraint:
-    """Passes a constraint through, counting ``successors`` calls per state."""
+def counted_successors(constraint) -> Counter:
+    """Counts, per state, the calls of ``successors`` on the constraint
+    and on each side of an intersection (only a lexicon constraint has
+    one)."""
+    calls = Counter()
+    for part in (constraint, getattr(constraint, "first", None), getattr(constraint, "second", None)):
+        inner = getattr(part, "successors", None)
+        if inner is not None:
 
-    def __init__(self, inner):
-        self.initial = inner.initial
-        self._successors = inner.successors
-        self.calls = Counter()
+            def count(state, inner=inner):
+                calls[state] += 1
+                return inner(state)
 
-    def successors(self, state):
-        self.calls[state] += 1
-        return self._successors(state)
+            part.successors = count
+    return calls
 
 
 @pytest.mark.parametrize("beam", DEGENERATE_BEAMS)
@@ -516,30 +521,57 @@ class CountingConstraint:
 @given(st.integers(0, 10_000), st.sampled_from([0.0, 0.1]))
 @settings(max_examples=25, deadline=None)
 def test_each_state_row_is_built_once_per_search(kind, beam, seed, min_symbol_prob):
+    """Each state's row is built once, when its constraint is compiled,
+    and no search builds one. Compiling calls the lexicon's ``successors``
+    once for each state of several analyses (``ATTACHED_LEXICON`` has
+    some) and for no other state; searches, single or batched, call it 0
+    times. A batched search gives each matrix its single search's result."""
     rng = np.random.default_rng(seed)
     # The wide alphabet only under a beam: unpruned, its prefixes multiply
     # tenfold per frame.
     if beam is not None and rng.random() < 0.5:
         alphabet, rules, lexicon = WIDE, WIDE_RULES, WIDE_LEXICON
     else:
-        alphabet, rules, lexicon = ALPHA, RULES, random_lexicon(rng)
-    m = random_matrix(rng, alphabet, int(rng.integers(1, 7)))
+        alphabet, rules = ALPHA, RULES
+        lexicon = ATTACHED_LEXICON if rng.random() < 0.5 else random_lexicon(rng)
+    # A copy, so that this search's table is compiled here.
+    lexicon = Lexicon(lexicon.counts, lexicon.separator, lexicon.attach_chars)
+    matrices = [random_matrix(rng, alphabet, int(rng.integers(1, 7))) for _ in range(3)]
     params = DecodeParams(oov_policy=str(rng.choice(["reject", "pass-punct"])))
-    make = constraint_maker(kind, alphabet, rules, lexicon, params)
-    counted = CountingConstraint(make())
-    want = search_outcome(prefix_beam_search, m, make(), beam, min_symbol_prob)
-    assert search_outcome(prefix_beam_search, m, counted, beam, min_symbol_prob) == want
-    assert max(counted.calls.values()) == 1
-    # No row outlives its search: a second search asks again.
-    search_outcome(prefix_beam_search, m, counted, beam, min_symbol_prob)
-    assert counted.calls[counted.initial.state] == 2
-    assert max(counted.calls.values()) == 2
-    # One batched search asks for each state's row once, however many
-    # experts reach the state.
-    matrices = [m] + [random_matrix(rng, alphabet, int(rng.integers(1, 6))) for _ in range(2)]
-    counted = CountingConstraint(make())
-    got = prefix_beam_search_many(matrices, counted, beam, min_symbol_prob)
-    assert max(counted.calls.values()) == 1
-    assert [None if isinstance(r, NoAcceptedString) else r for r in got] == [
-        search_outcome(prefix_beam_search, x, make(), beam, min_symbol_prob) for x in matrices
-    ]
+    constraint = constraint_maker(kind, alphabet, rules, lexicon, params)()
+    calls = counted_successors(constraint)
+    constraint.compiled(list(alphabet.printable_indices))
+    assert all(len(state) > 1 and count == 1 for state, count in calls.items())
+    assert bool(calls) == (kind != "fsa" and lexicon.counts == ATTACHED_LEXICON.counts)
+    calls.clear()
+    got = [search_outcome(prefix_beam_search, m, constraint, beam, min_symbol_prob) for m in matrices]
+    batched = prefix_beam_search_many(matrices, constraint, beam, min_symbol_prob)
+    assert calls == Counter()
+    assert [None if isinstance(r, NoAcceptedString) else r for r in batched] == got
+
+
+@given(
+    st.integers(0, 10_000),
+    st.sampled_from(["fsa", "lexicon", "rules"]),
+    st.sampled_from(["reject", "pass-punct"]),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_every_compiled_row_equals_the_reference_row(seed, kind, oov, attached):
+    """Walking each kind of table from id 0, every row it reaches equals
+    the reference row of its state bit for bit (cells, weights, ranks and
+    finals), states of several analyses and their pairs with the rules'
+    states included."""
+    rng = np.random.default_rng(seed)
+    lex = ATTACHED_LEXICON if attached else random_lexicon(rng)
+    params = DecodeParams(
+        lm_weight=float(rng.choice([0.0, 1.0, 0.7])),
+        word_bonus=float(rng.choice([0.0, 0.5, -0.3])),
+        oov_policy=oov,
+    )
+    constraint = constraint_maker(kind, ALPHA, RULES, lex, params)()
+    symbols = list(ALPHA.printable_indices)
+    states = assert_table_matches_reference(constraint.compiled(symbols), constraint, symbols)
+    if kind != "fsa":
+        lexical = [s if kind == "lexicon" else s[1] for s in states.values()]
+        assert any(len(state) > 1 for state in lexical) == attached
