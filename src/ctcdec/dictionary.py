@@ -189,18 +189,20 @@ class _LexiconConstraint:
             separating = np.append(complete, [post, pre] if self.pass_punct else [post]).astype(np.int32)
 
         # The arcs: the trie children (the root's from START, BETWEEN and
-        # PRE), then each attaching state's attach arcs and separator arc.
+        # PRE), then each attaching state's attach arcs and separator arc,
+        # then each state's stay (cell 0), which sorts first in its row.
         kids = cell.nonzero()[0].astype(np.int32)
         roots = kids[parent[kids] == 0]
         attach = np.array(sorted(cell_of[i] for i in self.attach), dtype=np.int32)
         between_of, pre_of = (np.full(roots.size, s, dtype=np.int32) for s in (between, pre))
-        src = np.concatenate((parent[kids], between_of, pre_of, attaching.repeat(attach.size), separating))
+        stay = np.arange(states, dtype=np.int32)
+        src = np.concatenate((parent[kids], between_of, pre_of, attaching.repeat(attach.size), separating, stay))
         dst = np.concatenate(
-            (kids, roots, roots, attach_to[attaching].repeat(attach.size), np.full(separating.size, between, dtype=np.int32))
+            (kids, roots, roots, attach_to[attaching].repeat(attach.size), np.full(separating.size, between, dtype=np.int32), stay)
         )
         trie = kids.size + 2 * roots.size
         arc = np.concatenate((cell[dst[:trie]], np.tile(attach, attaching.size)))
-        arc = np.append(arc, np.full(separating.size, cell_of.get(self.separator, 0), dtype=np.int32))
+        arc = np.concatenate((arc, np.full(separating.size, cell_of.get(self.separator, 0), dtype=np.int32), np.zeros_like(stay)))
         weight = leave[src]
         weight[:trie] = 0.0
         # A child by an attach symbol, from a state that attaches, reaches
@@ -227,13 +229,13 @@ class _LexiconConstraint:
             attached = (_POST if attach_to[s] == post else _PRE, 0)
             node = self._row_node({(_WORD, int(dst[x])): 0.0, attached: float(leave[s])})
             dst[x], weight[x] = target(node), node.weight
-        # Their rows, in id order; the loop also visits the states that
-        # ``target`` appends to ``nodes`` on the way.
+        # Their stays and rows, in id order; the loop also visits the states
+        # that ``target`` appends to ``nodes`` on the way.
         rows, lengths = [], []
         for node in nodes:
             row = self.successors(node.state)
             lengths.append(len(row))
-            rows += [(cell_of[c], target(row[c]), row[c].weight) for c in sorted(row)]
+            rows += [(0, 0, 0.0), *((cell_of[c], target(row[c]), row[c].weight) for c in sorted(row))]
 
         # Rows in state order, cells ascending. The sort is stable, so where
         # a child and an attach arc share a row's cell, the child's is kept.
@@ -242,13 +244,14 @@ class _LexiconConstraint:
         row, col = src[order], arc[order]
         order = order[np.concatenate(([True], (row[1:] != row[:-1]) | (col[1:] != col[:-1])))]
         del row, col  # before the kept arrays, to keep the peak down
-        length = np.bincount(src[order], minlength=states + len(nodes))
+        length = np.bincount(src[order], minlength=states + len(nodes)) - 1
         length[states:] = lengths
-        size = order.size + 1
+        size = order.size
         offset, child = (np.zeros(size + len(rows), dtype=np.intp) for _ in range(2))
         weights = np.zeros(size + len(rows))
         for out, values in ((offset, arc), (child, dst), (weights, weight)):
-            out[1:size] = values[order]
+            out[:size] = values[order]
+        del src, dst, arc, weight, order  # before the per-slot arrays
         if rows:
             offset[size:], child[size:], weights[size:] = zip(*rows)
         return _frozen(
@@ -336,17 +339,18 @@ class _LexiconConstraint:
 class _Intersection:
     """Both constraints at once: a prefix survives if both accept it, and
     weights and bonuses add. Its table is the product of the two tables,
-    kept on the lexicon under a key that holds the expression constraint."""
+    kept on the lexicon under the bytes of the expression table."""
 
     def __init__(self, first, second: _LexiconConstraint):
         self.first = first
         self.second = second
 
     def compiled(self, symbols: list[int]) -> Compiled:
-        key = (*self.second._key, tuple(symbols), self.first)
+        rules = self.first.compiled(symbols)
+        key = (*self.second._key, tuple(symbols), self.first.contents[tuple(symbols)])
         tables = self.second.lexicon._tables
         if key not in tables:
-            tables[key] = _product(self.first.compiled(symbols), self.second.compiled(symbols))
+            tables[key] = _product(rules, self.second.compiled(symbols))
         return tables[key]
 
 
@@ -357,25 +361,25 @@ def _product(a: Compiled, b: Compiled) -> Compiled:
     add. ``a`` is read through a dense state-by-cell array, so it should be
     the smaller table."""
     na, nb = a.rank.size, b.rank.size
-    # ``a``'s slot of each (state, cell); 0, the stay's slot: no arc.
-    slots = np.zeros((na, int(max(a.offset.max(), b.offset.max())) + 1), dtype=np.intp)
-    slots[np.arange(na).repeat(a.length), a.offset[1:]] = np.arange(1, a.offset.size)
+    # ``a``'s slot of each (state, cell), -1 where it has none (a stay's cell is 0).
+    slots = np.full((na, int(max(a.offset.max(), b.offset.max())) + 1), -1, dtype=np.intp)
+    slots[np.arange(na).repeat(a.length + 1), a.offset] = np.arange(a.offset.size)
     # Each pair is keyed ``state_a * nb + state_b``; ``ids`` numbers them.
     ids = np.full(na * nb, -1, dtype=np.intp)
     ids[0] = 0
     keys, level, n = [np.zeros(1, dtype=np.intp)], np.zeros(1, dtype=np.intp), 1
-    lengths, offsets, children, weights = [], [np.zeros(1, dtype=np.intp)], [np.zeros(1, dtype=np.intp)], [np.zeros(1)]
+    lengths, offsets, children, weights = [], [], [], []
     while level.size:
-        # ``b``'s rows of the level's pairs, slot by slot, kept where ``a``'s
-        # row has the cell too.
+        # ``b``'s stays and rows of the level's pairs, slot by slot, kept
+        # where ``a``'s row has the cell too: a pair's stay is its two stays.
         pa, pb = np.divmod(level, nb)
-        count = b.length[pb]
+        count = b.length[pb] + 1
         pair = np.arange(level.size).repeat(count)
-        slot_b = np.arange(count.sum()) + (b.start[pb] - np.cumsum(count) + count).repeat(count)
+        slot_b = np.arange(count.sum()) + (b.start[pb] - 1 - np.cumsum(count) + count).repeat(count)
         slot_a = slots[pa[pair], b.offset[slot_b]]
-        both = slot_a.nonzero()[0]
+        both = (slot_a >= 0).nonzero()[0]
         pair, slot_a, slot_b = pair[both], slot_a[both], slot_b[both]
-        lengths.append(np.bincount(pair, minlength=level.size))
+        lengths.append(np.bincount(pair, minlength=level.size) - 1)
         # The pairs reached, numbered in key order: the next level.
         key = a.child[slot_a] * nb + b.child[slot_b]
         level = np.unique(key[ids[key] < 0])

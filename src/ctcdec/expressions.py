@@ -8,7 +8,6 @@ capitalization can be required. No dictionary is involved.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -296,6 +295,8 @@ class _FsaConstraint:
         self.model = model
         self.alphabet = alphabet
         self._tables: dict = {}
+        #: Each table's arrays as bytes: equal exactly when the tables are.
+        self.contents: dict = {}
 
     def compiled(self, symbols: list[int]) -> Compiled:
         """The rows of every live state over the search cells of
@@ -312,12 +313,13 @@ class _FsaConstraint:
                 [(cell, ids[nxt]) for cell, name in enumerate(names, 1) if (nxt := model.step(state, name)) in ids]
                 for state in states
             ]
-            # Row by row after the stay; transposed and copied, so that each
-            # array is contiguous.
-            offset, child = np.array([(0, 0), *itertools.chain(*rows)], dtype=np.intp).T.copy()
+            # Row by row, each after a slot for its stay; transposed and
+            # copied, so that each array is contiguous.
+            offset, child = np.array([arc for row in rows for arc in ((0, 0), *row)], dtype=np.intp).T.copy()
             length = np.array([len(row) for row in rows], dtype=np.intp)
             final = np.array([0.0 if state in model.accepting else NEG_INF for state in states])
-            self._tables[key] = _frozen(np.zeros(len(states)), final, length, offset, child, np.zeros(offset.size))
+            table = self._tables[key] = _frozen(np.zeros(len(states)), final, length, offset, child, np.zeros(offset.size))
+            self.contents[key] = tuple(array.tobytes() for array in table)
         return self._tables[key]
 
 

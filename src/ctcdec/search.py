@@ -24,17 +24,18 @@ al. 2014): every entry stays (NaC, or its last symbol again) and extends
 with every symbol in its state's row whose probability clears
 ``min_symbol_prob``; an extension that lands on a prefix already in the
 beam merges into that entry. :func:`_gather` lists each entry's stay and
-then its row as one candidate list: an entry's values are repeated over
-its candidates, and the table's are taken by slot.
+then its row, one run of table slots, as one candidate list: an entry's
+values are repeated over its candidates, and the table's are taken by slot.
 
 A beam entry is an id in a per-search prefix tree: a prefix is its parent
 prefix's id plus the cell of its last symbol, and each such pair has one
-id. The frame loop therefore holds no prefix tuples. An entry's parent is
-found through its tree parent's position in the beam, and the extension
-that reaches it by one sorted lookup in the candidate list. Prefixes are
-spelled out, by walking up the tree, only where exact score ties must be
-broken toward the lexicographically smallest prefix: among the candidates
-at the beam edge's score, between anchor candidates and in the result.
+id. The frame loop therefore holds no prefix tuples. An entry carries
+where its two merges sit in the fixed rows: its last symbol's position in
+its parent's row (``rel``; the parent's run is found through its beam
+position) and in its own row (``own``). Prefixes are spelled out, by
+walking up the tree, only where exact score ties must be broken toward
+the lexicographically smallest prefix: among the candidates at the beam
+edge's score, between anchor candidates and in the result.
 
 One search covers the matrices of a committee's experts
 (:func:`prefix_beam_search_many`; one matrix is the one-expert case). A
@@ -87,8 +88,11 @@ class Compiled(NamedTuple):
     the NaC cell (1 + the printable column), ascending, are
     ``offset[start[id] : start[id] + length[id]]``, and ``child`` and
     ``weight`` hold the target id and the arc weight in the same slots.
-    Slot 0 is the stay (offset 0, the NaC cell itself); the rows follow it
-    in id order."""
+    Rows come in id order, each after its state's stay slot (offset 0;
+    child ``id``; weight -0.0, which leaves a sum bit-exact). Per slot,
+    ``child_rank`` and ``child_accepts`` are the target's ``rank`` and
+    whether it accepts, and ``repeat`` is 1 + where its row holds the
+    slot's cell, or 0."""
 
     rank: np.ndarray
     final: np.ndarray
@@ -97,13 +101,32 @@ class Compiled(NamedTuple):
     offset: np.ndarray
     child: np.ndarray
     weight: np.ndarray
+    child_rank: np.ndarray
+    child_accepts: np.ndarray
+    repeat: np.ndarray
 
 
 def _frozen(rank, final, length, offset, child, weight) -> Compiled:
-    """The read-only :class:`Compiled` of rows stored in id order from
-    slot 1 (``offset``, ``child`` and ``weight`` hold slot 0 too)."""
-    start = 1 + np.cumsum(length) - length
-    table = Compiled(rank, final, start, length, offset, child, weight)
+    """The read-only :class:`Compiled` of rows stored in id order, each
+    after a slot for its stay, which this fills in ``offset``, ``child``
+    and ``weight``; it adds the per-slot arrays."""
+    start = np.cumsum(length + 1) - length
+    stay = start - 1
+    offset[stay], child[stay], weight[stay] = 0, np.arange(length.size), -0.0
+    # Slot keys ``state * span + offset`` ascend, so one sorted lookup finds
+    # each target's slot of the same cell (a stay finds its own); int32
+    # where they fit, to keep the peak down.
+    span = int(offset.max()) + 1
+    dtype = np.int32 if length.size * span < 1 << 31 else np.intp
+    keys = np.arange(length.size, dtype=dtype).repeat(length + 1) * span + offset.astype(dtype)
+    want = child.astype(dtype) * span + offset.astype(dtype)
+    at = keys.searchsorted(want)
+    found = keys.take(at, mode="clip") == want
+    del keys, want
+    at -= stay[child]
+    repeat = (at * found).astype(np.int32)
+    del at, found
+    table = Compiled(rank, final, start, length, offset, child, weight, rank[child], final[child] > NEG_INF, repeat)
     for array in table:
         array.flags.writeable = False
     return table
@@ -124,9 +147,7 @@ def _gather(table: Compiled, ids: np.ndarray, grow: np.ndarray, frame: int) -> t
             f"frame {frame} has {items[-1]:,} candidates, over the limit of {MAX_CANDIDATES:,}; "
             "use a finite beam (--beam) or a symbol floor (--min-symbol-prob)"
         )
-    stays = items[:-1]
-    slot = np.arange(items[-1]) + (table.start.take(ids) - 1 - stays).repeat(lengths)
-    slot[stays] = 0
+    slot = np.arange(items[-1]) + (table.start.take(ids) - 1 - items[:-1]).repeat(lengths)
     return slot, items, lengths
 
 
@@ -268,7 +289,7 @@ def prefix_beam_search_many(
     pos = _grown(ids, n + 1, -1)
     pb, pnb = np.zeros(n), np.full(n, NEG_INF)
     acc = np.zeros(n)
-    nid = np.zeros(n, dtype=np.intp)
+    nid, rel, own = (np.zeros(n, dtype=np.intp) for _ in range(3))
 
     for t in range(num_frames):
         frame = frames[t]
@@ -281,55 +302,55 @@ def prefix_beam_search_many(
 
         # Candidates: each entry's stay (its NaC cell) and, where its expert
         # has a usable cell (so padding frames gather no row), its
-        # extensions, as flat items (entry ``b``, ``cell``, table ``slot``)
-        # grouped by expert like the beam. ``cand`` is each extension's mass;
-        # the stays' slots get theirs once the merges below are in.
-        slot, items, lengths = _gather(table, nid, live[t][expert], t)
-        entries = np.arange(ids.size)
-        b = entries.repeat(lengths)
+        # extensions, as flat items (``cell``, table ``slot``) grouped by
+        # expert like the beam. ``cand`` is each extension's mass; the
+        # stays' get theirs once the merges below are in.
+        grow = live[t][expert]
+        slot, items, lengths = _gather(table, nid, grow, t)
         stays = items[:-1]
         cell = home.repeat(lengths) + table.offset.take(slot)
         logp = usable[t].take(cell)
         cand = tot.repeat(lengths) + logp
-        # The items' keys ascend (entries in order, cells ascending), so
-        # sorted lookups find given extensions. An entry's own last symbol,
-        # with no NaC in between, extends only its pb. Extending an entry's
-        # parent by the entry's last symbol reaches the entry itself: that
-        # mass joins it instead of a new candidate. An entry whose parent is
-        # not in the beam (or that has none) looks up a negative key; an
-        # empty prefix's own lookup finds its stay, overwritten below.
-        keys = b * span + cell
-        same, at = _lookup(keys, entries * span + last)
+        # An entry's own last symbol, with no NaC in between, extends only
+        # its pb: that extension is item ``own`` of the entry's row. Extending
+        # an entry's parent by the entry's last symbol reaches the entry
+        # itself: that mass joins it instead of a new candidate, item ``rel``
+        # of the parent's row. Both exist only where the rows were gathered
+        # (an empty prefix has neither; ``pos[-1]`` is -1).
+        same = (grow & (own > 0)).nonzero()[0]
+        at = stays[same] + own[same]
         cand[at] = pb[same] + logp[at]
-        into, at = _lookup(keys, pos[up] * span + last)
+        parent = pos[up]
+        into = (grow & (parent >= 0)).nonzero()[0]
+        at = items[parent[into]] + rel[into]
         stay_pnb[into] = np.logaddexp(stay_pnb[into], cand[at])
         cand[at] = NEG_INF
         cand[stays] = np.logaddexp(stay_pb, stay_pnb)
         cand_acc = acc.repeat(lengths) + table.weight.take(slot)
-        cand_acc[stays] = acc
-        cand_node = table.child.take(slot)
-        cand_node[stays] = nid
 
         def prefix_of(x: int) -> Prefix:
-            # Candidate ``x``: entry ``b[x]``'s prefix, extended unless a stay.
-            prefix = tree.prefix(int(ids[b[x]]))
-            return prefix + (int(cell[x]),) if slot[x] else prefix
+            # Candidate ``x``: its entry's prefix, extended unless a stay.
+            e = int(items.searchsorted(x, "right")) - 1
+            prefix = tree.prefix(int(ids[e]))
+            return prefix if x == items[e] else prefix + (int(cell[x]),)
 
         # Each expert's candidates are a run of the list, from its first stay.
         runs = items[last.searchsorted(edges)]
-        score = cand + cand_acc + table.rank.take(cand_node)
-        keep = _cut(cand, score, runs, beam_width, lambda x: table.final[cand_node[x]] > NEG_INF, prefix_of)
+        score = cand + cand_acc + table.child_rank.take(slot)
+        keep = _cut(cand, score, runs, beam_width, lambda x: table.child_accepts[slot[x]], prefix_of)
 
-        # The survivors take their entry's fields; an extension (``fresh``)
-        # then takes its own, with its entry as ``up`` and a new tree id.
+        # The survivors take their entry's fields; an extension (``fresh``, past
+        # the stay) then takes its own, its entry as ``up`` and a new tree id.
         pos[ids] = -1
-        entry = b[keep]
-        fresh = slot[keep].nonzero()[0]
+        entry = items.searchsorted(keep, "right") - 1
+        item = keep - stays[entry]
+        fresh = item.nonzero()[0]
         x = keep[fresh]
         fresh_up = ids[entry[fresh]]
-        pb, pnb, up, last, ids = (a[entry] for a in (stay_pb, stay_pnb, up, last, ids))
+        pb, pnb, up, last, ids, rel, own = (a[entry] for a in (stay_pb, stay_pnb, up, last, ids, rel, own))
         pb[fresh], pnb[fresh], up[fresh], last[fresh] = NEG_INF, cand[x], fresh_up, cell[x]
-        acc, nid = cand_acc[keep], cand_node[keep]
+        rel[fresh], own[fresh] = item[fresh], table.repeat.take(slot[x])
+        acc, nid = cand_acc[keep], table.child.take(slot[keep])
         if fresh.size:
             ids[fresh] = tree.ids(fresh_up * span + cell[x], t)
             pos = _grown(pos, tree.size + 1, -1)
@@ -377,13 +398,6 @@ def _best(tree: _PrefixTree, ids: np.ndarray, mass: np.ndarray, bonus: np.ndarra
     best = (score == top).nonzero()[0].tolist()
     i = best[0] if len(best) == 1 else min(best, key=lambda x: tree.prefix(int(ids[x])))
     return tuple(cell_symbol[c] for c in tree.prefix(int(ids[i]))), float(mass[i]), float(bonus[i])
-
-
-def _lookup(keys: np.ndarray, want: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where in ``want``, and where in the sorted ``keys``, their shared values are."""
-    at = np.minimum(keys.searchsorted(want), keys.size - 1)
-    found = (keys[at] == want).nonzero()[0]
-    return found, at[found]
 
 
 def _cut(cand, score, runs: np.ndarray, beam_width: int | None, final_of, prefix_of) -> np.ndarray:

@@ -406,7 +406,7 @@ def test_a_row_of_several_analyses_may_reach_more():
 @pytest.mark.parametrize("rules", [False, True], ids=["dec-dm", "dec-dm-rules"])
 def test_a_used_lexicon_pickles_and_its_copy_decodes_the_same(rules):
     """After a decode the lexicon keeps its compiled table, and with rules
-    the product table, keyed on the rules' constraint. It still pickles,
+    the product table, keyed on the rules' table. It still pickles,
     with the rules' model, and the copy decodes the same text and score
     hex from the tables it was sent with."""
     alphabet = default_alphabet()
@@ -421,3 +421,18 @@ def test_a_used_lexicon_pickles_and_its_copy_decodes_the_same(rules):
     got = [decode_dictionary(m, copy, params, copied_model) for m in matrices]
     assert [(h.text, h.score.hex()) for h in got] == [(h.text, h.score.hex()) for h in want]
     assert len(copy._tables) == 1 + rules
+
+
+def test_freshly_compiled_rules_share_one_product_table():
+    """The product table is kept under the contents of the rules' table,
+    not the rules' constraint: five decodes, each with a newly compiled
+    stock model, leave the lexicon's table and one product, and give the
+    text and score hex of the first. The used lexicon still pickles."""
+    alphabet = default_alphabet()
+    lexicon = Lexicon({"the": 5, "cat": 3, "sat": 2, "a": 4, "it's": 1}, separator=" ")
+    params = DecodeParams(beam_width=16)
+    m = generate_synthetic("the cat sat.", alphabet, frames_per_char=3, noise=0.3, seed=0)
+    got = [decode_dictionary(m, lexicon, params, compile_rules(default_rule_config(alphabet), alphabet)) for _ in range(5)]
+    assert len({(h.text, h.score.hex()) for h in got}) == 1
+    assert len(lexicon._tables) == 2
+    assert len(pickle.loads(pickle.dumps(lexicon))._tables) == 2

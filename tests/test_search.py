@@ -3,6 +3,7 @@ with the scalar reference search, alone and batched over experts."""
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -575,3 +576,41 @@ def test_every_compiled_row_equals_the_reference_row(seed, kind, oov, attached):
     if kind != "fsa":
         lexical = [s if kind == "lexicon" else s[1] for s in states.values()]
         assert any(len(state) > 1 for state in lexical) == attached
+
+
+RELAXED_RULES = compile_rules(
+    replace(default_rule_config(ALPHA), attach_punctuation=False, digits_form_numbers=False), ALPHA
+)
+
+
+@pytest.mark.parametrize("kind", ["fsa", "fsa-relaxed", "lexicon", "rules"])
+def test_each_row_follows_its_stay_and_each_slot_knows_its_target(kind):
+    """The table contract the frame loop relies on, for the stock and
+    relaxed rules, ``ATTACHED_LEXICON`` (states of several analyses) and
+    their product. Each state's slots are its stay (offset 0, child the
+    state itself, weight -0.0) and then its row, in id order. Per slot,
+    ``child_rank`` and ``child_accepts`` are the target's rank and whether
+    its final is above -inf, and ``repeat`` is 1 + where the target's row
+    holds the slot's cell, or 0 (a stay's cell, 0, is in no row). Every
+    array is read-only."""
+    rules = RELAXED_RULES if kind == "fsa-relaxed" else RULES
+    constraint = constraint_maker(kind.split("-")[0], ALPHA, rules, ATTACHED_LEXICON, DecodeParams())()
+    symbols = list(ALPHA.printable_indices)
+    table = constraint.compiled(symbols)
+    states = assert_table_matches_reference(table, constraint, symbols)
+    if not kind.startswith("fsa"):
+        assert any(len(s if kind == "lexicon" else s[1]) > 1 for s in states.values())
+    n = table.rank.size
+    rows = [table.offset[table.start[i] : table.start[i] + table.length[i]].tolist() for i in range(n)]
+    stays = table.start - 1
+    assert stays.tolist() == [0, *(table.start[:-1] + table.length[:-1]).tolist()]
+    assert table.offset.size == table.start[-1] + table.length[-1]
+    assert table.offset[stays].tolist() == [0] * n
+    assert table.child[stays].tolist() == list(range(n))
+    assert [w.hex() for w in table.weight[stays].tolist()] == ["-0x0.0p+0"] * n
+    for x in range(table.offset.size):
+        j, cell = int(table.child[x]), int(table.offset[x])
+        assert float(table.child_rank[x]).hex() == float(table.rank[j]).hex()
+        assert bool(table.child_accepts[x]) == (table.final[j] > NEG_INF)
+        assert int(table.repeat[x]) == (rows[j].index(cell) + 1 if cell in rows[j] else 0)
+    assert not any(array.flags.writeable for array in table)
