@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
 import numpy as np
 
 from .ctc import NEG_INF
@@ -61,43 +59,28 @@ class DecodeParams:
             raise ValueError("min_symbol_prob must be in [0, 1)")
 
 
-class Node(NamedTuple):
-    """A lexicon state with its bonuses, as ``successors`` gives it.
-
-    ``rank`` is the score bonus used when pruning (0 when scores are pure
-    CTC mass); ``final`` is the bonus if the prefix is an accepted
-    complete string, else ``None``; ``weight`` is the weight of the arc
-    that reached this node. Equal states must have equal ``rank`` and
-    ``final``.
-    """
-
-    state: object
-    rank: float
-    final: float | None
-    weight: float = 0.0
-
-
-# Parse phases for the word-by-word constraint.
-_START, _BETWEEN, _PRE, _WORD, _POST = range(5)
-
-
 class _LexiconConstraint:
     """Prefix-search constraint enforcing lexicon membership per word.
 
-    A constraint state is a tuple of analyses ``(phase, trie_node,
-    prior)``; several analyses coexist when punctuation is ambiguous
-    between word-internal and attached (e.g. an apostrophe that may end
-    the word or continue it). ``prior`` is the weighted unigram scores
-    and word bonuses of completed words, relative to the best analysis:
-    ``successors`` moves the best prior into the node's ``weight``, so
-    states that differ only by the words before them are equal. Analyses
-    sharing ``(phase, node)`` keep only the best prior.
+    The lexicon is a weighted automaton over its trie (:meth:`_automaton`):
+    START is the root, a word in progress is its trie node, and BETWEEN
+    (after a separator), PRE (after leading punctuation) and POST (after
+    trailing punctuation) follow. Trie arcs spell words; a complete word
+    leaves by the separator to BETWEEN, or by attaching punctuation to
+    POST, with its prior (weighted unigram score plus word bonus) as the
+    arc weight. A state's ``rank`` is the best prior of a word at or below
+    it (0 off a word), so a word in progress ranks comparably to a
+    finished one.
+
+    A symbol that both extends a word and attaches (an apostrophe that
+    may end the word or continue it) gives a state two arcs on one cell.
+    Determinizing the automaton once (:func:`_determinized`) turns them
+    into an arc to a state of several analyses, each with its prior
+    relative to the best, whose gain moves into the arc weight, so states
+    that differ only by the words before them are one state.
 
     Construction is O(1) in the lexicon size. The search reads every row
-    from :meth:`compiled`, built once per lexicon, alphabet and params:
-    the rows of one-analysis states from the trie arrays, and those of
-    states of several analyses from ``successors``, which merges the
-    analyses of a state per symbol.
+    from :meth:`compiled`, built once per lexicon, alphabet and params.
     """
 
     def __init__(self, lexicon: Lexicon, alphabet, params: DecodeParams):
@@ -119,8 +102,6 @@ class _LexiconConstraint:
         self.attach = frozenset(
             i for ch, i in self.index.items() if ch in lexicon.attach_chars and i != self.separator
         )
-        self.root_children = self._indexed(0)
-        self.initial = self._row_node({(_START, 0): 0.0})
 
     def prior(self, count: int) -> float:
         """Weighted unigram score plus word bonus of a word seen ``count`` times.
@@ -130,16 +111,6 @@ class _LexiconConstraint:
         """
         return self.lm_weight * (math.log(count) - self.log_total) + self.word_bonus
 
-    def lookahead(self, node: int) -> float:
-        """Best prior of a word at or below trie ``node``, for pruning, so
-        in-progress words rank comparably to completed ones."""
-        return self.prior(self.lexicon.best_count[node])
-
-    def completed(self, node: int) -> float | None:
-        """Prior of the word ending at trie ``node`` (None: no word ends there)."""
-        count = self.lexicon.word_count[node]
-        return self.prior(count) if count else None
-
     def compiled(self, symbols: list[int]) -> Compiled:
         """The transitions over the search cells of ``symbols`` (cell ``i``
         holds ``symbols[i - 1]``), compiled on the first call and kept on
@@ -148,15 +119,14 @@ class _LexiconConstraint:
         key = (*self._key, tuple(symbols))
         tables = self.lexicon._tables
         if key not in tables:
-            tables[key] = self._compile(symbols)
+            tables[key] = _frozen(*_determinized(*self._automaton(symbols)))
         return tables[key]
 
-    def _compile(self, symbols: list[int]) -> Compiled:
-        # State ids: START is 0 and the word at trie node n is n, then come
-        # BETWEEN, PRE and POST, each one analysis of prior 0.0. After them
-        # come the states of several analyses, in the order they are
-        # reached. The arcs are built as int32; the kept ids are intp, as
-        # the search indexes with them.
+    def _automaton(self, symbols: list[int]):
+        """The lexicon automaton over the search cells of ``symbols``:
+        ``rank`` and ``final`` per state, and the arcs ``src``, ``cell``,
+        ``dst`` (int32) and ``weight``, sorted by ``(src, cell)``. START is
+        0 and the word at trie node n is n; then come BETWEEN, PRE and POST."""
         lexicon = self.lexicon
         n = lexicon.parent.size
         between, pre, post = n, n + 1, n + 2
@@ -166,7 +136,7 @@ class _LexiconConstraint:
         distinct, at = np.unique(lexicon.char[1:], return_inverse=True)
         cell[1:] = np.array([cell_of.get(self.index.get(chr(c)), 0) for c in distinct.tolist()], dtype=np.int32)[at]
         # ``0.0 + prior`` of each node's word count (-inf: no word) and best
-        # count, one ``math.log`` per distinct count, as ``successors`` has it.
+        # count, one ``math.log`` per distinct count.
         distinct, at = np.unique(np.concatenate((lexicon.word_count, lexicon.best_count)), return_inverse=True)
         prior = np.array([0.0 + self.prior(c) if c else NEG_INF for c in distinct.tolist()])
         done, best = prior[at[:n]], prior[at[n:]]
@@ -188,152 +158,109 @@ class _LexiconConstraint:
         if self.separator is not None:
             separating = np.append(complete, [post, pre] if self.pass_punct else [post]).astype(np.int32)
 
-        # The arcs: the trie children (the root's from START, BETWEEN and
-        # PRE), then each attaching state's attach arcs and separator arc,
-        # then each state's stay (cell 0), which sorts first in its row.
+        # The trie children (the root's from START, BETWEEN and PRE), then
+        # each attaching state's attach arcs and separator arc.
         kids = cell.nonzero()[0].astype(np.int32)
         roots = kids[parent[kids] == 0]
         attach = np.array(sorted(cell_of[i] for i in self.attach), dtype=np.int32)
         between_of, pre_of = (np.full(roots.size, s, dtype=np.int32) for s in (between, pre))
-        stay = np.arange(states, dtype=np.int32)
-        src = np.concatenate((parent[kids], between_of, pre_of, attaching.repeat(attach.size), separating, stay))
+        src = np.concatenate((parent[kids], between_of, pre_of, attaching.repeat(attach.size), separating))
         dst = np.concatenate(
-            (kids, roots, roots, attach_to[attaching].repeat(attach.size), np.full(separating.size, between, dtype=np.int32), stay)
+            (kids, roots, roots, attach_to[attaching].repeat(attach.size), np.full(separating.size, between, dtype=np.int32))
         )
         trie = kids.size + 2 * roots.size
         arc = np.concatenate((cell[dst[:trie]], np.tile(attach, attaching.size)))
-        arc = np.concatenate((arc, np.full(separating.size, cell_of.get(self.separator, 0), dtype=np.int32), np.zeros_like(stay)))
+        arc = np.concatenate((arc, np.full(separating.size, cell_of.get(self.separator, 0), dtype=np.int32)))
         weight = leave[src]
         weight[:trie] = 0.0
-        # A child by an attach symbol, from a state that attaches, reaches
-        # two analyses: the longer word, or the word done and punctuation.
-        # A state of several analyses gets the next id, and its row comes
-        # from ``successors``, where it may reach more such states.
-        fixed = {_START: 0, _BETWEEN: between, _PRE: pre, _POST: post}
-        merged: dict = {}
-        nodes: list[Node] = []
-
-        def target(node: Node) -> int:
-            (phase, at, _), *more = node.state
-            if not more:
-                return at if phase == _WORD else fixed[phase]
-            if node.state not in merged:
-                merged[node.state] = states + len(nodes)
-                nodes.append(node)
-            return merged[node.state]
-
-        is_attach = np.zeros(len(symbols) + 1, dtype=bool)
-        is_attach[attach] = True
-        for x in (is_attach[arc[:trie]] & (attach_to[src[:trie]] >= 0)).nonzero()[0].tolist():
-            s = int(src[x])
-            attached = (_POST if attach_to[s] == post else _PRE, 0)
-            node = self._row_node({(_WORD, int(dst[x])): 0.0, attached: float(leave[s])})
-            dst[x], weight[x] = target(node), node.weight
-        # Their stays and rows, in id order; the loop also visits the states
-        # that ``target`` appends to ``nodes`` on the way.
-        rows, lengths = [], []
-        for node in nodes:
-            row = self.successors(node.state)
-            lengths.append(len(row))
-            rows += [(0, 0, 0.0), *((cell_of[c], target(row[c]), row[c].weight) for c in sorted(row))]
-
-        # Rows in state order, cells ascending. The sort is stable, so where
-        # a child and an attach arc share a row's cell, the child's is kept.
-        # The rows of several analyses follow.
         order = np.lexsort((arc, src))
-        row, col = src[order], arc[order]
-        order = order[np.concatenate(([True], (row[1:] != row[:-1]) | (col[1:] != col[:-1])))]
-        del row, col  # before the kept arrays, to keep the peak down
-        length = np.bincount(src[order], minlength=states + len(nodes)) - 1
-        length[states:] = lengths
-        size = order.size
-        offset, child = (np.zeros(size + len(rows), dtype=np.intp) for _ in range(2))
-        weights = np.zeros(size + len(rows))
-        for out, values in ((offset, arc), (child, dst), (weights, weight)):
-            out[:size] = values[order]
-        del src, dst, arc, weight, order  # before the per-slot arrays
-        if rows:
-            offset[size:], child[size:], weights[size:] = zip(*rows)
-        return _frozen(
-            np.append(rank, [node.rank for node in nodes]),
-            np.append(final, [NEG_INF if node.final is None else node.final for node in nodes]),
-            length, offset, child, weights,
-        )
+        return rank, final, src[order], arc[order], dst[order], weight[order]
 
-    def successors(self, state) -> dict[int, Node]:
-        # Per symbol index, the best prior of each (phase, node) it reaches;
-        # what attaching punctuation reaches is the same for every attach
-        # symbol, so it is collected once.
-        rows: dict[int, dict[tuple[int, int], float]] = {}
-        attached: dict[tuple[int, int], float] = {}
 
-        def add(row: dict, phase: int, node: int, prior: float) -> None:
-            if prior > row.get((phase, node), float("-inf")):
-                row[phase, node] = prior
+def _determinized(rank, final, src, cell, dst, weight):
+    """The rows of a weighted automaton made deterministic, as
+    :func:`search._frozen` takes them. The automaton is ``rank`` and
+    ``final`` per state, and the arcs ``src``, ``cell``, ``dst`` and
+    ``weight``, sorted by ``(src, cell)``.
 
-        for phase, node, prior in state:
-            done = self.completed(node) if phase == _WORD else None
-            if self.separator is not None:
-                if done is not None:
-                    add(rows.setdefault(self.separator, {}), _BETWEEN, 0, prior + done)
-                elif phase == _POST or (phase == _PRE and self.pass_punct):
-                    add(rows.setdefault(self.separator, {}), _BETWEEN, 0, prior)
-            if phase in (_START, _BETWEEN, _PRE):
-                add(attached, _PRE, 0, prior)
-                word_children = self.root_children
-            elif phase == _POST:
-                add(attached, _POST, 0, prior)
-                continue
-            else:
-                if done is not None:
-                    add(attached, _POST, 0, prior + done)
-                word_children = self._indexed(node)
-            # A symbol may extend the current word even when it is also
-            # attaching punctuation (words can contain such characters).
-            for c, child in word_children:
-                add(rows.setdefault(c, {}), _WORD, child, prior)
+    This is subset construction in the (max, +) semiring with residual
+    weights (Mohri 1997). Every state keeps its id and, on a cell where it
+    has one arc, that arc. On a cell where it has several, the arc goes to
+    the set of their targets, each stored as ``(target, score - top)``, and
+    ``top``, the best score, becomes the arc weight. A set's ``rank`` and
+    ``final`` are the best over its members of residual plus the member's
+    value, and its row merges its members' arcs the same way. A set of one
+    state is that state; the other sets get the next ids, in the order they
+    are first reached. The one-arc cells are copied as arrays, and a
+    Python worklist builds the sets. It ends when finitely many sets can
+    be reached, as in a lexicon automaton: every separator arc goes to
+    BETWEEN, and the punctuation loops weigh 0.
+    """
+    states = rank.size
+    # The first arc of each (state, cell), and those followed by others.
+    head = np.ones(src.size, dtype=bool)
+    head[1:] = (src[1:] != src[:-1]) | (cell[1:] != cell[:-1])
+    several = (head[:-1] & ~head[1:]).nonzero()[0].tolist()
+    ids: dict[tuple, int] = {}
+    members: list[tuple] = []
 
-        if attached:
-            for c in self.attach:
-                if c in rows:
-                    for (phase, node), prior in attached.items():
-                        add(rows[c], phase, node, prior)
-        out = {c: self._row_node(row) for c, row in rows.items()}
-        if attached:
-            shared = self._row_node(attached)
-            for c in self.attach:
-                out.setdefault(c, shared)
-        return out
+    def target(scores: dict[int, float]) -> tuple[int, float]:
+        # The id of the set of ``{target: score}``, and its ``top``.
+        top = max(scores.values())
+        key = tuple(sorted((q, score - top) for q, score in scores.items()))
+        if len(key) == 1:
+            return key[0][0], top
+        if key not in ids:
+            ids[key] = states + len(members)
+            members.append(key)
+        return ids[key], top
 
-    def _indexed(self, node: int) -> list[tuple[int, int]]:
-        """``(symbol_index, child)`` for the trie children of ``node`` in the alphabet."""
-        index, kids = self.index, self.lexicon.children(node)
-        chars = map(chr, self.lexicon.char[kids].tolist())
-        return [(index[ch], child) for ch, child in zip(chars, kids.tolist()) if ch in index]
+    def merge(row: dict, arcs, residual: float) -> None:
+        # Adds ``arcs`` at ``residual`` to ``row``: per cell, each target's best score.
+        for x in arcs:
+            scores = row.setdefault(int(cell[x]), {})
+            q, score = int(dst[x]), residual + float(weight[x])
+            if score > scores.get(q, NEG_INF):
+                scores[q] = score
 
-    def _row_node(self, row: dict[tuple[int, int], float]) -> Node:
-        """The Node of one successor: priors relative to the best, which
-        becomes the arc weight, with the best prior with look-ahead
-        (``rank``) and the best prior as a complete line (``final``)."""
-        top = max(row.values())
-        analyses = tuple(sorted((ph, nd, pr - top) for (ph, nd), pr in row.items()))
-        rank = final = None
-        for phase, node, prior in analyses:
-            bonus = prior + (self.lookahead(node) if phase == _WORD else 0.0)
-            if rank is None or bonus > rank:
-                rank = bonus
-            if phase == _WORD:
-                inc = self.completed(node)
-                if inc is None:
-                    continue
-                total = prior + inc
-            elif phase in (_START, _POST) or (phase == _PRE and self.pass_punct):
-                total = prior
-            else:
-                continue
-            if final is None or total > final:
-                final = total
-        return Node(analyses, rank, final, top)
+    rows = []
+    if several:
+        # Each state's arcs are ``first[state]:first[state + 1]``.
+        first = src.searchsorted(np.arange(states + 1)).tolist()
+        heads = []
+        for x in several:
+            row: dict = {}
+            merge(row, range(first[src[x]], first[src[x] + 1]), 0.0)
+            heads.append((x, *target(row[int(cell[x])])))
+        for key in members:  # also visits the sets that ``target`` appends
+            row = {}
+            for q, residual in key:
+                merge(row, range(first[q], first[q + 1]), residual)
+            rows.append([(c, *target(row[c])) for c in sorted(row)])
+        dst, weight = dst.copy(), weight.copy()
+        for x, q, top in heads:
+            dst[x], weight[x] = q, top
+        src, cell, dst, weight = (a[head] for a in (src, cell, dst, weight))
+
+    # Rows in id order, each after a slot for its stay (which ``_frozen``
+    # fills): the automaton's, then the sets'.
+    length = np.bincount(src, minlength=states + len(rows))
+    length[states:] = [len(row) for row in rows]
+    size = states + int(length[:states].sum())
+    arcs = np.ones(size, dtype=bool)
+    arcs[np.cumsum(length[:states] + 1) - 1 - length[:states]] = False
+    slots = [slot for row in rows for slot in ((0, 0, 0.0), *row)]
+    offset, child = (np.zeros(size + len(slots), dtype=np.intp) for _ in range(2))
+    weights = np.zeros(size + len(slots))
+    for out, values in ((offset, cell), (child, dst), (weights, weight)):
+        out[:size][arcs] = values
+    if slots:
+        offset[size:], child[size:], weights[size:] = zip(*slots)
+    return (
+        np.append(rank, [max(r + float(rank[q]) for q, r in key) for key in members]),
+        np.append(final, [max(r + float(final[q]) for q, r in key) for key in members]),
+        length, offset, child, weights,
+    )
 
 
 class _Intersection:

@@ -27,11 +27,11 @@ class Lexicon:
     it. Immutable after construction.
 
     The trie is read-only numpy arrays over nodes numbered in preorder
-    (the root is 0; children in character order, :meth:`children`):
-    ``parent``, ``char`` (the code point on the arc into the node),
-    ``word_count`` (of the word ending at the node; 0: none) and
-    ``best_count`` (the largest count at or below the node). Counts past
-    int64 keep numpy's object dtype, so they stay exact.
+    (the root is 0; children in character order): ``parent``, ``char``
+    (the code point on the arc into the node), ``word_count`` (of the word
+    ending at the node; 0: none) and ``best_count`` (the largest count at
+    or below the node). Counts past int64 keep numpy's object dtype, so
+    they stay exact.
     """
 
     def __init__(
@@ -87,10 +87,7 @@ class Lexicon:
         self.best_count = self.word_count.copy()
         for level in levels[:0:-1]:  # deepest first; the root has no parent
             np.maximum.at(self.best_count, self.parent[level], self.best_count[level])
-        # The children of ``node`` are ``_kids[_first[node]:_first[node + 1]]``.
-        self._kids = np.argsort(self.parent[1:], kind="stable") + 1
-        self._first = np.append(0, np.cumsum(np.bincount(self.parent[1:], minlength=depth.size)))
-        for array in (self.parent, self.char, self.word_count, self.best_count, self._kids, self._first):
+        for array in (self.parent, self.char, self.word_count, self.best_count):
             array.flags.writeable = False
 
     def __len__(self) -> int:
@@ -106,10 +103,6 @@ class Lexicon:
     @property
     def counts(self) -> Mapping[str, int]:
         return dict(self._counts)
-
-    def children(self, node: int) -> np.ndarray:
-        """The children of trie ``node``, in character order."""
-        return self._kids[self._first[node]:self._first[node + 1]]
 
 
 def strip_attached(token: str, attach_chars: frozenset[str]) -> str:

@@ -18,6 +18,7 @@ import itertools
 import math
 from functools import lru_cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -294,14 +295,11 @@ def dm_objective(
 
 
 def trie_prefixes(lexicon) -> dict[int, str]:
-    """The string spelled by each trie node, from a walk of ``lexicon.children``."""
+    """The string spelled by each trie node, from its parent's and the
+    character into it (a parent comes before its children)."""
     out = {0: ""}
-    stack = [0]
-    while stack:
-        node = stack.pop()
-        for child in lexicon.children(node).tolist():
-            out[child] = out[node] + chr(lexicon.char[child])
-            stack.append(child)
+    for node in range(1, lexicon.parent.size):
+        out[node] = out[int(lexicon.parent[node])] + chr(lexicon.char[node])
     return out
 
 
@@ -352,19 +350,38 @@ def trie_node_priors(lexicon, lm_weight: float, word_bonus: float):
     return best, completed
 
 
+class Node(NamedTuple):
+    """A reference constraint state with its bonuses, as a row of
+    ``reference_successors`` gives it.
+
+    ``rank`` is the score bonus used when pruning (0 when scores are pure
+    CTC mass); ``final`` is the bonus if the prefix is an accepted
+    complete string, else ``None``; ``weight`` is the weight of the arc
+    that reached this node. Equal states must have equal ``rank`` and
+    ``final``.
+    """
+
+    state: object
+    rank: float
+    final: float | None
+    weight: float = 0.0
+
+
+# Parse phases of a lexicon analysis, word by word.
+_START, _BETWEEN, _PRE, _WORD, _POST = range(5)
+
+
 def reference_lexicon_successors(constraint, state) -> dict:
     """The row of a lexicon constraint's ``state`` (a tuple of analyses
     ``(phase, trie_node, prior)``), built from the lexicon's words as
     ``trie_node_priors`` builds the priors: a word analysis spells its
     node's prefix, it may go on by any symbol that some word continues it
     with, and it may end where it spells a word. Per symbol, the analyses
-    reached keep their best prior; the best becomes the arc weight, and
-    ``rank`` and ``final`` are maxima over the analyses reached. Only the
-    trie node ids come from the lexicon's numbering (``trie_prefixes``).
-    The rows of ``successors`` and of the compiled table must equal these
+    reached keep their best prior, relative to the best, which becomes the
+    arc weight; ``rank`` and ``final`` are maxima over the analyses
+    reached. Only the trie node ids come from the lexicon's numbering
+    (``trie_prefixes``). The rows of the compiled table must equal these
     bit for bit."""
-    from ctcdec.dictionary import _BETWEEN, _POST, _PRE, _START, _WORD, Node
-
     lexicon = constraint.lexicon
     log_total = math.log(lexicon.total_count)
     word_prior = {
@@ -445,13 +462,13 @@ def reference_successors(constraint):
     accepting states), with no weights, ranks 0 and finals 0 where they
     accept. An intersection's state is the pair of its sides' states: its
     row holds the symbols of both rows, with ranks, finals and weights
-    added. A lexicon constraint's rows are its own ``successors``, which
-    ``test_dictionary`` checks against ``reference_lexicon_successors``.
+    added. A lexicon constraint's state is a tuple of analyses, START's
+    alone at first, and its rows are ``reference_lexicon_successors``.
     """
-    from ctcdec.dictionary import Node, _Intersection, _LexiconConstraint
+    from ctcdec.dictionary import _Intersection, _LexiconConstraint
 
     if isinstance(constraint, _LexiconConstraint):
-        return constraint.initial, constraint.successors
+        return Node(((_START, 0, 0.0),), 0.0, 0.0), lambda state: reference_lexicon_successors(constraint, state)
     if isinstance(constraint, _Intersection):
         first_initial, first = reference_successors(constraint.first)
         second_initial, second = reference_successors(constraint.second)

@@ -21,17 +21,19 @@ from ctcdec import (
     generate_synthetic,
     string_log_score,
 )
-from ctcdec.dictionary import _WORD, OOV_POLICIES, _LexiconConstraint
+from ctcdec.ctc import NEG_INF
+from ctcdec.dictionary import OOV_POLICIES, _determinized, _LexiconConstraint
 from ctcdec.lexicon import strip_attached
+from ctcdec.search import _frozen, prefix_beam_search
 
 from oracles import (
+    _WORD,
     assert_table_matches_reference,
     dm_objective,
     dm_text_valid,
     dm_valid_texts,
     enumerate_string_probs,
     random_matrix,
-    reference_lexicon_successors,
     trie_node_priors,
     trie_prefixes,
 )
@@ -337,27 +339,20 @@ def test_params_reject_non_finite_weights(value):
 )
 @settings(max_examples=200, deadline=None)
 def test_node_priors_equal_the_best_word_prior_bit_for_bit(counts, lm_weight, word_bonus):
-    """The look-ahead is the prior of a node's best count, which equals the
-    best prior of the words below it exactly, because the prior is
-    monotone in the count."""
+    """A word state's ``rank`` (its look-ahead) is the prior of its trie
+    node's best count, which equals the best prior of the words below it
+    exactly, because the prior is monotone in the count; its ``final`` is
+    the prior of the word ending there (-inf: none). The root is START,
+    whose rank and final are 0."""
     lexicon = Lexicon(counts, separator=None, attach_chars=frozenset())
     params = DecodeParams(lm_weight=lm_weight, word_bonus=word_bonus)
-    constraint = _LexiconConstraint(lexicon, Alphabet.with_nac("abc"), params)
+    alphabet = Alphabet.with_nac("abc")
+    table = _LexiconConstraint(lexicon, alphabet, params).compiled(list(alphabet.printable_indices))
     best, completed = trie_node_priors(lexicon, lm_weight, word_bonus)
-    for node in best:
-        assert constraint.lookahead(node) == best[node]
-        assert constraint.completed(node) == completed[node]
-
-
-def _hexed(value):
-    """``value`` with every float as its hex spelling, so that -0.0 != 0.0."""
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, tuple):
-        return tuple(_hexed(v) for v in value)
-    if isinstance(value, dict):
-        return {k: _hexed(v) for k, v in value.items()}
-    return value
+    assert (table.rank[0], table.final[0]) == (0.0, 0.0)
+    for node in range(1, lexicon.parent.size):
+        assert table.rank[node] == best[node]
+        assert table.final[node] == (NEG_INF if completed[node] is None else completed[node])
 
 
 @given(
@@ -371,9 +366,9 @@ def _hexed(value):
 @settings(max_examples=200, deadline=None)
 def test_each_row_equals_the_analysis_merge_bit_for_bit(counts, oov_policy, separator, lm_weight, word_bonus):
     """Every state that the compiled table reaches from id 0 has the row
-    of the reference loop: ``successors`` gives it, and the table holds
-    it (the same cells in order, arc weights as hex, and each target's
-    state, ``rank`` and ``final``, -inf for ``None``). Words hold attaching
+    of the reference loop (the same cells in order, arc weights as hex,
+    and each target's state, ``rank`` and ``final``, -inf for ``None``),
+    and each state has one id. Words hold attaching
     punctuation, so states with several analyses, and symbols that both
     extend a word and attach, occur; their rows are in the table too."""
     alphabet = Alphabet.with_nac("ab.' " if separator else "ab.'", separator=separator)
@@ -381,16 +376,15 @@ def test_each_row_equals_the_analysis_merge_bit_for_bit(counts, oov_policy, sepa
     params = DecodeParams(lm_weight=lm_weight, word_bonus=word_bonus, oov_policy=oov_policy)
     constraint = _LexiconConstraint(lexicon, alphabet, params)
     symbols = list(alphabet.printable_indices)
-    states = assert_table_matches_reference(constraint.compiled(symbols), constraint, symbols)
-    for state in states.values():
-        assert _hexed(constraint.successors(state)) == _hexed(reference_lexicon_successors(constraint, state))
+    assert_table_matches_reference(constraint.compiled(symbols), constraint, symbols)
 
 
 def test_a_row_of_several_analyses_may_reach_more():
     """After "a", a "." may end the word or go on to "a..b", and so may a
     second "." after that. The state after "a.." is reached only from the
-    row of the state after "a.", which compiling gets from ``successors``;
-    both rows are in the table and equal the reference rows."""
+    row of the state after "a.", which determinizing the automaton merges
+    from its two analyses; both rows are in the table and equal the
+    reference rows."""
     alphabet = Alphabet.with_nac("ab. ", separator=" ")
     lexicon = Lexicon({"a": 2, "a..b": 1}, separator=" ", attach_chars=frozenset("."))
     constraint = _LexiconConstraint(lexicon, alphabet, DecodeParams())
@@ -399,8 +393,64 @@ def test_a_row_of_several_analyses_may_reach_more():
     spelled = trie_prefixes(lexicon)
     several = [state for state in states.values() if len(state) > 1]
     assert sorted(spelled[node] for state in several for phase, node, _ in state if phase == _WORD) == ["a.", "a.."]
-    for state in several:
-        assert _hexed(constraint.successors(state)) == _hexed(reference_lexicon_successors(constraint, state))
+
+
+class _GivenTable:
+    """A search constraint whose compiled table is given."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def compiled(self, symbols):
+        return self.table
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_determinized_automaton_finds_the_best_string_and_path(data):
+    """A random weighted automaton (acyclic, so that determinizing it
+    ends), with parallel arcs on one cell, determinized and searched
+    exactly, gives the string that maximizes its CTC mass plus its best
+    path's weight plus that path's final, by brute force over every
+    string; no such string raises ``NoAcceptedString``."""
+    states, cells = data.draw(st.integers(2, 6)), data.draw(st.integers(2, 3))
+    finite = st.floats(-3.0, 3.0, allow_nan=False)
+    arcs = []
+    for _ in range(data.draw(st.integers(0, 12))):
+        s = data.draw(st.integers(0, states - 2))
+        arcs.append((s, data.draw(st.integers(1, cells)), data.draw(st.integers(s + 1, states - 1)), data.draw(finite)))
+    rank = np.array(data.draw(st.lists(finite, min_size=states, max_size=states)))
+    final = np.array(data.draw(st.lists(st.one_of(finite, st.just(NEG_INF)), min_size=states, max_size=states)))
+    columns = list(zip(*arcs)) or [()] * 4
+    src, cell, dst = (np.array(column, dtype=np.intp) for column in columns[:3])
+    weight = np.array(columns[3], dtype=float)
+    order = np.lexsort((cell, src))
+    table = _frozen(*_determinized(rank, final, *(a[order] for a in (src, cell, dst, weight))))
+
+    alphabet = Alphabet.with_nac("abc"[:cells])
+    m = random_matrix(np.random.default_rng(data.draw(st.integers(0, 10_000))), alphabet, data.draw(st.integers(1, 4)))
+    cell_of = {alphabet.symbols[i]: c for c, i in enumerate(alphabet.printable_indices, 1)}
+
+    def bonus(text: str) -> float:
+        # The best weight of a path spelling ``text`` from state 0, plus its final.
+        best = {0: 0.0}
+        for ch in text:
+            reached = {}
+            for s, c, d, w in arcs:
+                if s in best and c == cell_of[ch]:
+                    reached[d] = max(reached.get(d, NEG_INF), best[s] + w)
+            best = reached
+        return max((score + final[q] for q, score in best.items()), default=NEG_INF)
+
+    scores = {text: math.log(p) + bonus(text) for text, p in enumerate_string_probs(m).items()}
+    want = best_valid(scores, alphabet)
+    if scores[want] == NEG_INF:
+        with pytest.raises(NoAcceptedString):
+            prefix_beam_search(m, _GivenTable(table), beam_width=None)
+        return
+    prefix, mass, got = prefix_beam_search(m, _GivenTable(table), beam_width=None)
+    assert "".join(alphabet.symbols[i] for i in prefix) == want
+    assert math.isclose(mass + got, scores[want], rel_tol=1e-9, abs_tol=1e-9)
 
 
 @pytest.mark.parametrize("rules", [False, True], ids=["dec-dm", "dec-dm-rules"])

@@ -2,7 +2,6 @@
 with the scalar reference search, alone and batched over experts."""
 
 import math
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -59,8 +58,8 @@ def random_lexicon(rng: np.random.Generator) -> Lexicon:
 
 
 #: Words that hold the attach symbol, so that a lexicon table has states of
-#: two analyses (after "a", a "." ends the word or continues "a.B"), whose
-#: rows compiling gets from ``successors``.
+#: two analyses (after "a", a "." ends the word or continues "a.B"), which
+#: determinizing the lexicon automaton makes.
 ATTACHED_LEXICON = Lexicon({"a.B": 3, "a": 2}, separator=" ", attach_chars=frozenset("."))
 
 
@@ -500,33 +499,16 @@ def test_a_search_past_a_fixed_limit_raises_search_limit(monkeypatch, kind, limi
         prefix_beam_search_many([m, m], make(), None)
 
 
-def counted_successors(constraint) -> Counter:
-    """Counts, per state, the calls of ``successors`` on the constraint
-    and on each side of an intersection (only a lexicon constraint has
-    one)."""
-    calls = Counter()
-    for part in (constraint, getattr(constraint, "first", None), getattr(constraint, "second", None)):
-        inner = getattr(part, "successors", None)
-        if inner is not None:
-
-            def count(state, inner=inner):
-                calls[state] += 1
-                return inner(state)
-
-            part.successors = count
-    return calls
-
-
 @pytest.mark.parametrize("beam", DEGENERATE_BEAMS)
 @pytest.mark.parametrize("kind", ["fsa", "lexicon", "rules"])
 @given(st.integers(0, 10_000), st.sampled_from([0.0, 0.1]))
 @settings(max_examples=25, deadline=None)
 def test_each_state_row_is_built_once_per_search(kind, beam, seed, min_symbol_prob):
     """Each state's row is built once, when its constraint is compiled,
-    and no search builds one. Compiling calls the lexicon's ``successors``
-    once for each state of several analyses (``ATTACHED_LEXICON`` has
-    some) and for no other state; searches, single or batched, call it 0
-    times. A batched search gives each matrix its single search's result."""
+    and no search builds one: after searches, single or batched, the
+    constraint gives the table it compiled, and the lexicon keeps no new
+    table (``ATTACHED_LEXICON`` has states of several analyses). A batched
+    search gives each matrix its single search's result."""
     rng = np.random.default_rng(seed)
     # The wide alphabet only under a beam: unpruned, its prefixes multiply
     # tenfold per frame.
@@ -540,14 +522,13 @@ def test_each_state_row_is_built_once_per_search(kind, beam, seed, min_symbol_pr
     matrices = [random_matrix(rng, alphabet, int(rng.integers(1, 7))) for _ in range(3)]
     params = DecodeParams(oov_policy=str(rng.choice(["reject", "pass-punct"])))
     constraint = constraint_maker(kind, alphabet, rules, lexicon, params)()
-    calls = counted_successors(constraint)
-    constraint.compiled(list(alphabet.printable_indices))
-    assert all(len(state) > 1 and count == 1 for state, count in calls.items())
-    assert bool(calls) == (kind != "fsa" and lexicon.counts == ATTACHED_LEXICON.counts)
-    calls.clear()
+    symbols = list(alphabet.printable_indices)
+    table = constraint.compiled(symbols)
+    kept = dict(lexicon._tables)
     got = [search_outcome(prefix_beam_search, m, constraint, beam, min_symbol_prob) for m in matrices]
     batched = prefix_beam_search_many(matrices, constraint, beam, min_symbol_prob)
-    assert calls == Counter()
+    assert constraint.compiled(symbols) is table
+    assert lexicon._tables.keys() == kept.keys()
     assert [None if isinstance(r, NoAcceptedString) else r for r in batched] == got
 
 
