@@ -32,7 +32,8 @@ class CommitteeConfig:
     Per slot, a candidate w scores ``lambda * N(w)/n + (1 - lambda) *
     mean_confidence(w)``; NULL's confidence is ``null_confidence``. Ties
     break toward the candidate first contributed by the earliest-ranked
-    expert.
+    expert. At ``vote_lambda`` 1 the confidences have no weight, so
+    :func:`committee_decode` computes none for a vote.
     """
 
     n: int
@@ -211,10 +212,16 @@ def committee_decode(
     the vote; if all fail, :class:`NoAcceptedString` is raised. Errors
     that no expert's matrix causes (an empty lexicon, an invalid
     expression model) raise as themselves.
+
+    At ``vote_lambda`` 1 the vote gives word confidences no weight, so
+    the experts' are not computed, except for a sole surviving expert,
+    whose hypothesis is returned as it is.
     """
     if len(matrices) != config.n:
         raise LengthMismatch(f"{len(matrices)} matrices for a committee of {config.n}")
-    decoded = _decode_dictionary_many(matrices, lexicon, params, expression_model)
+    decoded = _decode_dictionary_many(
+        matrices, lexicon, params, expression_model, votes_only=config.vote_lambda == 1.0
+    )
     hyps = [h for h in decoded if isinstance(h, Hypothesis)]
     if not hyps:
         raise NoAcceptedString(f"all {config.n} experts failed: {decoded[0]}")

@@ -353,6 +353,7 @@ def _decode_dictionary_many(
     lexicon: Lexicon,
     params: DecodeParams,
     expression_model: ExpressionModel | None = None,
+    votes_only: bool = False,
 ) -> list[Hypothesis | NoAcceptedString]:
     """:func:`decode_dictionary` of each matrix (the experts of one line),
     as one search under one constraint.
@@ -360,7 +361,8 @@ def _decode_dictionary_many(
     Errors that do not depend on a matrix (an empty lexicon, an invalid
     expression model, experts with different alphabets) raise; an
     expert whose search finds no accepted string gets the
-    :class:`NoAcceptedString` in its place.
+    :class:`NoAcceptedString` in its place. ``votes_only`` is for a
+    committee that votes by count alone: see ``search._hypotheses``.
     """
     constraint = _constraint(lexicon, matrices[0].alphabet, params, expression_model)
     found = prefix_beam_search_many(
@@ -369,7 +371,7 @@ def _decode_dictionary_many(
         beam_width=params.beam_width,
         min_symbol_prob=params.min_symbol_prob,
     )
-    return _hypotheses(matrices, lexicon.separator, found)
+    return _hypotheses(matrices, lexicon.separator, found, votes_only)
 
 
 def _constraint(lexicon: Lexicon, alphabet, params: DecodeParams, expression_model):

@@ -141,7 +141,9 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
         ]
         for i, text in enumerate(refs)
     ]
-    decoded = [_decode_dictionary_many(matrices, lexicon, params) for matrices in lines]
+    # At vote_lambda 1 no confidence reaches a result: the votes count words.
+    votes_only = config.vote_lambda == 1.0
+    decoded = [_decode_dictionary_many(matrices, lexicon, params, votes_only=votes_only) for matrices in lines]
 
     bp_reports: list[EvalReport] = []
     dm_reports: list[EvalReport] = []

@@ -370,16 +370,24 @@ def _hypothesis(matrix: ConfidenceMatrix, separator: str | None, prefix: Prefix,
     return Hypothesis(text, mass + bonus, marginal_word_confidences(matrix, text, separator))
 
 
-def _hypotheses(matrices: list[ConfidenceMatrix], separator: str | None, found: list) -> list[Hypothesis | NoAcceptedString]:
+def _hypotheses(
+    matrices: list[ConfidenceMatrix], separator: str | None, found: list, votes_only: bool = False
+) -> list[Hypothesis | NoAcceptedString]:
     """:func:`_hypothesis` of each expert's search result, with the word
     confidences of all experts from one lattice pass; a
-    :class:`NoAcceptedString` stays in its expert's place."""
+    :class:`NoAcceptedString` stays in its expert's place. With
+    ``votes_only`` (a committee that votes by count alone), the
+    hypotheses carry no word confidences when two or more experts found a
+    string; a sole one, which the committee returns as it is, keeps them."""
     texts = {
         i: "".join(matrices[i].alphabet.symbols[c] for c in result[0])
         for i, result in enumerate(found)
         if not isinstance(result, NoAcceptedString)
     }
-    confs = dict(zip(texts, word_confidences_many([(matrices[i], text) for i, text in texts.items()], separator)))
+    if votes_only and len(texts) > 1:
+        confs = dict.fromkeys(texts)
+    else:
+        confs = dict(zip(texts, word_confidences_many([(matrices[i], text) for i, text in texts.items()], separator)))
     return [
         Hypothesis(texts[i], result[1] + result[2], confs[i]) if i in texts else result
         for i, result in enumerate(found)
@@ -446,7 +454,10 @@ def _cut(cand, score, runs: np.ndarray, beam_width: int | None, final_of, prefix
     live = final_of(slice(None)) & (cand > NEG_INF)
     score = np.where(live, score, NEG_INF)
     best = np.maximum.reduceat(np.concatenate((score, [NEG_INF])), runs[:-1])
-    hits = (live & (score == best.repeat(runs[1:] - runs[:-1]))).nonzero()[0].tolist()
-    groups = ([x for x in hits if bounds[e] <= x < bounds[e + 1]] for e in need)
+    hits = (live & (score == best.repeat(runs[1:] - runs[:-1]))).nonzero()[0]
+    # The hits ascend, so each run's are one slice of them.
+    at = hits.searchsorted(runs).tolist()
+    hits = hits.tolist()
+    groups = (hits[at[e] : at[e + 1]] for e in need)
     anchors = [g[0] if len(g) == 1 else min(g, key=prefix_of) for g in groups if g]
     return np.sort(np.concatenate((keep, np.array(anchors, dtype=np.intp))))

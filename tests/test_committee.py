@@ -20,13 +20,29 @@ from ctcdec import (
     default_rule_config,
     generate_synthetic,
 )
+import ctcdec.search
 from ctcdec.committee import NULL_WORD, WordTransitionNetwork, align_into_wtn, vote, word_alignment
+from ctcdec.ctc import word_confidences_many
 
 from oracles import recursive_edit_distance
 
 
 def hyp(text: str, confs=None) -> Hypothesis:
     return Hypothesis(text, -1.0, confs)
+
+
+def count_confidence_passes(monkeypatch) -> list:
+    """The number of texts of each call of the word confidence pass that
+    makes a decode's hypotheses (``word_confidences_many``, as
+    ``ctcdec.search`` calls it), filled in as the calls are made."""
+    calls = []
+
+    def counted(decoded, separator):
+        calls.append(len(decoded))
+        return word_confidences_many(decoded, separator)
+
+    monkeypatch.setattr(ctcdec.search, "word_confidences_many", counted)
+    return calls
 
 
 def slot_words(wtn: WordTransitionNetwork) -> list[dict]:
@@ -231,7 +247,9 @@ class TestCommitteeDecode:
         with pytest.raises(Exception):
             committee_decode(mats, lexicon, DecodeParams(), CommitteeConfig(n=2))
 
-    def test_failing_experts_are_dropped(self, setup):
+    @pytest.mark.parametrize("vote_lambda", [0.5, 1.0])
+    def test_failing_experts_are_dropped(self, setup, vote_lambda):
+        """The sole survivor is returned as it is, word confidences and all."""
         alphabet, lexicon = setup
         good = generate_synthetic("the cat", alphabet, 3, 0.0, seed=1)
         # An expert whose matrix supports no lexicon word at all: only
@@ -243,9 +261,10 @@ class TestCommitteeDecode:
         bad_rows[:, alphabet.index("o")] = 1.0
         bad = ConfidenceMatrix(bad_rows, alphabet)
         out = committee_decode(
-            [good, bad], lexicon, DecodeParams(beam_width=4), CommitteeConfig(n=2)
+            [good, bad], lexicon, DecodeParams(beam_width=4), CommitteeConfig(n=2, vote_lambda=vote_lambda)
         )
         assert out.text == "the cat"
+        assert out == decode_dictionary(good, lexicon, DecodeParams(beam_width=4))
 
     def test_all_experts_failing_raises(self, setup):
         alphabet, lexicon = setup
@@ -287,16 +306,29 @@ class TestCommitteeDecode:
         with pytest.raises(InvalidRule):
             committee_decode(mats, lexicon, DecodeParams(), CommitteeConfig(n=2), rules)
 
-    def test_experts_of_unequal_length_decode_as_alone(self, setup):
+    @pytest.mark.parametrize("vote_lambda", [0.5, 1.0])
+    def test_experts_of_unequal_length_decode_as_alone(self, setup, vote_lambda):
+        """At either lambda the committee votes as over the hypotheses
+        decoded alone, which carry word confidences."""
         alphabet, lexicon = setup
         params = DecodeParams(beam_width=4, min_symbol_prob=0.01)
+        config = CommitteeConfig(n=3, vote_lambda=vote_lambda)
         mats = [
             generate_synthetic("the cat sat", alphabet, fpc, noise, seed=s)
             for s, (fpc, noise) in enumerate([(2, 0.5), (4, 0.6), (3, 0.7)])
         ]
         alone = [decode_dictionary(m, lexicon, params) for m in mats]
-        out = committee_decode(mats, lexicon, params, CommitteeConfig(n=3))
-        assert out == combine_hypotheses(alone, CommitteeConfig(n=3), " ")
+        out = committee_decode(mats, lexicon, params, config)
+        assert out == combine_hypotheses(alone, config, " ")
+
+    @pytest.mark.parametrize("vote_lambda, passes", [(1.0, []), (0.5, [3])])
+    def test_the_confidence_pass_runs_only_where_the_vote_reads_it(self, setup, monkeypatch, vote_lambda, passes):
+        """At lambda 0.5 one pass scores all three experts' texts."""
+        alphabet, lexicon = setup
+        counted = count_confidence_passes(monkeypatch)
+        mats = [generate_synthetic("the cat sat", alphabet, 3, 0.3, seed=s) for s in range(3)]
+        committee_decode(mats, lexicon, DecodeParams(beam_width=8), CommitteeConfig(n=3, vote_lambda=vote_lambda))
+        assert counted == passes
 
 
 class TestSeparatorFree:

@@ -1,5 +1,7 @@
 from ctcdec.experiment import ExperimentConfig, TrialResult, run_experiment
 
+from test_committee import count_confidence_passes
+
 
 def test_small_experiment_runs_end_to_end():
     config = ExperimentConfig(
@@ -71,3 +73,14 @@ def test_small_experiment_gives_pinned_results():
             wer_committee={2: 0.5, 3: 0.4444444444444444},
         ),
     )
+
+
+def test_a_count_vote_experiment_computes_no_word_confidences(monkeypatch):
+    """At vote_lambda 1 no word confidence reaches a result, so none is computed."""
+    counted = count_confidence_passes(monkeypatch)
+    config = ExperimentConfig(
+        trials=1, lines_per_trial=3, vocab_size=12, experts=3, words_per_line=3, committee_sizes=(2, 3), seed=5
+    )
+    assert config.vote_lambda == 1.0
+    run_experiment(config)
+    assert counted == []
