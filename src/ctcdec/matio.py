@@ -131,20 +131,33 @@ def load_matrix(path: str | Path, alphabet: Alphabet | None = None) -> Confidenc
 def _parse_text_rows(payload: bytes, n_frames: int, n_symbols: int) -> np.ndarray:
     """The T x S values after the ``T=`` line; only whitespace may follow
     the last row. The header's T only limits the split (no file has more
-    lines than bytes), so a huge T fails where the file ends. Well-formed
-    rows are parsed in one numpy call, whose bytes-to-float64 cast
-    accepts a subset of what ``float`` does, with the same values;
-    anything else (a bad row, invalid UTF-8, a non-ASCII digit) goes row
-    by row, which names the line."""
+    lines than bytes), so a huge T fails where the file ends. T ASCII rows
+    go to one ``np.loadtxt``, which rounds as ``float`` does but accepts
+    less (no ``1_0``, hex or Unicode digits), if it will see exactly those
+    rows: none is blank (it skips those, and warns if none is left), no
+    ``\\r`` stands outside a ``\\r\\n`` (it ends a line there) and no
+    separator ``\\x1c``-``\\x1f`` occurs (it strips those as whitespace).
+    A ``ValueError`` or a shape other than T x S goes row by row, which
+    names the line."""
     rows = payload.split(b"\n", min(n_frames, len(payload)))
     trailing = rows.pop() if len(rows) > n_frames else b""
-    tabs = {row.count(b"\t") for row in rows}
-    if len(rows) == n_frames and tabs == {n_symbols - 1} and not trailing.strip():
-        fields = b"\t".join(rows)
-        del rows  # one copy of the values at a time: the rows, the joined bytes, the fields
-        fields = fields.split(b"\t")
-        with suppress(ValueError):
-            return np.array(fields, dtype=np.float64).reshape(n_frames, n_symbols)
+    lone_cr = b"\r" in payload and payload.count(b"\r") != payload.count(b"\r\n")
+    separators = any(byte in payload for byte in b"\x1c\x1d\x1e\x1f")
+    if (
+        len(rows) == n_frames
+        and all(row.strip() for row in rows)
+        and not trailing.strip()
+        and not lone_cr
+        and not separators
+    ):
+        with suppress(ValueError):  # UnicodeDecodeError included
+            values = np.loadtxt(rows, dtype=np.float64, delimiter="\t", comments=None, ndmin=2, encoding="ascii")
+            if values.shape == (n_frames, n_symbols):
+                return values
+    return _parse_rows_one_by_one(payload, n_frames, n_symbols)
+
+
+def _parse_rows_one_by_one(payload: bytes, n_frames: int, n_symbols: int) -> np.ndarray:
     lines = io.BytesIO(payload)
     values: list[float] = []
     for lineno in range(4, 4 + n_frames):

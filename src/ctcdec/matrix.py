@@ -17,9 +17,13 @@ ROW_SUM_TOLERANCE = 1e-6
 ROW_SUM_REJECT = 1e-3
 
 
-def _checked_entries(arr: np.ndarray) -> np.ndarray:
-    """``arr`` itself, once it is a T x S array (T >= 1) of finite,
-    nonnegative entries; otherwise :class:`InvariantViolation`."""
+def _checked_entries(values) -> np.ndarray:
+    """``values`` as a float64 array, once it is a T x S array (T >= 1) of
+    finite, nonnegative entries; otherwise :class:`InvariantViolation`."""
+    try:
+        arr = np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # ragged rows, entries that are not numbers
+        raise InvariantViolation(f"expected a T x S matrix of numbers: {exc}") from None
     if arr.ndim != 2 or arr.shape[0] < 1:
         raise InvariantViolation(f"expected a T x S matrix with T >= 1, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -41,7 +45,7 @@ class ConfidenceMatrix:
     alphabet: Alphabet
 
     def __post_init__(self) -> None:
-        arr = _checked_entries(np.ascontiguousarray(np.asarray(self.probs, dtype=np.float64)))
+        arr = np.ascontiguousarray(_checked_entries(self.probs))
         if arr.shape[1] != len(self.alphabet):
             raise InvariantViolation(
                 f"matrix has {arr.shape[1]} columns but the alphabet has {len(self.alphabet)} symbols"
@@ -80,7 +84,7 @@ class ConfidenceMatrix:
         network outputs carry serialization rounding); anything worse
         raises :class:`InvariantViolation`.
         """
-        arr = _checked_entries(np.asarray(rows, dtype=np.float64))
+        arr = _checked_entries(rows)
         sums = arr.sum(axis=1)
         dev = np.abs(sums - 1.0)
         if np.any(dev > ROW_SUM_REJECT):

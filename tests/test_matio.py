@@ -288,12 +288,94 @@ def test_mutated_text_parses_as_the_row_by_row_reference(tmp_path_factory, edits
         ("1" + "0" * 30, "0.5\t0.5\n"),  # a T beyond any split limit
         ("1", "0.5\t0.5\x00"),
         ("1", " 0.5 \t\x0b0.5\x0c"),
+        # Rows np.loadtxt skips, reads as comments or quotes, or splits at a \r.
+        ("3", "0.5\t0.5\n \n0.5\t0.5\n"),  # a whitespace-only row
+        ("3", "0.5\t0.5\n\r\n0.5\t0.5\n"),  # a \r-only row
+        ("3", "0.5\t0.5\n\t\n0.5\t0.5\n"),  # a tabs-only row
+        ("1", "#0.5\t0.5"),
+        ("1", "0.5\t0.5 # c"),
+        ("1", '"0.5"\t0.5'),
+        ("1", "0.5\r0.5\t0.5"),
+        ("1", "0.5\t\r0.5"),
+        ("2", "0.5\t0.5\r0.5\t0.5\n"),  # a \r splits a row; a blank row follows
+        ("3", "0.5\t0.5\r0.5\t0.5\n\r\n0.5\t0.5\n"),  # a \r splits a row; a blank row among them
+        ("2", "0.5\t0.5\r\t\n0.5\t0.5\n"),  # a \r splits off a tabs-only piece
+        ("2", "\r0.5\t0.5\n0.5\t0.5\r \n"),  # lone \r that float() strips
+        ("1", "0x1p-1\t0x1p-1"),  # hex, which only numpy < 1.23 reads
+        # Separators np.loadtxt strips as whitespace and float() does not.
+        ("1", "0.5\x1c\t0.5"),
+        ("1", "0.5\t\x1f0.5"),
     ],
 )
 def test_fixed_text_cases_parse_as_the_reference(tmp_path, frames, rows):
     path = tmp_path / "m.ctcmat"
     path.write_bytes(f"CTCMAT v1\na\t<NaC>\nT={frames}\n{rows}".encode())
     assert _outcome(load_matrix, path) == _outcome(reference_load_text_matrix, path)
+
+
+@pytest.mark.parametrize("rows", [b"\xa00.5\t0.5", b"0.5\t0.5\x85"])
+def test_lone_latin1_spaces_are_invalid_utf8(tmp_path, rows):
+    """Read as Latin-1, these bytes are whitespace to np.loadtxt."""
+    path = tmp_path / "m.ctcmat"
+    path.write_bytes(b"CTCMAT v1\na\t<NaC>\nT=1\n" + rows)
+    assert _outcome(load_matrix, path) == _outcome(reference_load_text_matrix, path)
+    with pytest.raises(ParseError, match="invalid UTF-8"):
+        load_matrix(path)
+
+
+def test_a_blank_first_row_fails_without_a_numpy_warning(tmp_path):
+    path = tmp_path / "m.ctcmat"
+    path.write_bytes(b"CTCMAT v1\na\t<NaC>\nT=1\n\r\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ParseError, match="expected 2 values") as err:
+            load_matrix(path)
+    assert err.value.line == 4
+
+
+def _with_row_ends(path, ending):
+    """The matrix file at ``path`` with its rows rewritten: LF, CRLF, no
+    final newline, or blank lines after the last row."""
+    magic, header, frames, *rows = path.read_bytes().decode().splitlines()
+    body = {
+        "lf": "\n".join(rows) + "\n",
+        "crlf": "\r\n".join(rows) + "\r\n",
+        "no final newline": "\n".join(rows),
+        "trailing blank lines": "\n".join(rows) + "\n\n \r\n\t\n",
+    }[ending]
+    path.write_bytes(f"{magic}\n{header}\n{frames}\n{body}".encode())
+
+
+@pytest.mark.parametrize("ending", ["lf", "crlf", "no final newline", "trailing blank lines"])
+def test_well_formed_text_never_falls_back_to_the_row_parse(tmp_path, monkeypatch, ending):
+    from ctcdec import default_alphabet, matio
+
+    stored = tmp_path / "stored.ctcmat"
+    store_matrix(random_matrix(np.random.default_rng(6), default_alphabet(), 40), stored)
+    golden = tmp_path / "golden.ctcmat"
+    golden.write_bytes((DATA / "golden.ctcmat").read_bytes())
+
+    def row_parse(*args):
+        raise AssertionError("a well-formed matrix reached the row-by-row parse")
+
+    monkeypatch.setattr(matio, "_parse_rows_one_by_one", row_parse)
+    for path in (golden, stored):
+        _with_row_ends(path, ending)
+        loaded = load_matrix(path).probs
+        assert loaded.view(np.uint64).tolist() == reference_load_text_matrix(path).probs.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("rows", [[[0.5, 0.5], [1.0]], [["x", "y"]], [[{}, 0.5]]])
+@pytest.mark.parametrize("build", [ConfidenceMatrix, ConfidenceMatrix.from_rows])
+def test_ragged_or_non_numeric_rows_are_an_invariant_violation(build, rows):
+    with pytest.raises(InvariantViolation, match="T x S matrix of numbers"):
+        build(rows, AB)
+
+
+@pytest.mark.parametrize("build", [ConfidenceMatrix, ConfidenceMatrix.from_rows])
+def test_a_scalar_reports_its_own_shape(build):
+    with pytest.raises(InvariantViolation, match=r"got shape \(\)"):
+        build(0.5, AB)
 
 
 def test_unicode_digits_and_nbsp_still_load(tmp_path):
