@@ -59,122 +59,114 @@ class DecodeParams:
             raise ValueError("min_symbol_prob must be in [0, 1)")
 
 
-class _LexiconConstraint:
-    """Prefix-search constraint enforcing lexicon membership per word.
+def _table(
+    lexicon: Lexicon, alphabet, params: DecodeParams, expression_model: ExpressionModel | None = None
+) -> Compiled:
+    """The lexicon constraint over ``alphabet`` as one compiled table,
+    intersected with the expression model's table if any: made on the
+    first call and kept on the lexicon for every later one with the same
+    alphabet and params. An empty lexicon raises, then a model that does
+    not fit the alphabet, before anything is compiled.
 
-    The lexicon is a weighted automaton over its trie (:meth:`_automaton`):
-    START is the root, a word in progress is its trie node, and BETWEEN
-    (after a separator), PRE (after leading punctuation) and POST (after
-    trailing punctuation) follow. Trie arcs spell words; a complete word
+    The lexicon is a weighted automaton over its trie (:func:`_automaton`),
+    determinized once (:func:`_determinized`). The product with the rules
+    (:func:`_product`) is kept under the contents of the rules' table, so
+    models compiled alike share it.
+    """
+    if len(lexicon) == 0:
+        raise EmptyLexicon("cannot decode with an empty lexicon")
+    rules = None if expression_model is None else expression_model._table(alphabet)
+    # What a table depends on besides the lexicon; the floats as hex, so
+    # that -0.0 and 0.0 get tables of their own.
+    key = (
+        alphabet.symbols, alphabet.nac_index,
+        float(params.lm_weight).hex(), float(params.word_bonus).hex(), params.oov_policy,
+    )
+    tables = lexicon._tables
+    if key not in tables:
+        tables[key] = _frozen(*_determinized(*_automaton(lexicon, alphabet, params)))
+    if rules is None:
+        return tables[key]
+    both = (*key, tuple(array.tobytes() for array in rules))
+    if both not in tables:
+        tables[both] = _product(rules, tables[key])
+    return tables[both]
+
+
+def _automaton(lexicon: Lexicon, alphabet, params: DecodeParams):
+    """The lexicon automaton over the printable symbols of ``alphabet``
+    (search cell ``i`` holds ``printable_indices[i - 1]``): ``rank`` and
+    ``final`` per state, and the arcs ``src``, ``cell``, ``dst`` (int32)
+    and ``weight``, sorted by ``(src, cell)``.
+
+    START is state 0, and a word in progress is its trie node n; then come
+    BETWEEN (after a separator), PRE (after leading punctuation) and POST
+    (after trailing punctuation). Trie arcs spell words; a complete word
     leaves by the separator to BETWEEN, or by attaching punctuation to
     POST, with its prior (weighted unigram score plus word bonus) as the
     arc weight. A state's ``rank`` is the best prior of a word at or below
     it (0 off a word), so a word in progress ranks comparably to a
-    finished one.
-
-    A symbol that both extends a word and attaches (an apostrophe that
-    may end the word or continue it) gives a state two arcs on one cell.
-    Determinizing the automaton once (:func:`_determinized`) turns them
-    into an arc to a state of several analyses, each with its prior
-    relative to the best, whose gain moves into the arc weight, so states
-    that differ only by the words before them are one state.
-
-    Construction is O(1) in the lexicon size. The search reads every row
-    from :meth:`compiled`, built once per lexicon, alphabet and params.
+    finished one. A symbol that both extends a word and attaches (an
+    apostrophe that may end the word or continue it) gives a state two
+    arcs on one cell, which :func:`_determinized` merges.
     """
+    n = lexicon.parent.size
+    between, pre, post = n, n + 1, n + 2
+    states = n + 3
+    pass_punct = params.oov_policy == "pass-punct"
+    cell_of = {alphabet.symbols[s]: c for c, s in enumerate(alphabet.printable_indices, 1)}
+    separator = cell_of.get(lexicon.separator)
+    parent, cell = lexicon.parent.astype(np.int32), np.zeros(n, dtype=np.int32)
+    distinct, at = np.unique(lexicon.char[1:], return_inverse=True)
+    cell[1:] = np.array([cell_of.get(chr(c), 0) for c in distinct.tolist()], dtype=np.int32)[at]
+    # ``0.0 + prior`` of each node's word count (-inf: no word) and best
+    # count, one ``math.log`` per distinct count. The prior is monotone in
+    # the count (``lm_weight >= 0``), so the best prior of the words below
+    # a node is the prior of their best count.
+    log_total = math.log(lexicon.total_count)
+    distinct, at = np.unique(np.concatenate((lexicon.word_count, lexicon.best_count)), return_inverse=True)
+    prior = np.array([
+        0.0 + (params.lm_weight * (math.log(c) - log_total) + params.word_bonus) if c else NEG_INF
+        for c in distinct.tolist()
+    ])
+    done, best = prior[at[:n]], prior[at[n:]]
+    rank, final = np.zeros(states), np.full(states, NEG_INF)
+    rank[1:n], final[1:n] = best[1:], done[1:]
+    final[[0, post]] = 0.0
+    if pass_punct:
+        final[pre] = 0.0
+    # Where each state's attach arcs go (-1: it has none), and the weight
+    # of its attach and separator arcs, a complete word's prior.
+    complete = (done > NEG_INF).nonzero()[0].astype(np.int32)
+    attach_to = np.full(states, -1, dtype=np.int32)
+    attach_to[complete] = post
+    attach_to[[0, between, pre, post]] = [pre, pre, pre, post]
+    leave = np.zeros(states)
+    leave[complete] = done[complete]
+    attaching = (attach_to >= 0).nonzero()[0].astype(np.int32)
+    separating = np.zeros(0, dtype=np.int32)
+    if separator is not None:
+        separating = np.append(complete, [post, pre] if pass_punct else [post]).astype(np.int32)
 
-    def __init__(self, lexicon: Lexicon, alphabet, params: DecodeParams):
-        if len(lexicon) == 0:
-            raise EmptyLexicon("cannot decode with an empty lexicon")
-        self.lexicon = lexicon
-        # What a compiled table depends on besides the lexicon; the floats
-        # as hex, so that -0.0 and 0.0 get tables of their own.
-        self._key = (
-            alphabet.symbols, alphabet.nac_index,
-            float(params.lm_weight).hex(), float(params.word_bonus).hex(), params.oov_policy,
-        )
-        self.lm_weight = params.lm_weight
-        self.word_bonus = params.word_bonus
-        self.log_total = math.log(lexicon.total_count)
-        self.pass_punct = params.oov_policy == "pass-punct"
-        self.index = {alphabet.symbols[i]: i for i in alphabet.printable_indices}
-        self.separator = self.index.get(lexicon.separator)
-        self.attach = frozenset(
-            i for ch, i in self.index.items() if ch in lexicon.attach_chars and i != self.separator
-        )
-
-    def prior(self, count: int) -> float:
-        """Weighted unigram score plus word bonus of a word seen ``count`` times.
-
-        Monotone in ``count`` (``lm_weight >= 0``), so the best prior of the
-        words below a trie node is the prior of their best count.
-        """
-        return self.lm_weight * (math.log(count) - self.log_total) + self.word_bonus
-
-    def compiled(self, symbols: list[int]) -> Compiled:
-        """The transitions over the search cells of ``symbols`` (cell ``i``
-        holds ``symbols[i - 1]``), compiled on the first call and kept on
-        the lexicon for every later search with the same alphabet and
-        params."""
-        key = (*self._key, tuple(symbols))
-        tables = self.lexicon._tables
-        if key not in tables:
-            tables[key] = _frozen(*_determinized(*self._automaton(symbols)))
-        return tables[key]
-
-    def _automaton(self, symbols: list[int]):
-        """The lexicon automaton over the search cells of ``symbols``:
-        ``rank`` and ``final`` per state, and the arcs ``src``, ``cell``,
-        ``dst`` (int32) and ``weight``, sorted by ``(src, cell)``. START is
-        0 and the word at trie node n is n; then come BETWEEN, PRE and POST."""
-        lexicon = self.lexicon
-        n = lexicon.parent.size
-        between, pre, post = n, n + 1, n + 2
-        states = n + 3
-        cell_of = {s: c for c, s in enumerate(symbols, 1)}
-        parent, cell = lexicon.parent.astype(np.int32), np.zeros(n, dtype=np.int32)
-        distinct, at = np.unique(lexicon.char[1:], return_inverse=True)
-        cell[1:] = np.array([cell_of.get(self.index.get(chr(c)), 0) for c in distinct.tolist()], dtype=np.int32)[at]
-        # ``0.0 + prior`` of each node's word count (-inf: no word) and best
-        # count, one ``math.log`` per distinct count.
-        distinct, at = np.unique(np.concatenate((lexicon.word_count, lexicon.best_count)), return_inverse=True)
-        prior = np.array([0.0 + self.prior(c) if c else NEG_INF for c in distinct.tolist()])
-        done, best = prior[at[:n]], prior[at[n:]]
-        rank, final = np.zeros(states), np.full(states, NEG_INF)
-        rank[1:n], final[1:n] = best[1:], done[1:]
-        final[[0, post]] = 0.0
-        if self.pass_punct:
-            final[pre] = 0.0
-        # Where each state's attach arcs go (-1: it has none), and the weight
-        # of its attach and separator arcs, a complete word's prior.
-        complete = (done > NEG_INF).nonzero()[0].astype(np.int32)
-        attach_to = np.full(states, -1, dtype=np.int32)
-        attach_to[complete] = post
-        attach_to[[0, between, pre, post]] = [pre, pre, pre, post]
-        leave = np.zeros(states)
-        leave[complete] = done[complete]
-        attaching = (attach_to >= 0).nonzero()[0].astype(np.int32)
-        separating = np.zeros(0, dtype=np.int32)
-        if self.separator is not None:
-            separating = np.append(complete, [post, pre] if self.pass_punct else [post]).astype(np.int32)
-
-        # The trie children (the root's from START, BETWEEN and PRE), then
-        # each attaching state's attach arcs and separator arc.
-        kids = cell.nonzero()[0].astype(np.int32)
-        roots = kids[parent[kids] == 0]
-        attach = np.array(sorted(cell_of[i] for i in self.attach), dtype=np.int32)
-        between_of, pre_of = (np.full(roots.size, s, dtype=np.int32) for s in (between, pre))
-        src = np.concatenate((parent[kids], between_of, pre_of, attaching.repeat(attach.size), separating))
-        dst = np.concatenate(
-            (kids, roots, roots, attach_to[attaching].repeat(attach.size), np.full(separating.size, between, dtype=np.int32))
-        )
-        trie = kids.size + 2 * roots.size
-        arc = np.concatenate((cell[dst[:trie]], np.tile(attach, attaching.size)))
-        arc = np.concatenate((arc, np.full(separating.size, cell_of.get(self.separator, 0), dtype=np.int32)))
-        weight = leave[src]
-        weight[:trie] = 0.0
-        order = np.lexsort((arc, src))
-        return rank, final, src[order], arc[order], dst[order], weight[order]
+    # The trie children (the root's from START, BETWEEN and PRE), then
+    # each attaching state's attach arcs and separator arc.
+    kids = cell.nonzero()[0].astype(np.int32)
+    roots = kids[parent[kids] == 0]
+    attach = np.array(
+        sorted(c for ch, c in cell_of.items() if ch in lexicon.attach_chars and c != separator), dtype=np.int32
+    )
+    between_of, pre_of = (np.full(roots.size, s, dtype=np.int32) for s in (between, pre))
+    src = np.concatenate((parent[kids], between_of, pre_of, attaching.repeat(attach.size), separating))
+    dst = np.concatenate(
+        (kids, roots, roots, attach_to[attaching].repeat(attach.size), np.full(separating.size, between, dtype=np.int32))
+    )
+    trie = kids.size + 2 * roots.size
+    arc = np.concatenate((cell[dst[:trie]], np.tile(attach, attaching.size)))
+    arc = np.concatenate((arc, np.full(separating.size, separator or 0, dtype=np.int32)))
+    weight = leave[src]
+    weight[:trie] = 0.0
+    order = np.lexsort((arc, src))
+    return rank, final, src[order], arc[order], dst[order], weight[order]
 
 
 def _determinized(rank, final, src, cell, dst, weight):
@@ -263,24 +255,6 @@ def _determinized(rank, final, src, cell, dst, weight):
     )
 
 
-class _Intersection:
-    """Both constraints at once: a prefix survives if both accept it, and
-    weights and bonuses add. Its table is the product of the two tables,
-    kept on the lexicon under the bytes of the expression table."""
-
-    def __init__(self, first, second: _LexiconConstraint):
-        self.first = first
-        self.second = second
-
-    def compiled(self, symbols: list[int]) -> Compiled:
-        rules = self.first.compiled(symbols)
-        key = (*self.second._key, tuple(symbols), self.first.contents[tuple(symbols)])
-        tables = self.second.lexicon._tables
-        if key not in tables:
-            tables[key] = _product(rules, self.second.compiled(symbols))
-        return tables[key]
-
-
 def _product(a: Compiled, b: Compiled) -> Compiled:
     """The intersection of two tables, over the pairs of states that the
     pair of initial states reaches, numbered breadth first: a pair's row
@@ -338,10 +312,9 @@ def decode_dictionary(
     hypothesis score is the full log-linear objective; word confidences
     are per-word CTC marginals over the decoded frame spans.
     """
-    constraint = _constraint(lexicon, matrix.alphabet, params, expression_model)
     found = prefix_beam_search(
         matrix,
-        constraint,
+        _table(lexicon, matrix.alphabet, params, expression_model),
         beam_width=params.beam_width,
         min_symbol_prob=params.min_symbol_prob,
     )
@@ -364,19 +337,11 @@ def _decode_dictionary_many(
     :class:`NoAcceptedString` in its place. ``votes_only`` is for a
     committee that votes by count alone: see ``search._hypotheses``.
     """
-    constraint = _constraint(lexicon, matrices[0].alphabet, params, expression_model)
     found = prefix_beam_search_many(
         matrices,
-        constraint,
+        _table(lexicon, matrices[0].alphabet, params, expression_model),
         beam_width=params.beam_width,
         min_symbol_prob=params.min_symbol_prob,
     )
     return _hypotheses(matrices, lexicon.separator, found, votes_only)
 
-
-def _constraint(lexicon: Lexicon, alphabet, params: DecodeParams, expression_model):
-    """The lexicon constraint, intersected with the expression model if any."""
-    constraint = _LexiconConstraint(lexicon, alphabet, params)
-    if expression_model is not None:
-        constraint = _Intersection(expression_model._constraint(alphabet), constraint)
-    return constraint

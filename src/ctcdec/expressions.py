@@ -81,9 +81,9 @@ class ExpressionModel:
     transitions: Mapping[tuple[str, str], str]
     accepting: frozenset[str]
     symbol_classes: Mapping[str, str]
-    #: The search constraint of each alphabet decoded with, made on the
-    #: first decode and kept with its compiled table (:meth:`_constraint`).
-    _constraints: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    #: The compiled table of each alphabet decoded with, made on the first
+    #: decode (:meth:`_table`).
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def live_states(self) -> frozenset[str]:
@@ -115,15 +115,31 @@ class ExpressionModel:
                 return False
         return state in self.accepting
 
-    def _constraint(self, alphabet: Alphabet) -> _FsaConstraint:
-        """The search constraint for ``alphabet``, made on the first call
-        and kept for every later one; a model that does not fit the
-        alphabet raises on every call, and nothing is kept for it."""
+    def _table(self, alphabet: Alphabet) -> Compiled:
+        """The model over ``alphabet`` as one compiled table, made on the
+        first call and kept for every later one; a model that does not fit
+        the alphabet raises on every call, and nothing is kept for it.
+
+        The table has the rows of every live state, the start state as id
+        0: a row holds the symbols that step to a live state. It has no
+        weights or ranks, and an accepting state's ``final`` is 0."""
         key = (alphabet.symbols, alphabet.nac_index)
-        constraint = self._constraints.get(key)
-        if constraint is None:
-            constraint = self._constraints[key] = _FsaConstraint(self, alphabet)
-        return constraint
+        if key not in self._tables:
+            self.validate(alphabet)
+            states = [self.start, *sorted(self.live_states - {self.start})]
+            ids = {state: i for i, state in enumerate(states)}
+            names = [alphabet.symbols[s] for s in alphabet.printable_indices]
+            rows = [
+                [(cell, ids[nxt]) for cell, name in enumerate(names, 1) if (nxt := self.step(state, name)) in ids]
+                for state in states
+            ]
+            # Row by row, each after a slot for its stay; transposed and
+            # copied, so that each array is contiguous.
+            offset, child = np.array([arc for row in rows for arc in ((0, 0), *row)], dtype=np.intp).T.copy()
+            length = np.array([len(row) for row in rows], dtype=np.intp)
+            final = np.array([0.0 if state in self.accepting else NEG_INF for state in states])
+            self._tables[key] = _frozen(np.zeros(len(states)), final, length, offset, child, np.zeros(offset.size))
+        return self._tables[key]
 
     def validate(self, alphabet: Alphabet) -> None:
         """Check the partition and reachability invariants."""
@@ -285,44 +301,6 @@ def format_rules(config: RuleConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _FsaConstraint:
-    """Prefix-search constraint: the model's transitions as one compiled
-    table, with no weights or ranks (an accepting state's ``final`` is 0).
-    The model is validated against the alphabet first."""
-
-    def __init__(self, model: ExpressionModel, alphabet: Alphabet):
-        model.validate(alphabet)
-        self.model = model
-        self.alphabet = alphabet
-        self._tables: dict = {}
-        #: Each table's arrays as bytes: equal exactly when the tables are.
-        self.contents: dict = {}
-
-    def compiled(self, symbols: list[int]) -> Compiled:
-        """The rows of every live state over the search cells of
-        ``symbols`` (cell ``i`` holds ``symbols[i - 1]``), the start state
-        as id 0, compiled on the first call and kept for every later
-        search: a row holds the symbols that step to a live state."""
-        key = tuple(symbols)
-        if key not in self._tables:
-            model = self.model
-            states = [model.start, *sorted(model.live_states - {model.start})]
-            ids = {state: i for i, state in enumerate(states)}
-            names = [self.alphabet.symbols[s] for s in symbols]
-            rows = [
-                [(cell, ids[nxt]) for cell, name in enumerate(names, 1) if (nxt := model.step(state, name)) in ids]
-                for state in states
-            ]
-            # Row by row, each after a slot for its stay; transposed and
-            # copied, so that each array is contiguous.
-            offset, child = np.array([arc for row in rows for arc in ((0, 0), *row)], dtype=np.intp).T.copy()
-            length = np.array([len(row) for row in rows], dtype=np.intp)
-            final = np.array([0.0 if state in model.accepting else NEG_INF for state in states])
-            table = self._tables[key] = _frozen(np.zeros(len(states)), final, length, offset, child, np.zeros(offset.size))
-            self.contents[key] = tuple(array.tobytes() for array in table)
-        return self._tables[key]
-
-
 def decode_expression(
     matrix: ConfidenceMatrix,
     model: ExpressionModel,
@@ -336,6 +314,6 @@ def decode_expression(
     Raises :class:`NoAcceptedString` when the beam exhausts without an
     accepting completion.
     """
-    constraint = model._constraint(matrix.alphabet)
-    found = prefix_beam_search(matrix, constraint, beam_width=beam_width, min_symbol_prob=min_symbol_prob)
+    table = model._table(matrix.alphabet)
+    found = prefix_beam_search(matrix, table, beam_width=beam_width, min_symbol_prob=min_symbol_prob)
     return _hypothesis(matrix, matrix.alphabet.separator, *found)

@@ -51,8 +51,9 @@ class Lexicon:
         self.separator = separator
         self.attach_chars = frozenset(attach_chars)
         self._total = sum(self._counts.values())
-        # The dictionary search's compiled transition tables, one per
-        # alphabet and params, made on the first decode that needs each.
+        # The dictionary search's compiled tables (``dictionary._table``),
+        # one per alphabet and params, and under the rules one product per
+        # rules' table as well, made on the first decode that needs each.
         self._tables: dict = {}
 
         # Words are sorted, so the prefix a word shares with the word before

@@ -19,9 +19,12 @@ ROW_SUM_REJECT = 1e-3
 
 def _checked_entries(values) -> np.ndarray:
     """``values`` as a float64 array, once it is a T x S array (T >= 1) of
-    finite, nonnegative entries; otherwise :class:`InvariantViolation`."""
+    real, finite, nonnegative entries; otherwise :class:`InvariantViolation`."""
     try:
-        arr = np.asarray(values, dtype=np.float64)
+        arr = np.asarray(values)
+        if arr.dtype.kind == "c":  # which a cast to float64 would truncate
+            raise TypeError(f"complex entries ({arr.dtype})")
+        arr = arr.astype(np.float64, copy=False)
     except (TypeError, ValueError) as exc:  # ragged rows, entries that are not numbers
         raise InvariantViolation(f"expected a T x S matrix of numbers: {exc}") from None
     if arr.ndim != 2 or arr.shape[0] < 1:

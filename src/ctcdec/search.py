@@ -9,15 +9,15 @@ marginal, so the search returns the exact constrained argmax, or raises
 :class:`SearchLimit` when a frame's candidates or the call's prefixes
 would pass a fixed limit.
 
-A constraint is a weighted automaton compiled into one table: its
-``compiled(symbols)`` method returns a :class:`Compiled`, complete and
-read-only, in which every state it reaches has a row of the printable
-symbols that some accepted string continues with (any other symbol
-discards the prefix). An arc has a weight; a state has a ``rank`` and,
-if it accepts, a ``final``. A prefix accumulates the weights along its
-path (``acc``); the search ranks it by ``mass + acc + rank`` and
-finishes it with the bonus ``acc + final``. The search reads nothing
-else of the constraint and builds no row.
+A constraint is a weighted automaton compiled into one table, a
+:class:`Compiled` over the matrix's alphabet, complete and read-only, in
+which every state it reaches has a row of the printable symbols that
+some accepted string continues with (any other symbol discards the
+prefix). The search takes the table itself. An arc has a weight; a state
+has a ``rank`` and, if it accepts, a ``final``. A prefix accumulates the
+weights along its path (``acc``); the search ranks it by ``mass + acc +
+rank`` and finishes it with the bonus ``acc + final``. The search reads
+nothing but the table and builds no row.
 
 Each frame is one array step over the beam's live extensions (Hannun et
 al. 2014): every entry stays (NaC, or its last symbol again) and extends
@@ -46,10 +46,10 @@ carries the cell of its last symbol (``last``; for an empty prefix its
 offsets from ``home``, so every read is one 1-D index. The beam is
 grouped by expert, and the cut, its tie rule and the anchor apply to each
 expert's run of candidates, so each expert gets the result of its search
-alone. The experts share the constraint's table. A shorter matrix
-is padded with frames where NaC has probability 1, which is exact: such a
-frame moves ``pb + pnb`` into ``pb``, allows no extension and changes no
-score or beam, so every result is read from the final beam. On a frame
+alone. The experts share the table. A shorter matrix is padded with
+frames where NaC has probability 1, which is exact: such a frame moves
+``pb + pnb`` into ``pb``, allows no extension and changes no score or
+beam, so every result is read from the final beam. On a frame
 where an expert has no usable cell, as on all of its padding, its entries
 only stay: they gather no row.
 """
@@ -79,8 +79,9 @@ MAX_PREFIXES = 1 << 22
 
 
 class Compiled(NamedTuple):
-    """A constraint compiled into flat transition rows, read-only and
-    shared by every search under it.
+    """A constraint compiled into flat transition rows over the printable
+    symbols of one alphabet (cell ``i`` holds ``printable_indices[i - 1]``),
+    read-only and shared by every search under it.
 
     States are ids, the initial state 0. ``rank`` and ``final`` are
     indexed by id, ``final`` -inf where the state does not accept. Every
@@ -205,11 +206,11 @@ class _PrefixTree:
 
 def prefix_beam_search(
     matrix: ConfidenceMatrix,
-    constraint,
+    table: Compiled,
     beam_width: int | None = 64,
     min_symbol_prob: float = 0.0,
 ) -> tuple[Prefix, float, float]:
-    """Best accepted string under the constraint.
+    """Best accepted string under the constraint compiled into ``table``.
 
     Returns ``(prefix, ctc_log_mass, bonus)`` for the accepted prefix
     maximizing ``ctc_log_mass + bonus``, where ``bonus`` is the prefix's
@@ -222,7 +223,7 @@ def prefix_beam_search(
     Raises :class:`NoAcceptedString` when no accepted prefix survives,
     and :class:`SearchLimit` past ``MAX_CANDIDATES`` or ``MAX_PREFIXES``.
     """
-    (result,) = prefix_beam_search_many([matrix], constraint, beam_width, min_symbol_prob)
+    (result,) = prefix_beam_search_many([matrix], table, beam_width, min_symbol_prob)
     if isinstance(result, NoAcceptedString):
         raise result
     return result
@@ -230,7 +231,7 @@ def prefix_beam_search(
 
 def prefix_beam_search_many(
     matrices: list[ConfidenceMatrix],
-    constraint,
+    table: Compiled,
     beam_width: int | None = 64,
     min_symbol_prob: float = 0.0,
 ) -> list[tuple[Prefix, float, float] | NoAcceptedString]:
@@ -241,7 +242,7 @@ def prefix_beam_search_many(
     and the beam cut, its tie rule and the anchor apply per expert, so
     each expert gets exactly the result of searching its matrix alone:
     ``(prefix, ctc_log_mass, bonus)``, or the :class:`NoAcceptedString`
-    that search would raise. The experts share the constraint's table.
+    that search would raise. The experts share the ``table``.
     """
     if beam_width is not None and beam_width < 1:
         raise ValueError("beam_width must be >= 1 or None")
@@ -255,9 +256,8 @@ def prefix_beam_search_many(
                 f"expert 0 has {alphabet.symbols!r}"
             )
     n = len(matrices)
-    symbols = list(alphabet.printable_indices)
     # Each expert's block of cells; a shorter expert is padded with NaC at 1.
-    block = [alphabet.nac_index, *symbols]
+    block = [alphabet.nac_index, *alphabet.printable_indices]
     stride = len(block)
     num_frames = max(m.num_frames for m in matrices)
     frames = np.full((num_frames, n, stride), NEG_INF)
@@ -273,7 +273,6 @@ def prefix_beam_search_many(
     frames, usable = frames.reshape(num_frames, span), usable.reshape(num_frames, span)
     # Each expert's NaC cell, and the end of the last block.
     edges = np.arange(0, span + 1, stride)
-    table = constraint.compiled(symbols)
     tree = _PrefixTree(n, span)
 
     # The beam: parallel arrays, grouped by expert. An entry is a prefix

@@ -25,9 +25,11 @@ import numpy as np
 from ctcdec import (
     Alphabet,
     ConfidenceMatrix,
+    DecodeParams,
     ExpressionModel,
     InvalidSymbol,
     LengthMismatch,
+    Lexicon,
     NoAcceptedString,
     ParseError,
 )
@@ -367,11 +369,23 @@ class Node(NamedTuple):
     weight: float = 0.0
 
 
+class Constraint(NamedTuple):
+    """A search constraint as the tests describe it, over ``alphabet``: the
+    expression ``model``, the ``lexicon`` decoded with ``params``, or both
+    (the lexicon under the model's rules). The references read nothing
+    else."""
+
+    alphabet: Alphabet
+    model: ExpressionModel | None = None
+    lexicon: Lexicon | None = None
+    params: DecodeParams = DecodeParams()
+
+
 # Parse phases of a lexicon analysis, word by word.
 _START, _BETWEEN, _PRE, _WORD, _POST = range(5)
 
 
-def reference_lexicon_successors(constraint, state) -> dict:
+def reference_lexicon_successors(constraint: Constraint, state) -> dict:
     """The row of a lexicon constraint's ``state`` (a tuple of analyses
     ``(phase, trie_node, prior)``), built from the lexicon's words as
     ``trie_node_priors`` builds the priors: a word analysis spells its
@@ -382,10 +396,11 @@ def reference_lexicon_successors(constraint, state) -> dict:
     reached. Only the trie node ids come from the lexicon's numbering
     (``trie_prefixes``). The rows of the compiled table must equal these
     bit for bit."""
-    lexicon = constraint.lexicon
+    lexicon, alphabet, params = constraint.lexicon, constraint.alphabet, constraint.params
+    pass_punct = params.oov_policy == "pass-punct"
     log_total = math.log(lexicon.total_count)
     word_prior = {
-        word: constraint.lm_weight * (math.log(count) - log_total) + constraint.word_bonus
+        word: params.lm_weight * (math.log(count) - log_total) + params.word_bonus
         for word, count in lexicon.counts.items()
     }
     spelled = trie_prefixes(lexicon)
@@ -404,12 +419,13 @@ def reference_lexicon_successors(constraint, state) -> dict:
         for phase, nd, prior in analyses:
             if phase == _WORD and spelled[nd] in word_prior:
                 finals.append(prior + word_prior[spelled[nd]])
-            elif phase in (_START, _POST) or (phase == _PRE and constraint.pass_punct):
+            elif phase in (_START, _POST) or (phase == _PRE and pass_punct):
                 finals.append(prior)
         return Node(analyses, rank, max(finals) if finals else None, top)
 
     row = {}
-    for ch, c in constraint.index.items():
+    for c in alphabet.printable_indices:
+        ch = alphabet.symbols[c]
         reached: dict[tuple[int, int], float] = {}
 
         def reach(phase: int, nd: int, prior: float) -> None:
@@ -424,7 +440,7 @@ def reference_lexicon_successors(constraint, state) -> dict:
                 # leading punctuation standing alone ends a token.
                 if done is not None:
                     reach(_BETWEEN, 0, prior + done)
-                elif phase == _POST or (phase == _PRE and constraint.pass_punct):
+                elif phase == _POST or (phase == _PRE and pass_punct):
                     reach(_BETWEEN, 0, prior)
                 continue
             if phase != _POST and word + ch in node_of:
@@ -450,28 +466,24 @@ def logadd(a: float, b: float) -> float:
     return a + math.log1p(math.exp(b - a))
 
 
-def reference_successors(constraint):
-    """``(initial, successors)`` of a search constraint, without its
-    compiled table: the initial ``Node`` and a function from a state to its
-    row ``{symbol_index: Node}``, holding the symbols that some accepted
-    string continues with.
+def reference_successors(constraint: Constraint):
+    """``(initial, successors)`` of a search constraint, built from its
+    description alone: the initial ``Node`` and a function from a state to
+    its row ``{symbol_index: Node}``, holding the symbols that some
+    accepted string continues with.
 
-    An expression constraint's state is a model state: its row steps the
-    model by each printable symbol and keeps the targets from which an
-    accepting state can be reached (found here by a walk back from the
-    accepting states), with no weights, ranks 0 and finals 0 where they
-    accept. An intersection's state is the pair of its sides' states: its
-    row holds the symbols of both rows, with ranks, finals and weights
-    added. A lexicon constraint's state is a tuple of analyses, START's
-    alone at first, and its rows are ``reference_lexicon_successors``.
+    An expression model's state is a model state: its row steps the model
+    by each printable symbol and keeps the targets from which an accepting
+    state can be reached (found here by a walk back from the accepting
+    states), with no weights, ranks 0 and finals 0 where they accept. A
+    lexicon's state is a tuple of analyses, START's alone at first, and its
+    rows are ``reference_lexicon_successors``. Under both, a state is the
+    pair of the model's and the lexicon's states: its row holds the symbols
+    of both rows, with ranks, finals and weights added.
     """
-    from ctcdec.dictionary import _Intersection, _LexiconConstraint
-
-    if isinstance(constraint, _LexiconConstraint):
-        return Node(((_START, 0, 0.0),), 0.0, 0.0), lambda state: reference_lexicon_successors(constraint, state)
-    if isinstance(constraint, _Intersection):
-        first_initial, first = reference_successors(constraint.first)
-        second_initial, second = reference_successors(constraint.second)
+    if constraint.model is not None and constraint.lexicon is not None:
+        first_initial, first = reference_successors(constraint._replace(lexicon=None))
+        second_initial, second = reference_successors(constraint._replace(model=None))
 
         def pair(a: Node, b: Node) -> Node:
             final = None if a.final is None or b.final is None else a.final + b.final
@@ -482,6 +494,8 @@ def reference_successors(constraint):
             return {c: pair(a, row[c]) for c, a in first(state[0]).items() if c in row}
 
         return pair(first_initial, second_initial), paired
+    if constraint.lexicon is not None:
+        return Node(((_START, 0, 0.0),), 0.0, 0.0), lambda state: reference_lexicon_successors(constraint, state)
     model, alphabet = constraint.model, constraint.alphabet
     live, grew = set(model.accepting), True
     while grew:
@@ -499,17 +513,18 @@ def reference_successors(constraint):
     return node(model.start), successors
 
 
-def assert_table_matches_reference(table, constraint, symbols: list[int]) -> dict:
+def assert_table_matches_reference(table, constraint: Constraint) -> dict:
     """Walks a compiled ``table`` from id 0 and the rows of
     ``reference_successors(constraint)`` from the initial state together,
     breadth first, over every state they reach (search cell ``i`` holds
-    ``symbols[i - 1]``). Each id stands for one state and each state has
-    one id. Every reached row equals the reference row bit for bit: the
-    same cells in order, and per arc the weight and the target's rank and
-    final as hex (-inf for a final of ``None``); so do the initial state's
-    rank and final. Returns the state of each id reached."""
+    the alphabet's ``printable_indices[i - 1]``). Each id stands for one
+    state and each state has one id. Every reached row equals the
+    reference row bit for bit: the same cells in order, and per arc the
+    weight and the target's rank and final as hex (-inf for a final of
+    ``None``); so do the initial state's rank and final. Returns the state
+    of each id reached."""
     initial, successors = reference_successors(constraint)
-    cells = {s: c for c, s in enumerate(symbols, 1)}
+    cells = {s: c for c, s in enumerate(constraint.alphabet.printable_indices, 1)}
 
     def bonuses(node) -> tuple[str, str]:
         return node.rank.hex(), (NEG_INF if node.final is None else node.final).hex()
@@ -537,7 +552,9 @@ def assert_table_matches_reference(table, constraint, symbols: list[int]) -> dic
     return state_of
 
 
-def reference_prefix_beam_search(matrix: ConfidenceMatrix, constraint, beam_width=64, min_symbol_prob=0.0):
+def reference_prefix_beam_search(
+    matrix: ConfidenceMatrix, constraint: Constraint, beam_width=64, min_symbol_prob=0.0
+):
     """The scalar prefix beam search: one dict entry per prefix, one
     ``logadd`` per candidate, the constraint's rows (``reference_successors``)
     asked wherever a new prefix appears. Same contract, tie order and

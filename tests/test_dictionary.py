@@ -1,6 +1,7 @@
 import itertools
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,13 +22,15 @@ from ctcdec import (
     generate_synthetic,
     string_log_score,
 )
+from ctcdec.alphabet import NAC_CHAR
 from ctcdec.ctc import NEG_INF
-from ctcdec.dictionary import OOV_POLICIES, _determinized, _LexiconConstraint
+from ctcdec.dictionary import OOV_POLICIES, _determinized, _table
 from ctcdec.lexicon import strip_attached
 from ctcdec.search import _frozen, prefix_beam_search
 
 from oracles import (
     _WORD,
+    Constraint,
     assert_table_matches_reference,
     dm_objective,
     dm_text_valid,
@@ -347,7 +350,7 @@ def test_node_priors_equal_the_best_word_prior_bit_for_bit(counts, lm_weight, wo
     lexicon = Lexicon(counts, separator=None, attach_chars=frozenset())
     params = DecodeParams(lm_weight=lm_weight, word_bonus=word_bonus)
     alphabet = Alphabet.with_nac("abc")
-    table = _LexiconConstraint(lexicon, alphabet, params).compiled(list(alphabet.printable_indices))
+    table = _table(lexicon, alphabet, params)
     best, completed = trie_node_priors(lexicon, lm_weight, word_bonus)
     assert (table.rank[0], table.final[0]) == (0.0, 0.0)
     for node in range(1, lexicon.parent.size):
@@ -374,9 +377,8 @@ def test_each_row_equals_the_analysis_merge_bit_for_bit(counts, oov_policy, sepa
     alphabet = Alphabet.with_nac("ab.' " if separator else "ab.'", separator=separator)
     lexicon = Lexicon(counts, separator=separator, attach_chars=frozenset(".'"))
     params = DecodeParams(lm_weight=lm_weight, word_bonus=word_bonus, oov_policy=oov_policy)
-    constraint = _LexiconConstraint(lexicon, alphabet, params)
-    symbols = list(alphabet.printable_indices)
-    assert_table_matches_reference(constraint.compiled(symbols), constraint, symbols)
+    constraint = Constraint(alphabet, lexicon=lexicon, params=params)
+    assert_table_matches_reference(_table(lexicon, alphabet, params), constraint)
 
 
 def test_a_row_of_several_analyses_may_reach_more():
@@ -387,22 +389,11 @@ def test_a_row_of_several_analyses_may_reach_more():
     reference rows."""
     alphabet = Alphabet.with_nac("ab. ", separator=" ")
     lexicon = Lexicon({"a": 2, "a..b": 1}, separator=" ", attach_chars=frozenset("."))
-    constraint = _LexiconConstraint(lexicon, alphabet, DecodeParams())
-    symbols = list(alphabet.printable_indices)
-    states = assert_table_matches_reference(constraint.compiled(symbols), constraint, symbols)
+    table = _table(lexicon, alphabet, DecodeParams())
+    states = assert_table_matches_reference(table, Constraint(alphabet, lexicon=lexicon))
     spelled = trie_prefixes(lexicon)
     several = [state for state in states.values() if len(state) > 1]
     assert sorted(spelled[node] for state in several for phase, node, _ in state if phase == _WORD) == ["a.", "a.."]
-
-
-class _GivenTable:
-    """A search constraint whose compiled table is given."""
-
-    def __init__(self, table):
-        self.table = table
-
-    def compiled(self, symbols):
-        return self.table
 
 
 @given(st.data())
@@ -446,9 +437,9 @@ def test_a_determinized_automaton_finds_the_best_string_and_path(data):
     want = best_valid(scores, alphabet)
     if scores[want] == NEG_INF:
         with pytest.raises(NoAcceptedString):
-            prefix_beam_search(m, _GivenTable(table), beam_width=None)
+            prefix_beam_search(m, table, beam_width=None)
         return
-    prefix, mass, got = prefix_beam_search(m, _GivenTable(table), beam_width=None)
+    prefix, mass, got = prefix_beam_search(m, table, beam_width=None)
     assert "".join(alphabet.symbols[i] for i in prefix) == want
     assert math.isclose(mass + got, scores[want], rel_tol=1e-9, abs_tol=1e-9)
 
@@ -475,7 +466,7 @@ def test_a_used_lexicon_pickles_and_its_copy_decodes_the_same(rules):
 
 def test_freshly_compiled_rules_share_one_product_table():
     """The product table is kept under the contents of the rules' table,
-    not the rules' constraint: five decodes, each with a newly compiled
+    not the rules' model: five decodes, each with a newly compiled
     stock model, leave the lexicon's table and one product, and give the
     text and score hex of the first. The used lexicon still pickles."""
     alphabet = default_alphabet()
@@ -486,3 +477,29 @@ def test_freshly_compiled_rules_share_one_product_table():
     assert len({(h.text, h.score.hex()) for h in got}) == 1
     assert len(lexicon._tables) == 2
     assert len(pickle.loads(pickle.dumps(lexicon))._tables) == 2
+
+
+@pytest.mark.parametrize("rules", [False, True], ids=["dec-dm", "dec-dm-rules"])
+def test_one_lexicon_decodes_two_orders_of_one_alphabet(rules):
+    """Two alphabets that hold the same printable symbols in different
+    orders are two alphabets to the lexicon and the stock rules: decoding
+    lines of both in turn, each line gives the text and score hex of a
+    fresh lexicon and model, and the lexicon keeps one table per alphabet
+    (and under the rules one product per alphabet too)."""
+    first = Alphabet.with_nac("acht. ", separator=" ")
+    second = Alphabet((NAC_CHAR, " ", ".", "t", "h", "c", "a"), nac_index=0, separator=" ")
+    lexicon = Lexicon({"cat": 3, "hat": 2, "a": 4, "that": 1}, separator=" ")
+    model = compile_rules(default_rule_config(first), first) if rules else None
+    params = DecodeParams(beam_width=8)
+    lines = ["a cat.", "that hat", "a hat", "that cat."]
+    for i, line in enumerate(lines):
+        alphabet = (first, second)[i % 2]
+        m = generate_synthetic(line, alphabet, frames_per_char=3, noise=0.3, seed=i)
+        got = decode_dictionary(m, lexicon, params, model)
+        fresh = Lexicon(lexicon.counts, lexicon.separator, lexicon.attach_chars)
+        want = decode_dictionary(m, fresh, params, replace(model) if rules else None)
+        assert (got.text, got.score.hex()) == (want.text, want.score.hex())
+    alphabets = [key[:2] for key in lexicon._tables]
+    assert sorted(alphabets) == sorted([(first.symbols, first.nac_index), (second.symbols, second.nac_index)] * (1 + rules))
+    if rules:
+        assert list(model._tables) == [(first.symbols, first.nac_index), (second.symbols, second.nac_index)]

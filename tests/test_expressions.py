@@ -27,11 +27,12 @@ from ctcdec import (
     parse_rules,
 )
 
-from ctcdec.dictionary import _Intersection, _LexiconConstraint
+from ctcdec.dictionary import _table
 from ctcdec.experiment import _experiment_alphabet
-from ctcdec.expressions import _MODES, KNOWN_CLASSES, _FsaConstraint, format_rules
+from ctcdec.expressions import _MODES, KNOWN_CLASSES, format_rules
 from ctcdec.search import prefix_beam_search
 from oracles import (
+    Constraint,
     accept_all_model,
     argmax_string,
     assert_table_matches_reference,
@@ -446,9 +447,7 @@ class TestCompiledTable:
         that step to a live state, in cell order, with weights and ranks 0
         and finals 0 where the state accepts."""
         model = compile_rules(replace(default_rule_config(alphabet), **_RULE_OPTIONS[rules]), alphabet)
-        symbols = list(alphabet.printable_indices)
-        constraint = model._constraint(alphabet)
-        table = constraint.compiled(symbols)
+        table = model._table(alphabet)
         # The live states that the alphabet's symbols reach from the start.
         live, reached, todo = model.live_states, {model.start}, [model.start]
         while todo:
@@ -458,15 +457,15 @@ class TestCompiledTable:
                 if nxt in live and nxt not in reached:
                     reached.add(nxt)
                     todo.append(nxt)
-        states = assert_table_matches_reference(table, constraint, symbols)
+        states = assert_table_matches_reference(table, Constraint(alphabet, model))
         assert sorted(states.values()) == sorted(reached)
         assert table.rank.size == len(live)
         assert not any(array.flags.writeable for array in table)
 
     def test_one_model_with_two_alphabets_gets_two_tables(self):
         """The same printable symbols in another order are another
-        alphabet: the model keeps a constraint and a table for each, and
-        each decodes as a constraint built for that line alone."""
+        alphabet: the model keeps a table for each, and each decodes as a
+        table compiled for that line alone, by a copy of the model."""
         first = Alphabet.with_nac("ab ", separator=" ")
         second = Alphabet(symbols=("\x00", " ", "b", "a"), nac_index=0, separator=" ")
         model = compile_rules(default_rule_config(first), first)
@@ -474,15 +473,13 @@ class TestCompiledTable:
         for alphabet in (first, second, first, second):
             m = random_matrix(rng, alphabet, 6)
             got = decode_expression(m, model, beam_width=4)
-            want = prefix_beam_search(m, _FsaConstraint(model, alphabet), 4)
+            want = prefix_beam_search(m, replace(model)._table(alphabet), 4)
             assert (got.text, got.score.hex()) == (
                 "".join(alphabet.symbols[i] for i in want[0]),
                 (want[1] + want[2]).hex(),
             )
-        assert len(model._constraints) == 2
-        tables = [c._tables for c in model._constraints.values()]
-        assert [len(t) for t in tables] == [1, 1]
-        (one,), (two,) = (t.values() for t in tables)
+        assert len(model._tables) == 2
+        one, two = model._tables.values()
         assert not np.array_equal(one.offset, two.offset)
 
     @pytest.mark.parametrize(
@@ -498,12 +495,11 @@ class TestCompiledTable:
         for _ in range(3):
             with pytest.raises(error):
                 decode_expression(m, model)
-        assert model._constraints == {}
+        assert model._tables == {}
 
     def test_a_search_calls_successors_zero_times(self, monkeypatch):
-        """The constraint has no ``successors``: compiling steps the model
-        once per live state and symbol, and the searches after it step it
-        no more."""
+        """Compiling the model's one table steps the model once per live
+        state and symbol, and the searches after it step it no more."""
         calls = Counter()
         step = ExpressionModel.step
 
@@ -516,7 +512,7 @@ class TestCompiledTable:
         lines = ["the cat sat.", "Hello, World!", "it's 42 (or so)"]
         matrices = [generate_synthetic(line, ALPHA, frames_per_char=3, noise=0.2, seed=i) for i, line in enumerate(lines)]
         decode_expression(matrices[0], model, beam_width=64)
-        assert not hasattr(model._constraint(ALPHA), "successors")
+        assert list(model._tables) == [(ALPHA.symbols, ALPHA.nac_index)]
         assert calls == Counter(dict.fromkeys(itertools.product(model.live_states, ALPHA.printable_symbols), 1))
         calls.clear()
         for m in matrices:
@@ -524,16 +520,17 @@ class TestCompiledTable:
         assert calls == Counter()
 
     def test_the_rules_overlay_decodes_as_a_fresh_intersection(self):
-        """dec-dm under the stock rules reuses the model's constraint from
-        line to line: text and score hex equal those of a search under a
-        constraint built for the line alone."""
+        """dec-dm under the stock rules reuses the model's table from line
+        to line: text and score hex equal those of a search under a table
+        compiled for the line alone, from copies of the lexicon and the
+        model."""
         model = compile_rules(default_rule_config(ALPHA), ALPHA)
         lexicon = Lexicon({"the": 5, "cat": 3, "sat": 2, "hat": 1, "a": 4}, separator=" ")
         params = DecodeParams(beam_width=16)
         for seed, line in enumerate(["the cat sat.", "a hat", "the cat, the hat"]):
             m = generate_synthetic(line, ALPHA, frames_per_char=3, noise=0.3, seed=seed)
             got = decode_dictionary(m, lexicon, params, model)
-            fresh = _Intersection(_FsaConstraint(model, ALPHA), _LexiconConstraint(lexicon, ALPHA, params))
-            prefix, mass, bonus = prefix_beam_search(m, fresh, 16)
+            copy = Lexicon(lexicon.counts, lexicon.separator, lexicon.attach_chars)
+            prefix, mass, bonus = prefix_beam_search(m, _table(copy, ALPHA, params, replace(model)), 16)
             assert (got.text, got.score.hex()) == ("".join(ALPHA.symbols[i] for i in prefix), (mass + bonus).hex())
-        assert list(model._constraints) == [(ALPHA.symbols, ALPHA.nac_index)]
+        assert list(model._tables) == [(ALPHA.symbols, ALPHA.nac_index)]

@@ -204,6 +204,20 @@ _edits = st.lists(
     min_size=1,
     max_size=4,
 )
+#: Bytes at which a text parse may split, strip or read a field otherwise
+#: than the reference: tab, the line ends, whitespace, the separators
+#: \x1c-\x1f, \x85 and \xa0, digits, "." and "e".
+_EDGE_BYTES = list(b"\t\n\r \x0b\x0c\x1c\x1d\x1e\x1f\x85\xa00123456789.e")
+#: Edits whose inserted bytes are, half the time, drawn from ``_EDGE_BYTES``.
+_text_edits = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=200),
+        st.integers(min_value=0, max_value=3),
+        st.one_of(st.binary(max_size=3), st.lists(st.sampled_from(_EDGE_BYTES), max_size=3).map(bytes)),
+    ),
+    min_size=1,
+    max_size=4,
+)
 
 
 @settings(max_examples=300, deadline=None)
@@ -259,7 +273,7 @@ def _outcome(load, path):
 
 
 @settings(max_examples=300, deadline=None)
-@given(edits=_edits)
+@given(edits=_text_edits)
 def test_mutated_text_parses_as_the_row_by_row_reference(tmp_path_factory, edits):
     path = tmp_path_factory.mktemp("fuzz") / "m.ctcmat"
     store_matrix(random_matrix(np.random.default_rng(0), AB, 3), path)
@@ -365,7 +379,7 @@ def test_well_formed_text_never_falls_back_to_the_row_parse(tmp_path, monkeypatc
         assert loaded.view(np.uint64).tolist() == reference_load_text_matrix(path).probs.view(np.uint64).tolist()
 
 
-@pytest.mark.parametrize("rows", [[[0.5, 0.5], [1.0]], [["x", "y"]], [[{}, 0.5]]])
+@pytest.mark.parametrize("rows", [[[0.5, 0.5], [1.0]], [["x", "y"]], [[{}, 0.5]], np.array([[0.5 + 1j, 0.5]])])
 @pytest.mark.parametrize("build", [ConfidenceMatrix, ConfidenceMatrix.from_rows])
 def test_ragged_or_non_numeric_rows_are_an_invariant_violation(build, rows):
     with pytest.raises(InvariantViolation, match="T x S matrix of numbers"):

@@ -25,11 +25,11 @@ from ctcdec import (
 )
 from ctcdec import search
 from ctcdec.ctc import NEG_INF
-from ctcdec.dictionary import _Intersection, _LexiconConstraint
+from ctcdec.dictionary import _table
 from ctcdec.errors import SearchLimit
-from ctcdec.expressions import _FsaConstraint
-from ctcdec.search import _cut, prefix_beam_search, prefix_beam_search_many
+from ctcdec.search import Compiled, _cut, prefix_beam_search, prefix_beam_search_many
 from oracles import (
+    Constraint,
     accept_all_model,
     argmax_string,
     assert_table_matches_reference,
@@ -129,12 +129,18 @@ def search_outcome(search, matrix, constraint, beam, min_symbol_prob=0.0):
         return None
 
 
-def assert_matches_reference(matrix, make_constraint, beam, min_symbol_prob=0.0):
-    """The search returns the reference's prefix, mass and bonus."""
-    got = search_outcome(prefix_beam_search, matrix, make_constraint(), beam, min_symbol_prob)
-    want = search_outcome(
-        reference_prefix_beam_search, matrix, make_constraint(), beam, min_symbol_prob
-    )
+def compiled(constraint: Constraint) -> Compiled:
+    """The table that the decoders search under ``constraint``."""
+    if constraint.lexicon is None:
+        return constraint.model._table(constraint.alphabet)
+    return _table(constraint.lexicon, constraint.alphabet, constraint.params, constraint.model)
+
+
+def assert_matches_reference(matrix, constraint: Constraint, beam, min_symbol_prob=0.0):
+    """The search under the compiled table returns the reference's
+    prefix, mass and bonus."""
+    got = search_outcome(prefix_beam_search, matrix, compiled(constraint), beam, min_symbol_prob)
+    want = search_outcome(reference_prefix_beam_search, matrix, constraint, beam, min_symbol_prob)
     if want is None:
         assert got is None
         return None
@@ -144,16 +150,9 @@ def assert_matches_reference(matrix, make_constraint, beam, min_symbol_prob=0.0)
     return got
 
 
-def constraint_maker(kind: str, alphabet, rules, lexicon, params):
-    def make():
-        if kind == "fsa":
-            return _FsaConstraint(rules, alphabet)
-        lexical = _LexiconConstraint(lexicon, alphabet, params)
-        if kind == "lexicon":
-            return lexical
-        return _Intersection(_FsaConstraint(rules, alphabet), lexical)
-
-    return make
+def constraint_of(kind: str, alphabet, rules, lexicon, params) -> Constraint:
+    """The rules (``"fsa"``), the lexicon, or the lexicon under the rules."""
+    return Constraint(alphabet, None if kind == "lexicon" else rules, None if kind == "fsa" else lexicon, params)
 
 
 @pytest.mark.parametrize("beam", BEAMS)
@@ -178,8 +177,7 @@ def test_search_matches_the_scalar_reference(beam, seed, min_symbol_prob, kind, 
         word_bonus=float(rng.choice([0.0, 0.5, -0.3])),
         oov_policy=oov,
     )
-    make = constraint_maker(kind, ALPHA, RULES, lex, params)
-    assert_matches_reference(m, make, beam, min_symbol_prob)
+    assert_matches_reference(m, constraint_of(kind, ALPHA, RULES, lex, params), beam, min_symbol_prob)
 
 
 # Degenerate matrices. A wider alphabet, so that the first frame already
@@ -195,8 +193,8 @@ SCHEMES = {"dec-ce": "fsa", "dec-dm": "lexicon"}
 DEGENERATE_BEAMS = [1, 8, None]
 
 
-def wide_constraint(scheme: str, params: DecodeParams = DecodeParams()):
-    return constraint_maker(SCHEMES[scheme], WIDE, WIDE_RULES, WIDE_LEXICON, params)
+def wide_constraint(scheme: str, params: DecodeParams = DecodeParams()) -> Constraint:
+    return constraint_of(SCHEMES[scheme], WIDE, WIDE_RULES, WIDE_LEXICON, params)
 
 
 @pytest.mark.parametrize("beam", DEGENERATE_BEAMS)
@@ -277,7 +275,7 @@ def test_beam_one_anchor_keeps_an_accepted_prefix(scheme):
     # in its beam four frames before the other expert's; the padding frames
     # change nothing, so the result is the solo one exactly.
     longer = random_matrix(np.random.default_rng(0), WIDE, 5)
-    batched = prefix_beam_search_many([m, longer], wide_constraint(scheme, params)(), 1)
+    batched = prefix_beam_search_many([m, longer], compiled(wide_constraint(scheme, params)), 1)
     assert batched[0] == got
 
 
@@ -318,13 +316,13 @@ def separator_only(alphabet, frames: int) -> ConfidenceMatrix:
     return ConfidenceMatrix(probs, alphabet)
 
 
-def assert_each_expert_matches_reference(matrices, make_constraint, beam, min_symbol_prob=0.0):
+def assert_each_expert_matches_reference(matrices, constraint: Constraint, beam, min_symbol_prob=0.0):
     """The batched search gives every expert the reference's result on
     that expert's matrix alone."""
-    got = prefix_beam_search_many(matrices, make_constraint(), beam, min_symbol_prob)
+    got = prefix_beam_search_many(matrices, compiled(constraint), beam, min_symbol_prob)
     assert len(got) == len(matrices)
     for m, result in zip(matrices, got):
-        want = search_outcome(reference_prefix_beam_search, m, make_constraint(), beam, min_symbol_prob)
+        want = search_outcome(reference_prefix_beam_search, m, constraint, beam, min_symbol_prob)
         if want is None:
             assert isinstance(result, NoAcceptedString)
             continue
@@ -364,8 +362,8 @@ def test_batched_search_matches_the_reference_per_expert(beam, seed, n, min_symb
         word_bonus=float(rng.choice([0.0, 0.5, -0.3])),
         oov_policy=oov,
     )
-    make = constraint_maker(kind, ALPHA, RULES, lex, params)
-    assert_each_expert_matches_reference(matrices, make, beam, min_symbol_prob)
+    constraint = constraint_of(kind, ALPHA, RULES, lex, params)
+    assert_each_expert_matches_reference(matrices, constraint, beam, min_symbol_prob)
 
 
 @given(
@@ -388,8 +386,8 @@ def test_long_peaky_matrices_match_the_reference_per_expert(seed, beam, min_symb
         word_bonus=float(rng.choice([0.0, 0.5])),
         oov_policy=str(rng.choice(["reject", "pass-punct"])),
     )
-    make = constraint_maker(kind, ALPHA, RULES, random_lexicon(rng), params)
-    assert_each_expert_matches_reference(matrices, make, beam, min_symbol_prob)
+    constraint = constraint_of(kind, ALPHA, RULES, random_lexicon(rng), params)
+    assert_each_expert_matches_reference(matrices, constraint, beam, min_symbol_prob)
 
 
 @pytest.mark.parametrize("beam", DEGENERATE_BEAMS)
@@ -399,8 +397,8 @@ def test_a_failing_expert_leaves_the_others_alone(kind, beam):
     it, of other lengths, still get their own results."""
     rng = np.random.default_rng(7)
     matrices = [random_matrix(rng, WIDE, 4), separator_only(WIDE, 2), random_matrix(rng, WIDE, 1)]
-    make = constraint_maker(kind, WIDE, WIDE_RULES, WIDE_LEXICON, DecodeParams())
-    got = assert_each_expert_matches_reference(matrices, make, beam)
+    constraint = constraint_of(kind, WIDE, WIDE_RULES, WIDE_LEXICON, DecodeParams())
+    got = assert_each_expert_matches_reference(matrices, constraint, beam)
     assert [isinstance(r, NoAcceptedString) for r in got] == [False, True, False]
 
 
@@ -453,12 +451,12 @@ def test_each_expert_gets_its_solo_result_exactly(seed, n, beam, min_symbol_prob
     1 to 24 frames per expert."""
     rng = np.random.default_rng(seed)
     matrices = [tying_matrix(rng, DEFAULT, int(rng.integers(1, 25))) for _ in range(n)]
-    make = constraint_maker(kind, DEFAULT, DEFAULT_RULES, DEFAULT_LEXICON, DecodeParams())
-    got = [repr(r) for r in prefix_beam_search_many(matrices, make(), beam, min_symbol_prob)]
+    table = compiled(constraint_of(kind, DEFAULT, DEFAULT_RULES, DEFAULT_LEXICON, DecodeParams()))
+    got = [repr(r) for r in prefix_beam_search_many(matrices, table, beam, min_symbol_prob)]
     for m, result in zip(matrices, got):
-        assert result == repr(prefix_beam_search_many([m], make(), beam, min_symbol_prob)[0])
+        assert result == repr(prefix_beam_search_many([m], table, beam, min_symbol_prob)[0])
     order = rng.permutation(n)
-    permuted = prefix_beam_search_many([matrices[e] for e in order], make(), beam, min_symbol_prob)
+    permuted = prefix_beam_search_many([matrices[e] for e in order], table, beam, min_symbol_prob)
     assert [repr(r) for r in permuted] == [got[e] for e in order]
 
 
@@ -467,7 +465,7 @@ def test_experts_must_share_an_alphabet():
     rng = np.random.default_rng(0)
     matrices = [random_matrix(rng, ALPHA, 3), random_matrix(rng, other, 3)]
     with pytest.raises(InvariantViolation, match="share an alphabet"):
-        prefix_beam_search_many(matrices, _FsaConstraint(RULES, ALPHA), 8)
+        prefix_beam_search_many(matrices, RULES._table(ALPHA), 8)
 
 
 @pytest.mark.parametrize("value", [2.0, 1.0, -0.1, -1.0, float("nan")])
@@ -478,9 +476,9 @@ def test_min_symbol_prob_outside_unit_interval_is_rejected(value):
     with pytest.raises(ValueError, match="min_symbol_prob"):
         decode_expression(m, rules, beam_width=8, min_symbol_prob=value)
     with pytest.raises(ValueError, match="min_symbol_prob"):
-        prefix_beam_search(m, _FsaConstraint(rules, alphabet), 8, value)
+        prefix_beam_search(m, rules._table(alphabet), 8, value)
     with pytest.raises(ValueError, match="beam_width"):
-        prefix_beam_search(m, _FsaConstraint(rules, alphabet), 0)
+        prefix_beam_search(m, rules._table(alphabet), 0)
 
 
 @pytest.mark.parametrize("limit, count", [("MAX_CANDIDATES", "candidates"), ("MAX_PREFIXES", "prefixes")])
@@ -490,13 +488,13 @@ def test_a_search_past_a_fixed_limit_raises_search_limit(monkeypatch, kind, limi
     each frame. Past a limit, the search raises ``SearchLimit``, naming the
     frame and the count, before it builds that frame's arrays."""
     m = random_matrix(np.random.default_rng(0), WIDE, 5)
-    make = constraint_maker(kind, WIDE, WIDE_RULES, WIDE_LEXICON, DecodeParams())
-    assert_matches_reference(m, make, None)
+    constraint = constraint_of(kind, WIDE, WIDE_RULES, WIDE_LEXICON, DecodeParams())
+    assert_matches_reference(m, constraint, None)
     monkeypatch.setattr(search, limit, 200)
     with pytest.raises(SearchLimit, match=rf"^frame \d+ .*{count}, over the limit of 200;"):
-        prefix_beam_search(m, make(), None)
+        prefix_beam_search(m, compiled(constraint), None)
     with pytest.raises(SearchLimit):
-        prefix_beam_search_many([m, m], make(), None)
+        prefix_beam_search_many([m, m], compiled(constraint), None)
 
 
 @pytest.mark.parametrize("beam", DEGENERATE_BEAMS)
@@ -505,10 +503,11 @@ def test_a_search_past_a_fixed_limit_raises_search_limit(monkeypatch, kind, limi
 @settings(max_examples=25, deadline=None)
 def test_each_state_row_is_built_once_per_search(kind, beam, seed, min_symbol_prob):
     """Each state's row is built once, when its constraint is compiled,
-    and no search builds one: after searches, single or batched, the
-    constraint gives the table it compiled, and the lexicon keeps no new
-    table (``ATTACHED_LEXICON`` has states of several analyses). A batched
-    search gives each matrix its single search's result."""
+    and no search builds one: after searches, single or batched, under the
+    compiled table, compiling again gives that table, and the lexicon
+    keeps no new table (``ATTACHED_LEXICON`` has states of several
+    analyses). A batched search gives each matrix its single search's
+    result."""
     rng = np.random.default_rng(seed)
     # The wide alphabet only under a beam: unpruned, its prefixes multiply
     # tenfold per frame.
@@ -521,13 +520,12 @@ def test_each_state_row_is_built_once_per_search(kind, beam, seed, min_symbol_pr
     lexicon = Lexicon(lexicon.counts, lexicon.separator, lexicon.attach_chars)
     matrices = [random_matrix(rng, alphabet, int(rng.integers(1, 7))) for _ in range(3)]
     params = DecodeParams(oov_policy=str(rng.choice(["reject", "pass-punct"])))
-    constraint = constraint_maker(kind, alphabet, rules, lexicon, params)()
-    symbols = list(alphabet.printable_indices)
-    table = constraint.compiled(symbols)
+    constraint = constraint_of(kind, alphabet, rules, lexicon, params)
+    table = compiled(constraint)
     kept = dict(lexicon._tables)
-    got = [search_outcome(prefix_beam_search, m, constraint, beam, min_symbol_prob) for m in matrices]
-    batched = prefix_beam_search_many(matrices, constraint, beam, min_symbol_prob)
-    assert constraint.compiled(symbols) is table
+    got = [search_outcome(prefix_beam_search, m, table, beam, min_symbol_prob) for m in matrices]
+    batched = prefix_beam_search_many(matrices, table, beam, min_symbol_prob)
+    assert compiled(constraint) is table
     assert lexicon._tables.keys() == kept.keys()
     assert [None if isinstance(r, NoAcceptedString) else r for r in batched] == got
 
@@ -551,9 +549,8 @@ def test_every_compiled_row_equals_the_reference_row(seed, kind, oov, attached):
         word_bonus=float(rng.choice([0.0, 0.5, -0.3])),
         oov_policy=oov,
     )
-    constraint = constraint_maker(kind, ALPHA, RULES, lex, params)()
-    symbols = list(ALPHA.printable_indices)
-    states = assert_table_matches_reference(constraint.compiled(symbols), constraint, symbols)
+    constraint = constraint_of(kind, ALPHA, RULES, lex, params)
+    states = assert_table_matches_reference(compiled(constraint), constraint)
     if kind != "fsa":
         lexical = [s if kind == "lexicon" else s[1] for s in states.values()]
         assert any(len(state) > 1 for state in lexical) == attached
@@ -575,10 +572,9 @@ def test_each_row_follows_its_stay_and_each_slot_knows_its_target(kind):
     holds the slot's cell, or 0 (a stay's cell, 0, is in no row). Every
     array is read-only."""
     rules = RELAXED_RULES if kind == "fsa-relaxed" else RULES
-    constraint = constraint_maker(kind.split("-")[0], ALPHA, rules, ATTACHED_LEXICON, DecodeParams())()
-    symbols = list(ALPHA.printable_indices)
-    table = constraint.compiled(symbols)
-    states = assert_table_matches_reference(table, constraint, symbols)
+    constraint = constraint_of(kind.split("-")[0], ALPHA, rules, ATTACHED_LEXICON, DecodeParams())
+    table = compiled(constraint)
+    states = assert_table_matches_reference(table, constraint)
     if not kind.startswith("fsa"):
         assert any(len(s if kind == "lexicon" else s[1]) > 1 for s in states.values())
     n = table.rank.size
