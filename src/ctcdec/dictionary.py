@@ -84,10 +84,10 @@ def _table(
     )
     tables = lexicon._tables
     if key not in tables:
-        tables[key] = _frozen(*_determinized(*_automaton(lexicon, alphabet, params)))
+        tables[key] = _frozen(*_determinized(*_automaton(lexicon, alphabet, params)), key[:2])
     if rules is None:
         return tables[key]
-    both = (*key, tuple(array.tobytes() for array in rules))
+    both = (*key, tuple(array.tobytes() for array in rules if isinstance(array, np.ndarray)))
     if both not in tables:
         tables[both] = _product(rules, tables[key])
     return tables[both]
@@ -296,6 +296,7 @@ def _product(a: Compiled, b: Compiled) -> Compiled:
         a.final[ka] + b.final[kb],
         np.concatenate(lengths),
         *(np.concatenate(arrays) for arrays in (offsets, children, weights)),
+        a.alphabet,
     )
 
 

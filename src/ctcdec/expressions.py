@@ -122,7 +122,8 @@ class ExpressionModel:
 
         The table has the rows of every live state, the start state as id
         0: a row holds the symbols that step to a live state. It has no
-        weights or ranks, and an accepting state's ``final`` is 0."""
+        weights or ranks (it is not ``weighted``, so the search scores by
+        mass alone), and an accepting state's ``final`` is 0."""
         key = (alphabet.symbols, alphabet.nac_index)
         if key not in self._tables:
             self.validate(alphabet)
@@ -138,7 +139,7 @@ class ExpressionModel:
             offset, child = np.array([arc for row in rows for arc in ((0, 0), *row)], dtype=np.intp).T.copy()
             length = np.array([len(row) for row in rows], dtype=np.intp)
             final = np.array([0.0 if state in self.accepting else NEG_INF for state in states])
-            self._tables[key] = _frozen(np.zeros(len(states)), final, length, offset, child, np.zeros(offset.size))
+            self._tables[key] = _frozen(np.zeros(len(states)), final, length, offset, child, np.zeros(offset.size), key)
         return self._tables[key]
 
     def validate(self, alphabet: Alphabet) -> None:

@@ -13,11 +13,14 @@ A constraint is a weighted automaton compiled into one table, a
 :class:`Compiled` over the matrix's alphabet, complete and read-only, in
 which every state it reaches has a row of the printable symbols that
 some accepted string continues with (any other symbol discards the
-prefix). The search takes the table itself. An arc has a weight; a state
-has a ``rank`` and, if it accepts, a ``final``. A prefix accumulates the
-weights along its path (``acc``); the search ranks it by ``mass + acc +
-rank`` and finishes it with the bonus ``acc + final``. The search reads
-nothing but the table and builds no row.
+prefix). The search takes the table itself, which records the alphabet
+it was compiled over. An arc has a weight; a state has a ``rank`` and, if
+it accepts, a ``final``. A prefix accumulates the weights along its path
+(``acc``); the search ranks it by ``mass + acc + rank`` and finishes it
+with the bonus ``acc + final``. Under a table with no weights or ranks
+(an expression model's), ``acc`` stays +0.0 and the search ranks by
+``mass`` alone, which keeps every comparison and so every result. The
+search reads nothing but the table and builds no row.
 
 Each frame is one array step over the beam's live extensions (Hannun et
 al. 2014): every entry stays (NaC, or its last symbol again) and extends
@@ -93,7 +96,13 @@ class Compiled(NamedTuple):
     child ``id``; weight -0.0, which leaves a sum bit-exact). Per slot,
     ``child_rank`` and ``child_accepts`` are the target's ``rank`` and
     whether it accepts, and ``repeat`` is 1 + where its row holds the
-    slot's cell, or 0."""
+    slot's cell, or 0.
+
+    ``alphabet`` is the key ``(symbols, nac_index)`` of the alphabet the
+    table was compiled over, which the search checks. ``weighted`` says
+    whether any ``rank`` or arc weight is nonzero (-0.0 counts as zero);
+    without weights, every sum the search would add them into adds +0.0,
+    so it ranks a prefix by its mass alone."""
 
     rank: np.ndarray
     final: np.ndarray
@@ -105,12 +114,15 @@ class Compiled(NamedTuple):
     child_rank: np.ndarray
     child_accepts: np.ndarray
     repeat: np.ndarray
+    alphabet: tuple
+    weighted: bool
 
 
-def _frozen(rank, final, length, offset, child, weight) -> Compiled:
-    """The read-only :class:`Compiled` of rows stored in id order, each
-    after a slot for its stay, which this fills in ``offset``, ``child``
-    and ``weight``; it adds the per-slot arrays."""
+def _frozen(rank, final, length, offset, child, weight, alphabet: tuple) -> Compiled:
+    """The read-only :class:`Compiled` over the alphabet keyed ``alphabet``
+    of rows stored in id order, each after a slot for its stay, which this
+    fills in ``offset``, ``child`` and ``weight``; it adds the per-slot
+    arrays and the ``weighted`` flag."""
     start = np.cumsum(length + 1) - length
     stay = start - 1
     offset[stay], child[stay], weight[stay] = 0, np.arange(length.size), -0.0
@@ -127,9 +139,13 @@ def _frozen(rank, final, length, offset, child, weight) -> Compiled:
     at -= stay[child]
     repeat = (at * found).astype(np.int32)
     del at, found
-    table = Compiled(rank, final, start, length, offset, child, weight, rank[child], final[child] > NEG_INF, repeat)
+    table = Compiled(
+        rank, final, start, length, offset, child, weight, rank[child], final[child] > NEG_INF, repeat,
+        alphabet, bool(rank.any() or weight.any()),
+    )
     for array in table:
-        array.flags.writeable = False
+        if isinstance(array, np.ndarray):
+            array.flags.writeable = False
     return table
 
 
@@ -237,24 +253,26 @@ def prefix_beam_search_many(
 ) -> list[tuple[Prefix, float, float] | NoAcceptedString]:
     """:func:`prefix_beam_search` of each matrix, as one search.
 
-    The matrices (the experts) must share an alphabet, else
-    :class:`InvariantViolation`. Every beam entry belongs to one expert,
-    and the beam cut, its tie rule and the anchor apply per expert, so
-    each expert gets exactly the result of searching its matrix alone:
-    ``(prefix, ctc_log_mass, bonus)``, or the :class:`NoAcceptedString`
-    that search would raise. The experts share the ``table``.
+    The matrices (the experts) must share an alphabet, the one the
+    ``table`` was compiled over, else :class:`InvariantViolation`. Every
+    beam entry belongs to one expert, and the beam cut, its tie rule and
+    the anchor apply per expert, so each expert gets exactly the result
+    of searching its matrix alone: ``(prefix, ctc_log_mass, bonus)``, or
+    the :class:`NoAcceptedString` that search would raise. The experts
+    share the ``table``.
     """
     if beam_width is not None and beam_width < 1:
         raise ValueError("beam_width must be >= 1 or None")
     if not 0.0 <= min_symbol_prob < 1.0:
         raise ValueError("min_symbol_prob must be in [0, 1)")
-    alphabet = matrices[0].alphabet
     for e, m in enumerate(matrices):
-        if (m.alphabet.symbols, m.alphabet.nac_index) != (alphabet.symbols, alphabet.nac_index):
+        if (m.alphabet.symbols, m.alphabet.nac_index) != table.alphabet:
             raise InvariantViolation(
-                f"experts must share an alphabet: expert {e} has {m.alphabet.symbols!r}, "
-                f"expert 0 has {alphabet.symbols!r}"
+                f"experts must share an alphabet, the one the table was compiled over: expert {e} has "
+                f"{m.alphabet.symbols!r} (NaC at {m.alphabet.nac_index}), the table {table.alphabet[0]!r} "
+                f"(NaC at {table.alphabet[1]})"
             )
+    alphabet = matrices[0].alphabet
     n = len(matrices)
     # Each expert's block of cells; a shorter expert is padded with NaC at 1.
     block = [alphabet.nac_index, *alphabet.printable_indices]
@@ -287,7 +305,9 @@ def prefix_beam_search_many(
     last = edges[:-1]
     pos = _grown(ids, n + 1, -1)
     pb, pnb = np.zeros(n), np.full(n, NEG_INF)
-    acc = np.zeros(n)
+    # Without weights, every entry's ``acc`` stays +0.0.
+    weighted = table.weighted
+    acc = np.zeros(n) if weighted else 0.0
     nid, rel, own = (np.zeros(n, dtype=np.intp) for _ in range(3))
 
     for t in range(num_frames):
@@ -325,7 +345,13 @@ def prefix_beam_search_many(
         stay_pnb[into] = np.logaddexp(stay_pnb[into], cand[at])
         cand[at] = NEG_INF
         cand[stays] = np.logaddexp(stay_pb, stay_pnb)
-        cand_acc = acc.repeat(lengths) + table.weight.take(slot)
+        if weighted:
+            cand_acc = acc.repeat(lengths) + table.weight.take(slot)
+            score = cand + cand_acc + table.child_rank.take(slot)
+        else:
+            # Adding +0.0 twice could only turn -0.0 into +0.0, which no
+            # comparison in the cut tells apart.
+            score = cand
 
         def prefix_of(x: int) -> Prefix:
             # Candidate ``x``: its entry's prefix, extended unless a stay.
@@ -335,7 +361,6 @@ def prefix_beam_search_many(
 
         # Each expert's candidates are a run of the list, from its first stay.
         runs = items[last.searchsorted(edges)]
-        score = cand + cand_acc + table.child_rank.take(slot)
         keep = _cut(cand, score, runs, beam_width, lambda x: table.child_accepts[slot[x]], prefix_of)
 
         # The survivors take their entry's fields; an extension (``fresh``, past
@@ -349,7 +374,9 @@ def prefix_beam_search_many(
         pb, pnb, up, last, ids, rel, own = (a[entry] for a in (stay_pb, stay_pnb, up, last, ids, rel, own))
         pb[fresh], pnb[fresh], up[fresh], last[fresh] = NEG_INF, cand[x], fresh_up, cell[x]
         rel[fresh], own[fresh] = item[fresh], table.repeat.take(slot[x])
-        acc, nid = cand_acc[keep], table.child.take(slot[keep])
+        nid = table.child.take(slot[keep])
+        if weighted:
+            acc = cand_acc[keep]
         if fresh.size:
             ids[fresh] = tree.ids(fresh_up * span + cell[x], t)
             pos = _grown(pos, tree.size + 1, -1)

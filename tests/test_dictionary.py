@@ -416,9 +416,10 @@ def test_a_determinized_automaton_finds_the_best_string_and_path(data):
     src, cell, dst = (np.array(column, dtype=np.intp) for column in columns[:3])
     weight = np.array(columns[3], dtype=float)
     order = np.lexsort((cell, src))
-    table = _frozen(*_determinized(rank, final, *(a[order] for a in (src, cell, dst, weight))))
-
     alphabet = Alphabet.with_nac("abc"[:cells])
+    key = (alphabet.symbols, alphabet.nac_index)
+    table = _frozen(*_determinized(rank, final, *(a[order] for a in (src, cell, dst, weight))), key)
+
     m = random_matrix(np.random.default_rng(data.draw(st.integers(0, 10_000))), alphabet, data.draw(st.integers(1, 4)))
     cell_of = {alphabet.symbols[i]: c for c, i in enumerate(alphabet.printable_indices, 1)}
 
@@ -477,6 +478,23 @@ def test_freshly_compiled_rules_share_one_product_table():
     assert len({(h.text, h.score.hex()) for h in got}) == 1
     assert len(lexicon._tables) == 2
     assert len(pickle.loads(pickle.dumps(lexicon))._tables) == 2
+
+
+@pytest.mark.parametrize(
+    "params, weighted",
+    [(DecodeParams(), True), (DecodeParams(word_bonus=0.5), True), (DecodeParams(lm_weight=0.0), False)],
+    ids=["prior", "bonus", "flat"],
+)
+def test_a_table_is_weighted_where_a_rank_or_arc_weight_is_nonzero(params, weighted):
+    """A lexicon table carries its word priors as weights, and so does its
+    product with the (unweighted) stock rules; with no prior and no word
+    bonus, every weight is zero and both tables are unweighted."""
+    alphabet = default_alphabet()
+    lexicon = Lexicon({"the": 5, "cat": 3, "sat": 2, "a": 4, "it's": 1}, separator=" ")
+    rules = compile_rules(default_rule_config(alphabet), alphabet)
+    assert not rules._table(alphabet).weighted
+    assert _table(lexicon, alphabet, params).weighted == weighted
+    assert _table(lexicon, alphabet, params, rules).weighted == weighted
 
 
 @pytest.mark.parametrize("rules", [False, True], ids=["dec-dm", "dec-dm-rules"])

@@ -445,7 +445,8 @@ class TestCompiledTable:
         alphabet's symbols reach, and each row equals the row that the
         reference search reads (``reference_successors``): the symbols
         that step to a live state, in cell order, with weights and ranks 0
-        and finals 0 where the state accepts."""
+        and finals 0 where the state accepts. So the table is not
+        ``weighted``: the search scores by mass alone."""
         model = compile_rules(replace(default_rule_config(alphabet), **_RULE_OPTIONS[rules]), alphabet)
         table = model._table(alphabet)
         # The live states that the alphabet's symbols reach from the start.
@@ -460,7 +461,9 @@ class TestCompiledTable:
         states = assert_table_matches_reference(table, Constraint(alphabet, model))
         assert sorted(states.values()) == sorted(reached)
         assert table.rank.size == len(live)
-        assert not any(array.flags.writeable for array in table)
+        assert not table.weighted
+        assert not any(array.flags.writeable for array in table if isinstance(array, np.ndarray))
+        assert table.alphabet == (alphabet.symbols, alphabet.nac_index)
 
     def test_one_model_with_two_alphabets_gets_two_tables(self):
         """The same printable symbols in another order are another

@@ -27,6 +27,7 @@ from ctcdec import search
 from ctcdec.ctc import NEG_INF
 from ctcdec.dictionary import _table
 from ctcdec.errors import SearchLimit
+from ctcdec.experiment import _experiment_alphabet
 from ctcdec.search import Compiled, _cut, prefix_beam_search, prefix_beam_search_many
 from oracles import (
     Constraint,
@@ -279,6 +280,35 @@ def test_beam_one_anchor_keeps_an_accepted_prefix(scheme):
     assert batched[0] == got
 
 
+@pytest.mark.parametrize("beam", BEAMS)
+@given(st.integers(0, 10_000), st.integers(1, 3), st.sampled_from([0.0, 0.1]))
+@settings(max_examples=40, deadline=None)
+def test_an_unweighted_table_scores_by_mass_alone_exactly(beam, seed, n, min_symbol_prob):
+    """An expression table has no weights, so the search scores by mass
+    alone; repr for repr, it returns what the same table returns on the
+    weighted path. One to three experts of unequal lengths (so padding
+    runs), the stock or relaxed rules, and rows quantized to a few levels,
+    some zero, so that scores tie exactly at the beam edge and between
+    anchor candidates."""
+    rng = np.random.default_rng(seed)
+    # The wide alphabet only under a beam: unpruned, its prefixes multiply
+    # tenfold per frame.
+    alphabet = WIDE if beam is not None and rng.random() < 0.5 else ALPHA
+    config = default_rule_config(alphabet)
+    if rng.random() < 0.5:
+        config = replace(config, attach_punctuation=False, digits_form_numbers=False)
+    table = compile_rules(config, alphabet)._table(alphabet)
+    assert not table.weighted
+    matrices = []
+    for frames in rng.choice(np.arange(1, 7), size=n, replace=False):
+        weights = rng.choice([0.0, 1.0, 2.0, 4.0], size=(int(frames), len(alphabet)))
+        weights[:, alphabet.nac_index] += 1.0
+        matrices.append(ConfidenceMatrix(weights / weights.sum(axis=1, keepdims=True), alphabet))
+    got = prefix_beam_search_many(matrices, table, beam, min_symbol_prob)
+    want = prefix_beam_search_many(matrices, table._replace(weighted=True), beam, min_symbol_prob)
+    assert repr(got) == repr(want)
+
+
 @st.composite
 def cut_frames(draw):
     """One frame's candidates for the beam cut: 1-5 experts' runs, some
@@ -468,6 +498,23 @@ def test_experts_must_share_an_alphabet():
         prefix_beam_search_many(matrices, RULES._table(ALPHA), 8)
 
 
+@pytest.mark.parametrize("table_of, matrix_of", [("default", "experiment"), ("experiment", "default")])
+def test_a_table_of_another_alphabet_is_an_invariant_violation(table_of, matrix_of):
+    """A table records the alphabet it was compiled over, and the search
+    rejects matrices of another: a table of the 84-symbol default alphabet
+    over a 17-column matrix (which would index past its columns), and a
+    16-symbol table over an 84-column matrix (which would spell a prefix
+    of the wrong symbols)."""
+    alphabets = {"default": default_alphabet(), "experiment": _experiment_alphabet()}
+    table_alphabet, alphabet = alphabets[table_of], alphabets[matrix_of]
+    table = compile_rules(default_rule_config(table_alphabet), table_alphabet)._table(table_alphabet)
+    m = random_matrix(np.random.default_rng(0), alphabet, 6)
+    with pytest.raises(InvariantViolation, match="the table was compiled over"):
+        prefix_beam_search(m, table, 8)
+    with pytest.raises(InvariantViolation, match="the table was compiled over"):
+        prefix_beam_search_many([m, m], table, 8)
+
+
 @pytest.mark.parametrize("value", [2.0, 1.0, -0.1, -1.0, float("nan")])
 def test_min_symbol_prob_outside_unit_interval_is_rejected(value):
     alphabet = default_alphabet()
@@ -570,7 +617,7 @@ def test_each_row_follows_its_stay_and_each_slot_knows_its_target(kind):
     ``child_rank`` and ``child_accepts`` are the target's rank and whether
     its final is above -inf, and ``repeat`` is 1 + where the target's row
     holds the slot's cell, or 0 (a stay's cell, 0, is in no row). Every
-    array is read-only."""
+    array is read-only, and the table records its alphabet."""
     rules = RELAXED_RULES if kind == "fsa-relaxed" else RULES
     constraint = constraint_of(kind.split("-")[0], ALPHA, rules, ATTACHED_LEXICON, DecodeParams())
     table = compiled(constraint)
@@ -590,4 +637,5 @@ def test_each_row_follows_its_stay_and_each_slot_knows_its_target(kind):
         assert float(table.child_rank[x]).hex() == float(table.rank[j]).hex()
         assert bool(table.child_accepts[x]) == (table.final[j] > NEG_INF)
         assert int(table.repeat[x]) == (rows[j].index(cell) + 1 if cell in rows[j] else 0)
-    assert not any(array.flags.writeable for array in table)
+    assert not any(array.flags.writeable for array in table if isinstance(array, np.ndarray))
+    assert table.alphabet == (ALPHA.symbols, ALPHA.nac_index)
