@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 from numpy.random import SeedSequence
@@ -112,16 +113,18 @@ class SchemeDecoder:
         alphabet = matrices[0].alphabet
         if self.scheme == "dec-bp":
             return decode_best_path(matrices[0])
+        # The batch writes only text: the single-matrix schemes compute no word confidences.
         if self.scheme == "dec-ce":
             return decode_expression(
                 matrices[0],
                 self._model(alphabet),
                 beam_width=self.params.beam_width,
                 min_symbol_prob=self.params.min_symbol_prob,
+                word_confidences=False,
             )
         if self.scheme == "dec-dm":
             return decode_dictionary(
-                matrices[0], self.lexicon, self.params, self._model(alphabet)
+                matrices[0], self.lexicon, self.params, self._model(alphabet), word_confidences=False
             )
         return committee_decode(
             matrices, self.lexicon, self.params, self.committee, self._model(alphabet)
@@ -383,6 +386,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (CtcDecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenProcessPool as exc:
+        # A decode worker process died (killed for memory, say).
+        print(f"error: {exc} The lines written so far are in {args.out}.tmp", file=sys.stderr)
         return 1
     except ValueError as exc:
         # A bad option value: a number out of range or a missing option.

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .ctc import split_words
+from .ctc import marginal_word_confidences, split_words
 from .dictionary import DecodeParams, _decode_dictionary_many
 from .errors import LengthMismatch, NoAcceptedString
 from .evaluate import edit_alignment
@@ -219,11 +219,12 @@ def committee_decode(
     """
     if len(matrices) != config.n:
         raise LengthMismatch(f"{len(matrices)} matrices for a committee of {config.n}")
-    decoded = _decode_dictionary_many(
-        matrices, lexicon, params, expression_model, votes_only=config.vote_lambda == 1.0
-    )
+    confidences = config.vote_lambda < 1.0
+    decoded = _decode_dictionary_many(matrices, lexicon, params, expression_model, word_confidences=confidences)
     hyps = [h for h in decoded if isinstance(h, Hypothesis)]
     if not hyps:
         raise NoAcceptedString(f"all {config.n} experts failed: {decoded[0]}")
-    effective = replace(config, n=len(hyps))
-    return combine_hypotheses(hyps, effective, lexicon.separator)
+    if len(hyps) == 1 and not confidences:
+        matrix = matrices[decoded.index(hyps[0])]
+        return replace(hyps[0], word_confidences=marginal_word_confidences(matrix, hyps[0].text, lexicon.separator))
+    return combine_hypotheses(hyps, replace(config, n=len(hyps)), lexicon.separator)

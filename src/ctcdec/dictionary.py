@@ -21,7 +21,7 @@ from .errors import EmptyLexicon, NoAcceptedString
 from .expressions import ExpressionModel
 from .lexicon import Lexicon
 from .matrix import ConfidenceMatrix
-from .search import Compiled, _frozen, _hypotheses, _hypothesis, prefix_beam_search, prefix_beam_search_many
+from .search import Compiled, _frozen, _hypotheses, prefix_beam_search, prefix_beam_search_many
 from .types import Hypothesis
 
 OOV_POLICIES = ("reject", "pass-punct")
@@ -305,13 +305,16 @@ def decode_dictionary(
     lexicon: Lexicon,
     params: DecodeParams = DecodeParams(),
     expression_model: ExpressionModel | None = None,
+    *,
+    word_confidences: bool = True,
 ) -> Hypothesis:
     """Best lexicon-constrained hypothesis for the matrix.
 
     ``expression_model`` optionally intersects the search with an
     expression FSA (dictionary decoding on top of expression rules). The
     hypothesis score is the full log-linear objective; word confidences
-    are per-word CTC marginals over the decoded frame spans.
+    are per-word CTC marginals over the decoded frame spans (``None``
+    without ``word_confidences``).
     """
     found = prefix_beam_search(
         matrix,
@@ -319,7 +322,7 @@ def decode_dictionary(
         beam_width=params.beam_width,
         min_symbol_prob=params.min_symbol_prob,
     )
-    return _hypothesis(matrix, lexicon.separator, *found)
+    return _hypotheses([matrix], lexicon.separator, [found], word_confidences)[0]
 
 
 def _decode_dictionary_many(
@@ -327,7 +330,7 @@ def _decode_dictionary_many(
     lexicon: Lexicon,
     params: DecodeParams,
     expression_model: ExpressionModel | None = None,
-    votes_only: bool = False,
+    word_confidences: bool = True,
 ) -> list[Hypothesis | NoAcceptedString]:
     """:func:`decode_dictionary` of each matrix (the experts of one line),
     as one search under one constraint.
@@ -335,8 +338,7 @@ def _decode_dictionary_many(
     Errors that do not depend on a matrix (an empty lexicon, an invalid
     expression model, experts with different alphabets) raise; an
     expert whose search finds no accepted string gets the
-    :class:`NoAcceptedString` in its place. ``votes_only`` is for a
-    committee that votes by count alone: see ``search._hypotheses``.
+    :class:`NoAcceptedString` in its place.
     """
     found = prefix_beam_search_many(
         matrices,
@@ -344,5 +346,5 @@ def _decode_dictionary_many(
         beam_width=params.beam_width,
         min_symbol_prob=params.min_symbol_prob,
     )
-    return _hypotheses(matrices, lexicon.separator, found, votes_only)
+    return _hypotheses(matrices, lexicon.separator, found, word_confidences)
 

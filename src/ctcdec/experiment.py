@@ -142,8 +142,8 @@ def run_trial(config: ExperimentConfig, trial: int) -> TrialResult:
         for i, text in enumerate(refs)
     ]
     # At vote_lambda 1 no confidence reaches a result: the votes count words.
-    votes_only = config.vote_lambda == 1.0
-    decoded = [_decode_dictionary_many(matrices, lexicon, params, votes_only=votes_only) for matrices in lines]
+    confidences = config.vote_lambda < 1.0
+    decoded = [_decode_dictionary_many(matrices, lexicon, params, word_confidences=confidences) for matrices in lines]
 
     bp_reports: list[EvalReport] = []
     dm_reports: list[EvalReport] = []

@@ -19,7 +19,7 @@ from .alphabet import Alphabet
 from .ctc import NEG_INF
 from .errors import EmptyLanguage, InvalidRule
 from .matrix import ConfidenceMatrix
-from .search import Compiled, _frozen, _hypothesis, prefix_beam_search
+from .search import Compiled, _frozen, _hypotheses, prefix_beam_search
 from .types import Hypothesis
 
 CLASS_UPPER = "uppercase"
@@ -307,14 +307,17 @@ def decode_expression(
     model: ExpressionModel,
     beam_width: int | None = 64,
     min_symbol_prob: float = 0.0,
+    *,
+    word_confidences: bool = True,
 ) -> Hypothesis:
     """Most confident string accepted by the expression model.
 
     Scores are string marginals over the explored prefixes; with
-    ``beam_width=None`` the result is the exact constrained optimum.
-    Raises :class:`NoAcceptedString` when the beam exhausts without an
+    ``beam_width=None`` the result is the exact constrained optimum;
+    word confidences are ``None`` unless ``word_confidences``. Raises
+    :class:`NoAcceptedString` when the beam exhausts without an
     accepting completion.
     """
     table = model._table(matrix.alphabet)
     found = prefix_beam_search(matrix, table, beam_width=beam_width, min_symbol_prob=min_symbol_prob)
-    return _hypothesis(matrix, matrix.alphabet.separator, *found)
+    return _hypotheses([matrix], matrix.alphabet.separator, [found], word_confidences)[0]

@@ -64,7 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ctc import NEG_INF, marginal_word_confidences, word_confidences_many
+from .ctc import NEG_INF, word_confidences_many
 from .errors import InvariantViolation, NoAcceptedString, SearchLimit
 from .matrix import ConfidenceMatrix
 from .types import Hypothesis
@@ -389,30 +389,22 @@ def prefix_beam_search_many(
     return [_best(tree, ids[lo:hi], mass[lo:hi], bonus[lo:hi], block * n) for lo, hi in zip(first, first[1:])]
 
 
-def _hypothesis(matrix: ConfidenceMatrix, separator: str | None, prefix: Prefix, mass: float, bonus: float) -> Hypothesis:
-    """A search result ``(prefix, mass, bonus)`` as a :class:`Hypothesis`
-    scored ``mass + bonus``, with word confidences split on ``separator``."""
-    text = "".join(matrix.alphabet.symbols[i] for i in prefix)
-    return Hypothesis(text, mass + bonus, marginal_word_confidences(matrix, text, separator))
-
-
 def _hypotheses(
-    matrices: list[ConfidenceMatrix], separator: str | None, found: list, votes_only: bool = False
+    matrices: list[ConfidenceMatrix], separator: str | None, found: list, word_confidences: bool
 ) -> list[Hypothesis | NoAcceptedString]:
-    """:func:`_hypothesis` of each expert's search result, with the word
-    confidences of all experts from one lattice pass; a
+    """Each expert's search result ``(prefix, mass, bonus)`` as a
+    :class:`Hypothesis` scored ``mass + bonus``; a
     :class:`NoAcceptedString` stays in its expert's place. With
-    ``votes_only`` (a committee that votes by count alone), the
-    hypotheses carry no word confidences when two or more experts found a
-    string; a sole one, which the committee returns as it is, keeps them."""
+    ``word_confidences``, the hypotheses carry their word confidences,
+    split on ``separator``, all experts' from one lattice pass; without,
+    they carry none."""
     texts = {
         i: "".join(matrices[i].alphabet.symbols[c] for c in result[0])
         for i, result in enumerate(found)
         if not isinstance(result, NoAcceptedString)
     }
-    if votes_only and len(texts) > 1:
-        confs = dict.fromkeys(texts)
-    else:
+    confs = dict.fromkeys(texts)
+    if word_confidences:
         confs = dict(zip(texts, word_confidences_many([(matrices[i], text) for i, text in texts.items()], separator)))
     return [
         Hypothesis(texts[i], result[1] + result[2], confs[i]) if i in texts else result

@@ -12,14 +12,23 @@ from ctcdec import (
     Manifest,
     ParseError,
     committee_decode,
+    compile_rules,
     decode_best_path,
+    decode_dictionary,
+    decode_expression,
+    default_alphabet,
+    default_rule_config,
     generate_synthetic,
     load_manifest,
+    load_matrix,
     run_batch,
     save_manifest,
     store_matrix,
 )
 from ctcdec.batch import decode_record
+from ctcdec.cli import SchemeDecoder
+
+from test_committee import count_confidence_passes
 
 AB = Alphabet.with_nac("ab ", separator=" ")
 
@@ -217,6 +226,32 @@ class TestRunBatch:
 
         results = run_batch(Manifest((record,)), committee, tmp_path / "out.tsv")
         assert results[0][1] == "ERROR:InvariantViolation"
+
+    @pytest.mark.parametrize("scheme", ["dec-ce", "dec-dm"])
+    def test_the_cli_schemes_write_the_public_decoders_text_with_no_confidence_pass(
+        self, tmp_path, monkeypatch, scheme
+    ):
+        """The batch writes only each line's text, so the CLI's
+        single-matrix schemes compute no word confidences."""
+        alphabet = default_alphabet()
+        lexicon = Lexicon({"the": 5, "cat": 3, "sat": 2, "a": 4}, separator=" ")
+        params = DecodeParams(beam_width=8)
+        records = []
+        for i, text in enumerate(["the cat", "a cat sat", "the"]):
+            path = tmp_path / f"l{i}.ctcmat"
+            store_matrix(generate_synthetic(text, alphabet, 3, 0.4, seed=i), path)
+            records.append(LineRecord(f"l{i}", (str(path),)))
+        matrices = [load_matrix(r.matrix_paths[0]) for r in records]
+        if scheme == "dec-ce":
+            model = compile_rules(default_rule_config(alphabet), alphabet)
+            want = [decode_expression(m, model, beam_width=8) for m in matrices]
+        else:
+            want = [decode_dictionary(m, lexicon, params) for m in matrices]
+        counted = count_confidence_passes(monkeypatch)
+        decoder = SchemeDecoder(scheme, lexicon=lexicon, params=params)
+        results = run_batch(Manifest(tuple(records)), decoder, tmp_path / "out.tsv")
+        assert counted == []
+        assert results == [(r.line_id, h.text) for r, h in zip(records, want)]
 
 
 class PickleCountingDecoder:

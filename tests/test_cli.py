@@ -1,5 +1,6 @@
 import builtins
 import io
+import itertools
 import json
 import os
 import pickle
@@ -755,6 +756,43 @@ def test_decode_to_a_directory_fails_before_the_first_line(workspace, capsys, mo
     assert err.startswith("error: ") and "is a directory" in err and err.count("\n") == 1
     assert not (workspace / "outdir.tmp").exists()
     assert not any(out.iterdir())
+
+
+class ExitOnFrames:
+    """Best path, except that the process decoding a matrix of ``frames``
+    frames ends at once, as a worker killed for memory would."""
+
+    def __init__(self, frames: int):
+        self.frames = frames
+
+    def __call__(self, matrices):
+        if matrices[0].num_frames == self.frames:
+            os._exit(1)
+        return cli.decode_best_path(matrices[0])
+
+
+def test_a_worker_that_dies_exits_1_with_one_line(tmp_path, capsys, monkeypatch):
+    """A pool whose worker process dies breaks: the run exits 1 with one
+    ``error:`` line, the lines written before it stay in ``<out>.tmp``,
+    and no ``<out>`` is written."""
+    lines = tmp_path / "lines.txt"
+    lines.write_text("a\nthe\nthe cat\ncat\nhat sat a\nsat\n", encoding="utf-8")
+    run_cli("synth", "--lines", lines, "--out-dir", tmp_path / "synth")
+    paths = sorted((tmp_path / "synth").glob("e0_*.ctcmat"))
+    want = [f"{p.stem[3:]}\t{cli.decode_best_path(cli.load_matrix(p)).text}\n" for p in paths]
+    # The third line is the only one of its length.
+    frames = cli.load_matrix(paths[2]).num_frames
+    monkeypatch.setattr(cli, "SchemeDecoder", lambda *args, **kwargs: ExitOnFrames(frames))
+    out = tmp_path / "hyp.tsv"
+    capsys.readouterr()
+    assert run_cli(
+        "decode", "--manifest", tmp_path / "synth" / "manifest.json", "--scheme", "dec-bp", "--out", out, "--jobs", 2
+    ) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and f"{out}.tmp" in err
+    assert not out.exists()
+    written = (tmp_path / "hyp.tsv.tmp").read_text(encoding="utf-8")
+    assert written in ("", *itertools.accumulate(want[:2]))
 
 
 def test_alphabet_json_not_utf8_names_its_line(tmp_path, capsys):

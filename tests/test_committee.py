@@ -20,6 +20,7 @@ from ctcdec import (
     default_rule_config,
     generate_synthetic,
 )
+import ctcdec.ctc
 import ctcdec.search
 from ctcdec.committee import NULL_WORD, WordTransitionNetwork, align_into_wtn, vote, word_alignment
 from ctcdec.ctc import word_confidences_many
@@ -32,9 +33,10 @@ def hyp(text: str, confs=None) -> Hypothesis:
 
 
 def count_confidence_passes(monkeypatch) -> list:
-    """The number of texts of each call of the word confidence pass that
-    makes a decode's hypotheses (``word_confidences_many``, as
-    ``ctcdec.search`` calls it), filled in as the calls are made."""
+    """The number of texts of each call of the word confidence pass
+    (``word_confidences_many``, as ``ctcdec.search`` calls it to make a
+    decode's hypotheses and as ``ctc.marginal_word_confidences`` calls
+    it), filled in as the calls are made."""
     calls = []
 
     def counted(decoded, separator):
@@ -42,6 +44,7 @@ def count_confidence_passes(monkeypatch) -> list:
         return word_confidences_many(decoded, separator)
 
     monkeypatch.setattr(ctcdec.search, "word_confidences_many", counted)
+    monkeypatch.setattr(ctcdec.ctc, "word_confidences_many", counted)
     return calls
 
 

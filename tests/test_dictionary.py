@@ -298,6 +298,19 @@ def test_word_confidences_are_probabilities():
     assert all(0.0 <= c <= 1.0 for c in hyp.word_confidences)
 
 
+@pytest.mark.parametrize("rules", [False, True])
+@pytest.mark.parametrize("seed", range(3))
+def test_without_word_confidences_the_text_and_score_are_the_same(rules, seed):
+    alphabet = default_alphabet()
+    lexicon = Lexicon({"the": 5, "cat": 3, "sat": 2, "a": 4}, separator=" ")
+    model = compile_rules(default_rule_config(alphabet), alphabet) if rules else None
+    m = generate_synthetic("the cat sat", alphabet, frames_per_char=3, noise=0.4, seed=seed)
+    full = decode_dictionary(m, lexicon, DecodeParams(beam_width=8), model)
+    bare = decode_dictionary(m, lexicon, DecodeParams(beam_width=8), model, word_confidences=False)
+    assert len(full.word_confidences) == len(full.text.split())
+    assert (bare.text, bare.score.hex(), bare.word_confidences) == (full.text, full.score.hex(), None)
+
+
 def test_min_symbol_prob_skips_a_symbol_the_exact_best_needs():
     # "a" has probability 0.05 at the only frame but a much larger prior;
     # NaC has none, so the empty line is impossible.

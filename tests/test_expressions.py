@@ -425,6 +425,14 @@ class TestDecode:
         hyp = decode_expression(m, DEFAULT_MODEL, beam_width=16)
         assert DEFAULT_MODEL.accepts(hyp.text)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_without_word_confidences_the_text_and_score_are_the_same(self, seed):
+        m = generate_synthetic("The cat, sat 42.", ALPHA, frames_per_char=3, noise=0.4, seed=seed)
+        full = decode_expression(m, DEFAULT_MODEL, beam_width=16)
+        bare = decode_expression(m, DEFAULT_MODEL, beam_width=16, word_confidences=False)
+        assert len(full.word_confidences) == len(full.text.split())
+        assert (bare.text, bare.score.hex(), bare.word_confidences) == (full.text, full.score.hex(), None)
+
 
 _RULE_OPTIONS = {
     "stock": {},
